@@ -9,6 +9,7 @@ import argparse
 from pathlib import Path
 
 from lrcav.bounds import concat_expander_crossover, rate_curves
+from lrcav.cli import write_curves_csv
 
 
 def main() -> None:
@@ -20,17 +21,11 @@ def main() -> None:
     args = ap.parse_args()
 
     args.outdir.mkdir(parents=True, exist_ok=True)
-    header = "delta,upper_new,upper_tbf,lower_expander,lower_concat,rate_cap"
     for pair in args.pairs:
         r, t = (int(x) for x in pair.split(","))
         rows = rate_curves(r, t, args.grid)
         path = args.outdir / f"curves_r{r}_t{t}.csv"
-        with path.open("w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.12g}" for v in (
-                    row.delta, row.upper_new, row.upper_tbf,
-                    row.lower_expander, row.lower_concat, row.rate_cap)) + "\n")
+        write_curves_csv(rows, path)
         cross = concat_expander_crossover(rows)
         where = f"delta_c ~ {cross:.6g}" if cross is not None else "none"
         print(f"r={r} t={t}: {len(rows)} rows -> {path} (crossover {where})")

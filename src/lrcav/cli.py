@@ -107,8 +107,8 @@ def load_artifact(path: str):
 
 def cmd_bounds(args) -> int:
     n, k, r, t, q = args.n, args.k, args.r, args.t, args.q
-    if t < 1:
-        raise InputError("availability bounds need t >= 1")
+    if not 1 <= k <= n or r < 1 or t < 1:
+        raise InputError("bounds need 1 <= k <= n, r >= 1 and t >= 1")
     print(f"bounds for [n={n}, k={k}] with locality r={r}, availability t={t}, q={q}")
     rows = [
         ("wang_rawat", "Wang-Rawat distance bound",
@@ -131,16 +131,21 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def cmd_curves(args) -> int:
-    rows = bounds.rate_curves(args.r, args.t, args.grid)
+def write_curves_csv(rows, path) -> None:
+    """Write rate_curves rows as the curve CSV table (12 significant digits)."""
     lines = ["delta,upper_new,upper_tbf,lower_expander,lower_concat,rate_cap"]
     for row in rows:
         lines.append(",".join(f"{v:.12g}" for v in (
             row.delta, row.upper_new, row.upper_tbf, row.lower_expander,
             row.lower_concat, row.rate_cap)))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def cmd_curves(args) -> int:
+    rows = bounds.rate_curves(args.r, args.t, args.grid)
     try:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_curves_csv(rows, args.out)
     except OSError as exc:
         raise InputError(f"cannot write curves CSV: {exc}")
     cross = bounds.concat_expander_crossover(rows)

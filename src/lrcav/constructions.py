@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .galois import BaseField, ExtElement, FieldTower
 from .gabidulin import GabidulinSpec, default_spec, gab_encode, moore_interpolate
-from .linalg import Gf2RankTracker, Matrix, nullspace, rank_over_base, rref
+from .linalg import Matrix, RankTracker, nullspace, rank_over_base, rref
 
 
 @dataclass
@@ -208,17 +208,18 @@ class CompositeCode:
         return self.gab.n
 
 
-def _beta_points(tower: FieldTower, outer_map: Matrix,
-                 eval_points: Sequence[ExtElement]) -> List[ExtElement]:
-    beta = []
+def _apply_outer_map(tower: FieldTower, outer_map: Matrix,
+                     symbols: Sequence[ExtElement]) -> List[ExtElement]:
+    """Coordinate j is sum_i outer_map[i][j] * symbols[i] (base scalars)."""
+    out = []
     for j in range(outer_map.cols):
         acc = tower.zero
         for i in range(outer_map.rows):
             lam = outer_map.data[i][j]
             if lam:
-                acc = tower.add(acc, tower.scalar_mul(lam, eval_points[i]))
-        beta.append(acc)
-    return beta
+                acc ^= tower.scalar_mul(lam, symbols[i])
+        out.append(acc)
+    return out
 
 
 def assemble_expander_code(tower: FieldTower, parity: Matrix, k: int) -> CompositeCode:
@@ -235,7 +236,7 @@ def assemble_expander_code(tower: FieldTower, parity: Matrix, k: int) -> Composi
     basis = nullspace(parity)
     outer_map = rref(Matrix.from_rows(tower.base, basis, n))[0]
     gab = default_spec(tower, n_g, k)
-    beta = _beta_points(tower, outer_map, gab.eval_points)
+    beta = _apply_outer_map(tower, outer_map, gab.eval_points)
     return CompositeCode("expander", tower, gab, outer_map, beta)
 
 
@@ -266,43 +267,23 @@ def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
             for j in range(n_i):
                 outer.data[b * k_i + i][b * n_i + j] = g_inner.data[i][j]
     gab = default_spec(tower, n_g, k)
-    beta = _beta_points(tower, outer, gab.eval_points)
+    beta = _apply_outer_map(tower, outer, gab.eval_points)
     return CompositeCode("concatenated", tower, gab, outer, beta,
                          inner_n=n_i, inner_k=k_i, blocks=blocks)
 
 
 def encode_composite(code: CompositeCode, message: Sequence[ExtElement]) -> List[ExtElement]:
     """Gabidulin-encode, then apply the outer map coefficient-wise."""
-    tower = code.tower
-    cw = gab_encode(code.gab, message)
-    out = []
-    for j in range(code.n):
-        acc = tower.zero
-        for i in range(code.n_g):
-            lam = code.outer_map.data[i][j]
-            if lam:
-                acc = tower.add(acc, tower.scalar_mul(lam, cw[i]))
-        out.append(acc)
-    return out
+    return _apply_outer_map(code.tower, code.outer_map, gab_encode(code.gab, message))
 
 
 def select_independent_survivors(code: CompositeCode,
                                  indices: Sequence[int]) -> List[int]:
     """Greedy (by index) subset of survivors with base-independent betas."""
-    tower = code.tower
+    tracker = RankTracker(code.tower)
     chosen: List[int] = []
-    if tower.base.w == 1:
-        tracker = Gf2RankTracker()
-        for j in indices:
-            packed = sum(bit << i for i, bit in enumerate(code.beta[j]))
-            if tracker.add(packed):
-                chosen.append(j)
-                if len(chosen) == code.k:
-                    break
-        return chosen
     for j in indices:
-        if rank_over_base(tower, [code.beta[i] for i in chosen] + [code.beta[j]]) \
-                == len(chosen) + 1:
+        if tracker.add(code.beta[j]):
             chosen.append(j)
             if len(chosen) == code.k:
                 break

@@ -53,8 +53,8 @@ def lin_eval(tower: FieldTower, f: LinearizedPoly, x: ExtElement) -> ExtElement:
     for i, a in enumerate(f.coeffs):
         if i > 0:
             xi = tower.frobenius(xi, 1)
-        if any(a):
-            acc = tower.add(acc, tower.mul(a, xi))
+        if a:
+            acc ^= tower.mul(a, xi)
     return acc
 
 
@@ -66,7 +66,7 @@ def gab_encode(spec: GabidulinSpec, message: Sequence[ExtElement]) -> List[ExtEl
 
 
 def rank_weight(tower: FieldTower, v: Sequence[ExtElement]) -> int:
-    return rank_over_base(tower, [x for x in v if any(x)])
+    return rank_over_base(tower, v)
 
 
 def moore_matrix(tower: FieldTower, points: Sequence[ExtElement], width: int) -> Matrix:

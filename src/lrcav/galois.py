@@ -1,9 +1,10 @@
 """Exact arithmetic in GF(2^w) and its degree-m extension GF((2^w)^m).
 
 Base field elements are integers in [0, 2^w) whose bits are polynomial
-coefficients over GF(2).  Extension elements are tuples of m base
-elements (coordinates in the polynomial basis).  Only characteristic 2
-is supported, so subtraction equals addition everywhere.
+coefficients over GF(2).  Extension elements are integers of m*w bits:
+coordinate i in the polynomial basis (a base element) sits in bits
+[i*w, (i+1)*w).  Only characteristic 2 is supported, so subtraction
+equals addition everywhere, and adding extension elements is XOR.
 
 Primitive polynomials used for the base fields (one per width w):
     w=1 : x + 1
@@ -17,10 +18,9 @@ Primitive polynomials used for the base fields (one per width w):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
-ExtElement = Tuple[int, ...]
+ExtElement = int
 
 # Primitive polynomials over GF(2), keyed by degree w; bit i is the
 # coefficient of x^i.  With these moduli the element x (integer 2) is a
@@ -228,8 +228,9 @@ def find_irreducible(base: BaseField, m: int, seed: int = 0,
 class FieldTower:
     """The pair GF(2^w) <= GF((2^w)^m), with Frobenius support.
 
-    Extension elements are length-m tuples of base elements (polynomial
-    basis coordinates).  Immutable after construction and safe to share.
+    Extension elements are packed integers (see the module docstring), so
+    zero is 0, one is 1, addition is XOR and an element is nonzero iff it
+    is truthy.  Immutable after construction and safe to share.
     """
 
     def __init__(self, base: BaseField, m: int, ext_modulus: Sequence[int] | None = None,
@@ -246,84 +247,74 @@ class FieldTower:
         if not is_irreducible(base, ext_modulus):
             raise ValueError("extension modulus is reducible")
         self.ext_modulus = tuple(ext_modulus)
-        self.zero: ExtElement = (0,) * m
-        self.one: ExtElement = tuple([1] + [0] * (m - 1))
-        # bit-packed modulus for the fast GF(2)-base path
-        self._packed_mod = None
-        if base.w == 1:
-            self._packed_mod = sum(c << i for i, c in enumerate(ext_modulus))
+        self.zero: ExtElement = 0
+        self.one: ExtElement = 1
+        # x^m = sum of the lower modulus terms (characteristic 2), packed
+        self._top = m * base.w
+        self._reduce = self.from_coords(ext_modulus[:-1])
 
-    # -- element constructors -------------------------------------------------
+    # -- element constructors and the base-field view -------------------------
 
     def from_coords(self, coords: Sequence[int]) -> ExtElement:
         if len(coords) != self.m:
             raise ValueError("coordinate vector has wrong length")
-        return tuple(coords)
+        w = self.base.w
+        return sum(c << (i * w) for i, c in enumerate(coords))
 
-    def embed_scalar(self, lam: int) -> ExtElement:
-        return tuple([lam] + [0] * (self.m - 1))
+    def coords(self, a: ExtElement) -> List[int]:
+        w, mask = self.base.w, self.base.q - 1
+        return [a >> (i * w) & mask for i in range(self.m)]
 
     def basis_element(self, i: int) -> ExtElement:
-        return tuple(1 if j == i else 0 for j in range(self.m))
+        return 1 << (i * self.base.w)
 
     def rand(self, rng: random.Random) -> ExtElement:
-        return tuple(rng.randrange(self.base.q) for _ in range(self.m))
+        return self.from_coords([rng.randrange(self.base.q) for _ in range(self.m)])
 
     def rand_nonzero(self, rng: random.Random) -> ExtElement:
         while True:
             a = self.rand(rng)
-            if any(a):
+            if a:
                 return a
 
     # -- arithmetic -----------------------------------------------------------
 
     def add(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        return tuple(x ^ y for x, y in zip(a, b))
+        return a ^ b
 
     def scalar_mul(self, lam: int, a: ExtElement) -> ExtElement:
-        return tuple(self.base.mul(lam, x) for x in a)
+        if lam <= 1:
+            return a if lam else 0
+        base = self.base
+        w, exp, log = base.w, base.exp, base.log
+        order = mask = base.q - 1
+        llam = log[lam]
+        out = 0
+        shift = 0
+        while a:
+            c = a & mask
+            if c:
+                out |= exp[(llam + log[c]) % order] << shift
+            a >>= w
+            shift += w
+        return out
 
     def mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        if self._packed_mod is not None:
-            return self._mul_packed(a, b)
-        f = self.base
-        m = self.m
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] ^= f.mul(ai, bj)
-        # reduce mod ext_modulus (monic)
-        for d in range(2 * m - 2, m - 1, -1):
-            c = prod[d]
+        """Horner over b's coordinates: acc = acc*x + b_i*a, top coordinate first."""
+        w, mask, top = self.base.w, self.base.q - 1, self._top
+        acc = 0
+        for shift in range(top - w, -1, -w):
+            acc <<= w
+            hi = acc >> top
+            if hi:
+                acc ^= (hi << top) ^ self.scalar_mul(hi, self._reduce)
+            c = b >> shift & mask
             if c:
-                prod[d] = 0
-                for i, mi in enumerate(self.ext_modulus[:-1]):
-                    if mi:
-                        prod[d - m + i] ^= f.mul(c, mi)
-        return tuple(prod[:m])
-
-    def _mul_packed(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        # base field GF(2): coordinates are bits, use integer carry-less mul
-        m = self.m
-        x = sum(bit << i for i, bit in enumerate(a))
-        y = sum(bit << i for i, bit in enumerate(b))
-        p = 0
-        while y:
-            if y & 1:
-                p ^= x
-            y >>= 1
-            x <<= 1
-        mod = self._packed_mod
-        for d in range(2 * m - 2, m - 1, -1):
-            if p >> d & 1:
-                p ^= mod << (d - m)
-        return tuple(p >> i & 1 for i in range(m))
+                acc ^= self.scalar_mul(c, a)
+        return acc
 
     def inv(self, a: ExtElement) -> ExtElement:
-        if not any(a):
+        if not a:
             raise ZeroDivisionError("inversion of zero field element")
         # a^(q^m - 2)
         return self.pow(a, self.base.q**self.m - 2)
@@ -357,10 +348,6 @@ class FieldTower:
 
     def __repr__(self):
         return f"FieldTower(q=2^{self.base.w}, m={self.m})"
-
-
-def build_base_field(w: int) -> BaseField:
-    return BaseField(w)
 
 
 def build_tower(w: int, m: int, ext_modulus: Sequence[int] | None = None,

@@ -9,7 +9,7 @@ deterministic (first nonzero pivot, smallest column first).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 
 @dataclass
@@ -153,34 +153,23 @@ def nullspace(M: Matrix) -> List[List[object]]:
 
 def rank_over_base(tower, vectors) -> int:
     """Rank of extension-field elements viewed as base-field coordinate rows."""
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    if tower.base.w == 1:
-        return _gf2_rank([sum(bit << i for i, bit in enumerate(v)) for v in vectors])
-    M = Matrix.from_rows(tower.base, [list(v) for v in vectors], tower.m)
-    return rank(M)
+    tracker = RankTracker(tower)
+    for v in vectors:
+        tracker.add(v)
+    return tracker.rank
 
 
-def _gf2_rank(rows: List[int]) -> int:
-    """Rank of bit-packed GF(2) rows (fast path)."""
-    rk = 0
-    basis: List[int] = []
-    for r in rows:
-        for b in basis:
-            r = min(r, r ^ b)
-        if r:
-            basis.append(r)
-            basis.sort(reverse=True)
-            rk += 1
-    return rk
+class RankTracker:
+    """Incremental rank over GF(2^w) of packed extension elements.
 
+    Each basis row is keyed by its top nonzero coordinate and scaled so
+    that coordinate is 1; reducing a new row by the basis row with the
+    same top coordinate therefore clears that coordinate.
+    """
 
-class Gf2RankTracker:
-    """Incremental GF(2) rank of bit-packed rows (greedy survivor selection)."""
-
-    def __init__(self):
-        self.basis: List[int] = []
+    def __init__(self, tower):
+        self.tower = tower
+        self.basis: Dict[int, int] = {}
 
     @property
     def rank(self) -> int:
@@ -188,10 +177,14 @@ class Gf2RankTracker:
 
     def add(self, row: int) -> bool:
         """Add a row; True iff it increased the rank."""
-        for b in self.basis:
-            row = min(row, row ^ b)
-        if row:
-            self.basis.append(row)
-            self.basis.sort(reverse=True)
-            return True
+        tower = self.tower
+        w = tower.base.w
+        while row:
+            top = (row.bit_length() - 1) // w
+            lead = row >> (top * w)
+            pivot = self.basis.get(top)
+            if pivot is None:
+                self.basis[top] = tower.scalar_mul(tower.base.inv(lead), row)
+                return True
+            row ^= tower.scalar_mul(lead, pivot)
         return False

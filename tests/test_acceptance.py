@@ -101,8 +101,7 @@ def test_criterion_04_gabidulin_mrd_exhaustive(report):
         if c0 == 0 and c1 == 0:
             continue
         count += 1
-        msg = [tuple(c0 >> i & 1 for i in range(4)),
-               tuple(c1 >> i & 1 for i in range(4))]
+        msg = [c0, c1]
         w = rank_weight(tower, gab_encode(spec, msg))
         best = w if best is None else min(best, w)
     elapsed = time.perf_counter() - start

@@ -27,6 +27,13 @@ def test_bounds_rejects_bad_t(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("n,k,r", [(10, 5, 0), (5, 10, 2)])
+def test_bounds_rejects_impossible_parameters(capsys, n, k, r):
+    code, out, err = run(capsys, "bounds", "--n", str(n), "--k", str(k),
+                         "--r", str(r), "--t", "2")
+    assert code == 2 and "error" in err and out == ""
+
+
 def test_curves_csv(tmp_path, capsys):
     out_path = tmp_path / "curves.csv"
     code, out, _ = run(capsys, "curves", "--r", "6", "--t", "3",

@@ -204,7 +204,7 @@ def test_concatenated_blocks_are_inner_codewords():
     for b in range(3):
         block = cw[10 * b:10 * (b + 1)]
         for comp in range(tower.m):
-            bits = [x[comp] for x in block]
+            bits = [tower.coords(x)[comp] for x in block]
             for row in inner.parity.data:
                 assert sum(l * v for l, v in zip(row, bits)) % 2 == 0
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcav.galois import (BaseField, FieldTower, build_tower, find_irreducible,
-                          is_irreducible)
+from lrcav.galois import (BaseField, FieldTower, _poly_mod, _poly_mul, build_tower,
+                          find_irreducible, is_irreducible)
 
 
 def test_gf2_behaves_like_prime_field():
@@ -138,16 +138,26 @@ def test_ext_inverse_roundtrip_gf2_base():
         assert t.mul(a, t.inv(a)) == t.one
 
 
-def test_packed_and_generic_multiplication_agree():
-    t = build_tower(1, 6)
-    rng = random.Random(9)
-    for _ in range(200):
-        a, b = t.rand(rng), t.rand(rng)
-        packed = t.mul(a, b)
-        t._packed_mod = None
-        generic = t.mul(a, b)
-        t._packed_mod = sum(c << i for i, c in enumerate(t.ext_modulus))
-        assert packed == generic
+def test_mul_matches_polynomial_product_mod_modulus():
+    # independent oracle: multiply coordinate polynomials, reduce mod ext_modulus
+    for w, m in [(1, 6), (2, 3), (4, 5), (8, 3)]:
+        t = build_tower(w, m, seed=w)
+        rng = random.Random(9)
+        for _ in range(200):
+            a, b = t.rand(rng), t.rand(rng)
+            prod = _poly_mod(t.base, _poly_mul(t.base, t.coords(a), t.coords(b)),
+                             t.ext_modulus)
+            assert t.coords(t.mul(a, b)) == prod + [0] * (m - len(prod))
+
+
+@pytest.mark.parametrize("w,m", [(1, 18), (4, 5), (8, 3)])
+def test_rand_draws_coordinates_in_order(w, m):
+    # seeded messages and trials depend on this draw order
+    t = build_tower(w, m)
+    for s in range(20):
+        rng = random.Random(s)
+        expected = [rng.randrange(t.base.q) for _ in range(m)]
+        assert t.coords(t.rand(random.Random(s))) == expected
 
 
 def test_frobenius_identity_and_power(tower):

@@ -117,9 +117,15 @@ def test_rank_over_base_scalar_multiple():
 
 
 def test_rank_over_base_matches_bit_matrix_oracle():
-    t = build_tower(1, 8)
-    rng = random.Random(3)
-    for _ in range(100):
-        vs = [t.rand(rng) for _ in range(4)]
-        M = Matrix.from_rows(F2, [list(v) for v in vs], 8)
-        assert rank_over_base(t, vs) == rank(M)
+    # rref of the coordinate matrix over GF(2^w) is the oracle
+    for w in (1, 2, 4):
+        t = build_tower(w, 8)
+        rng = random.Random(3)
+        for _ in range(100):
+            vs = [t.rand(rng) for _ in range(rng.randrange(1, 10))]
+            if rng.randrange(2):
+                # force a dependency: a base-field combination of earlier rows
+                vs.append(t.scalar_mul(rng.randrange(t.base.q), vs[0])
+                          ^ t.scalar_mul(rng.randrange(t.base.q), vs[-1]))
+            M = Matrix.from_rows(t.base, [t.coords(v) for v in vs], 8)
+            assert rank_over_base(t, vs) == rank(M)
