@@ -116,7 +116,23 @@ def _expansion_residual(delta: float, gamma: float, t: int, r: int) -> float:
             - delta * c * binary_entropy(min(1.0 / c, 1.0)))
 
 
-def expansion_delta(gamma: float, t: int, r: int, tol: float = 1e-12) -> float:
+ROOT_TOL = 1e-12  # largest |residual| accepted at an expansion root
+
+
+def _bisect(pred: Callable[[float], bool], lo: float, hi: float) -> float:
+    """Halve [lo, hi], keeping pred(lo) true and pred(hi) false, until the
+    midpoint equals an endpoint (float resolution); return lo."""
+    while True:
+        mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            return lo
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def expansion_delta(gamma: float, t: int, r: int) -> float:
     """Positive root delta of the biregular-ensemble expansion equation.
 
     For gamma at the lower endpoint 1/(r+1) the residual is positive on
@@ -132,7 +148,7 @@ def expansion_delta(gamma: float, t: int, r: int, tol: float = 1e-12) -> float:
     lo = 1e-9
     hi = 1.0
     f_hi = f(hi)
-    if abs(f_hi) <= tol:
+    if abs(f_hi) <= ROOT_TOL:
         # residual vanishes at the right endpoint (boundary gamma)
         if f((lo + hi) / 2) > 0.0:
             return 1.0
@@ -145,45 +161,27 @@ def expansion_delta(gamma: float, t: int, r: int, tol: float = 1e-12) -> float:
         # gamma so close to 1 - 1/t that the positive root underflows
         # double precision; 0 is the exactly-representable limit
         return 0.0
-    if f_hi > tol:
+    if f_hi > ROOT_TOL:
         raise ValueError("no sign change bracket found (degenerate parameters)")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        fm = f(mid)
-        if fm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = (lo + hi) / 2.0
-    if abs(f(root)) > tol:
+    root = _bisect(lambda d: f(d) > 0.0, lo, hi)
+    if abs(f(root)) > ROOT_TOL:
         raise ValueError("bisection failed to reach the residual tolerance")
     return root
 
 
 def gamma_for_delta(delta: float, t: int, r: int) -> float:
-    """Largest gamma in [1/(r+1), 1-1/t) sustaining relative distance delta."""
+    """Largest gamma in [1/(r+1), 1-1/t) sustaining relative distance delta,
+    that is, with a non-negative expansion residual at (delta, gamma)."""
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     lo = 1.0 / (r + 1)
     hi = (1.0 - 1.0 / t) - 1e-12
-
-    def ok(g: float) -> bool:
-        try:
-            return expansion_delta(g, t, r) >= delta
-        except ValueError:
-            return False
-
+    ok = lambda g: _expansion_residual(delta, g, t, r) >= 0.0
     if not ok(lo):
         return lo
     if ok(hi):
         return hi
-    for _ in range(80):
-        mid = (lo + hi) / 2.0
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(ok, lo, hi)
 
 
 # ---------------------------------------------------------------------------

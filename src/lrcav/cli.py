@@ -71,34 +71,59 @@ def save_artifact(doc: dict, path: str) -> None:
         fh.write("\n")
 
 
+def _count(obj, key: str) -> int:
+    val = obj.get(key) if isinstance(obj, dict) else None
+    if type(val) is not int or val < 0:
+        raise InputError(f"artifact needs a non-negative integer {key!r}")
+    return val
+
+
+def _base_rows(rows, q: int) -> list:
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(type(v) is int and 0 <= v < q for v in row)
+            for row in rows):
+        raise InputError(f"artifact matrix rows must hold integers in [0, {q})")
+    return rows
+
+
 def load_artifact(path: str):
-    """Returns (doc, code) where code is a LinearCode or CompositeCode."""
+    """Returns (doc, code) where code is a LinearCode or CompositeCode.
+
+    The schema is checked here, so any malformed artifact is an InputError:
+    a JSON object with the keys its kind reads, non-negative integer sizes
+    and base-field matrices of integers in [0, q).
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot load artifact: {exc}")
+    if not isinstance(doc, dict):
+        raise InputError("artifact must be a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise InputError("unsupported artifact format version")
     kind = doc.get("kind")
-    f = doc["field"]
+    if kind not in ("wzl", "raw", "concat", "expander"):
+        raise InputError(f"unknown artifact kind {kind!r}")
+    f, mats = doc.get("field"), doc.get("matrices")
+    if not isinstance(mats, dict) or (kind != "concat" and "parity" not in mats):
+        raise InputError("artifact lacks its matrices")
+    for key in ("n", "k", "r", "t"):
+        _count(doc, key)
+    base = BaseField(_count(f, "w"))
+    for rows in mats.values():
+        _base_rows(rows, base.q)
     if kind in ("wzl", "raw"):
-        base = BaseField(f["w"])
-        parity = Matrix.from_rows(base, doc["matrices"]["parity"], doc["n"])
-        code = constructions.LinearCode.from_parity(base, parity,
-                                                    doc.get("r"), doc.get("t"))
+        parity = Matrix.from_rows(base, mats["parity"], doc["n"])
+        code = constructions.LinearCode.from_parity(base, parity, doc["r"], doc["t"])
         return doc, code
+    tower = FieldTower(base, _count(f, "m"), _base_rows([f.get("ext_modulus")], base.q)[0])
     if kind == "concat":
-        tower = FieldTower(BaseField(f["w"]), f["m"], f["ext_modulus"])
         code = constructions.assemble_concatenated(
-            tower, doc["r"], doc["t"], doc["params"]["blocks"], doc["k"])
+            tower, doc["r"], doc["t"], _count(doc.get("params"), "blocks"), doc["k"])
         return doc, code
-    if kind == "expander":
-        tower = FieldTower(BaseField(f["w"]), f["m"], f["ext_modulus"])
-        parity = Matrix.from_rows(tower.base, doc["matrices"]["parity"], doc["n"])
-        code = constructions.assemble_expander_code(tower, parity, doc["k"])
-        return doc, code
-    raise InputError(f"unknown artifact kind {kind!r}")
+    parity = Matrix.from_rows(base, mats["parity"], doc["n"])
+    return doc, constructions.assemble_expander_code(tower, parity, doc["k"])
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +226,10 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (args.distance or args.availability or args.erasures is not None):
+        raise InputError("verify needs --distance, --availability or --erasures")
+    if args.erasures is not None and args.trials < 1:
+        raise InputError("--erasures needs --trials >= 1")
     doc, code = load_artifact(args.code)
     report = {"artifact": args.code, "kind": doc["kind"]}
     failed = False

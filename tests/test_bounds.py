@@ -152,6 +152,14 @@ def test_gamma_for_delta_inverts_expansion():
             # slightly larger gamma can no longer sustain delta
             if g < (1.0 - 1.0 / t) - 1e-6:
                 assert expansion_delta(g + 1e-6, t, r) < delta + 1e-6
+    # every interior delta of the grid-200 curve table, up to delta -> 1
+    # where the residual is steep in delta
+    for t, r in [(3, 6), (2, 5), (4, 4)]:
+        for i in range(1, 199):
+            delta = i / 199
+            g = gamma_for_delta(delta, t, r)
+            if g < (1.0 - 1.0 / t) - 1e-9:
+                assert abs(expansion_delta(g, t, r) - delta) <= 1e-9, (t, r, i)
 
 
 def test_expander_rate_endpoints():

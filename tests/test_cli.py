@@ -157,6 +157,47 @@ def test_verify_wrong_format_version(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def _drop_field(doc):
+    del doc["field"]
+    return doc
+
+
+def _parity_entry_7(doc):
+    doc["matrices"]["parity"][0][0] = 7
+    return doc
+
+
+def _ragged_parity(doc):
+    doc["matrices"]["parity"][0].append(0)
+    return doc
+
+
+@pytest.mark.parametrize("mutate", [_drop_field, lambda doc: [doc],
+                                    _parity_entry_7, _ragged_parity],
+                         ids=["missing-field", "top-level-list",
+                              "entry-outside-field", "ragged-rows"])
+def test_verify_malformed_artifact_is_input_error(tmp_path, capsys, mutate):
+    path = tmp_path / "wzl.json"
+    run(capsys, "construct", "wzl", "--r", "2", "--t", "2", "--out", str(path))
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    code, out, err = run(capsys, "verify", "--code", str(path), "--distance")
+    assert code == 2 and "error" in err and out == ""
+
+
+@pytest.mark.parametrize("kind,flags", [
+    ("wzl", []),
+    ("wzl", ["--erasures", "2", "--trials", "0", "--seed", "1"]),
+    ("concat", ["--erasures", "2", "--trials", "0", "--seed", "1"]),
+])
+def test_verify_rejects_vacuous_runs(tmp_path, capsys, kind, flags):
+    path = tmp_path / f"{kind}.json"
+    extra = ["--blocks", "3", "--k", "9"] if kind == "concat" else []
+    run(capsys, "construct", kind, "--r", "2", "--t", "2", *extra,
+        "--out", str(path))
+    code, out, err = run(capsys, "verify", "--code", str(path), *flags)
+    assert code == 2 and "error" in err and out == ""
+
+
 def test_shorten_reports_sets_and_bounds(tmp_path, capsys):
     path = tmp_path / "wzl.json"
     run(capsys, "construct", "wzl", "--r", "2", "--t", "2", "--out", str(path))
