@@ -96,7 +96,7 @@ def load_artifact(path: str):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot load artifact: {exc}")
     if not isinstance(doc, dict):
         raise InputError("artifact must be a JSON object")
@@ -386,7 +386,7 @@ def main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, RuntimeError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

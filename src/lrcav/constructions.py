@@ -132,6 +132,8 @@ def sample_biregular(n: int, t: int, rp1: int, seed: int,
     rejects parallel edges.  Some dense parameter sets admit no 4-cycle
     free graph at all (n * C(t,2) left pair slots vs C(n_right, 2)
     distinct right pairs), which is what the relaxed setting is for.
+    Raises ValueError, as for any other unusable parameters, when no
+    sample in max_tries passes.
     """
     if (n * t) % rp1 != 0:
         raise ValueError("r+1 must divide n*t")
@@ -152,8 +154,8 @@ def sample_biregular(n: int, t: int, rp1: int, seed: int,
                 return g
         elif g.is_simple():
             return g
-    raise RuntimeError(f"no girth>={min_girth} simple sample in {max_tries} tries; "
-                       "parameters too dense")
+    raise ValueError(f"no girth>={min_girth} simple sample in {max_tries} tries; "
+                     "parameters too dense")
 
 
 def check_expansion(g: BipartiteGraph, alpha, gamma,

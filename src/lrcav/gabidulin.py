@@ -2,7 +2,7 @@
 
 A linearized polynomial sum(a_i * x^(q^i)) is GF(q)-linear as a map on
 GF(q^m).  Evaluating one at n linearly independent points gives a
-rank-metric codeword; erasure recovery is Moore-matrix interpolation at
+rank-metric codeword; erasure recovery is linearized interpolation at
 any k independent surviving points.
 """
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from .galois import ExtElement, FieldTower
-from .linalg import Matrix, rank_over_base, solve
+from .linalg import Matrix, rank_over_base
 
 
 @dataclass
@@ -84,14 +84,39 @@ def moore_matrix(tower: FieldTower, points: Sequence[ExtElement], width: int) ->
 
 def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
                       values: Sequence[ExtElement]) -> LinearizedPoly:
-    """The unique f of q-degree < k through k independent (point, value) pairs."""
+    """The unique f of q-degree < k through k independent (point, value) pairs.
+
+    Newton interpolation in O(k^2) tower operations: A is the monic
+    annihilator of the points so far and f interpolates them.  At each new
+    point p, c = A(p) is nonzero because p is independent of them; then
+    f += ((y - f(p)) / c) * A keeps the old values and takes y at p, and
+    A <- A^q - c^(q-1) * A also vanishes at p.  The Moore-matrix solve
+    ``solve(moore_matrix(...), values)`` gives the same f in O(k^3).
+    """
     k = len(points)
     if len(values) != k:
         raise ValueError("points and values differ in length")
     if rank_over_base(tower, points) != k:
         raise ValueError("interpolation points are linearly dependent over the base field")
-    M = moore_matrix(tower, points, k)
-    coeffs = solve(M, list(values))
-    if coeffs is None:
-        raise RuntimeError("Moore system inconsistent (internal error)")
-    return LinearizedPoly(coeffs)
+    mul, frob = tower.mul, tower.frobenius
+    f = [tower.zero] * k
+    ann = [tower.one]
+    for p, y in zip(points, values):
+        c = fp = tower.zero
+        x = p
+        for i, a in enumerate(ann):
+            if i:
+                x = frob(x, 1)
+            c ^= mul(a, x)
+            if f[i]:
+                fp ^= mul(f[i], x)
+        c_inv = tower.inv(c)
+        scale = mul(y ^ fp, c_inv)
+        if scale:
+            for i, a in enumerate(ann):
+                f[i] ^= mul(scale, a)
+        ratio = mul(frob(c, 1), c_inv)  # c^(q-1)
+        ann = ([mul(ratio, ann[0])]
+               + [frob(a, 1) ^ mul(ratio, b) for a, b in zip(ann, ann[1:])]
+               + [tower.one])
+    return LinearizedPoly(f)

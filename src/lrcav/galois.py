@@ -194,9 +194,9 @@ def is_irreducible(base: BaseField, poly: Sequence[int]) -> bool:
         return False
     q = base.q
     x = [0, 1]
-    # x^(q^m) == x mod poly
+    # x^(q^m) == x mod poly (x itself reduces when m = 1)
     xqm = _poly_powmod(base, x, q**m, poly)
-    if _poly_trim(list(xqm)) != [0, 1]:
+    if _poly_trim(list(xqm)) != _poly_mod(base, x, poly):
         return False
     for p in _prime_factors(m):
         g = _poly_powmod(base, x, q ** (m // p), poly)
@@ -252,6 +252,31 @@ class FieldTower:
         # x^m = sum of the lower modulus terms (characteristic 2), packed
         self._top = m * base.w
         self._reduce = self.from_coords(ext_modulus[:-1])
+        self._frob_tables = self._build_frobenius_tables()
+
+    def _build_frobenius_tables(self) -> List[List[ExtElement]]:
+        """One table per byte of a packed element: byte value -> its image.
+
+        a -> a^q is GF(q)-linear, so the image of the bit for base value
+        2^s in coordinate i is 2^s * (x^q)^i, and a byte's image is the XOR
+        of its bits' images.
+        """
+        m, w = self.m, self.base.w
+        xq = self.basis_element(1) if m > 1 else self._reduce  # x mod the modulus
+        for _ in range(w):
+            xq = self.mul(xq, xq)
+        bit_images = []
+        col = self.one
+        for _ in range(m):
+            bit_images += [self.scalar_mul(1 << s, col) for s in range(w)]
+            col = self.mul(col, xq)
+        tables = []
+        for start in range(0, len(bit_images), 8):
+            table = [0]
+            for image in bit_images[start:start + 8]:
+                table += [t ^ image for t in table]
+            tables.append(table)
+        return tables
 
     # -- element constructors and the base-field view -------------------------
 
@@ -314,10 +339,26 @@ class FieldTower:
         return acc
 
     def inv(self, a: ExtElement) -> ExtElement:
+        """Itoh-Tsujii: a^-1 = a^(r-1) / N(a) with r = (q^m-1)/(q-1).
+
+        b_k = a^(1+q+...+q^(k-1)) follows an addition chain on m-1 by
+        b_2k = b_k * frob^k(b_k) and b_(k+1) = frob(b_k) * a; then
+        a^(r-1) = frob(b_(m-1)) and the norm N(a) = a^r lies in GF(q).
+        """
         if not a:
             raise ZeroDivisionError("inversion of zero field element")
-        # a^(q^m - 2)
-        return self.pow(a, self.base.q**self.m - 2)
+        rest = self.one
+        if self.m > 1:
+            b, k = a, 1
+            for bit in bin(self.m - 1)[3:]:
+                b = self.mul(b, self.frobenius(b, k))
+                k *= 2
+                if bit == "1":
+                    b = self.mul(self.frobenius(b, 1), a)
+                    k += 1
+            rest = self.frobenius(b, 1)
+        norm = self.mul(a, rest)
+        return self.scalar_mul(self.base.inv(norm), rest)
 
     def pow(self, a: ExtElement, e: int) -> ExtElement:
         result = self.one
@@ -330,14 +371,19 @@ class FieldTower:
         return result
 
     def frobenius(self, a: ExtElement, i: int) -> ExtElement:
-        """a^(q^i); i = m acts as the identity on GF(q^m)."""
+        """a^(q^i) by i passes of byte-table lookups; i = m is the identity."""
         if i < 0:
             raise ValueError("Frobenius power must be nonnegative")
-        i %= self.m
-        out = a
-        for _ in range(i * self.base.w):
-            out = self.mul(out, out)
-        return out
+        tables = self._frob_tables
+        for _ in range(i % self.m):
+            out = 0
+            for table in tables:
+                if not a:
+                    break
+                out ^= table[a & 255]
+                a >>= 8
+            a = out
+        return a
 
     def __eq__(self, other):
         return (isinstance(other, FieldTower) and other.base == self.base

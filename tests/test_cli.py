@@ -87,10 +87,15 @@ def test_construct_expander_roundtrip(tmp_path, capsys):
 
 
 def test_construct_expander_too_dense_for_girth6(tmp_path, capsys):
-    code, _, err = run(capsys, "construct", "expander", "--n", "14",
-                       "--r", "6", "--t", "3", "--w", "4", "--seed", "7",
-                       "--out", str(tmp_path / "x.json"))
-    assert code == 2 and "error" in err
+    # no sample passes the girth test (the default, or asked for explicitly):
+    # a parameter problem, so exit 2 and no artifact
+    path = tmp_path / "x.json"
+    for girth_flag in ([], ["--min-girth", "6"]):
+        code, out, err = run(capsys, "construct", "expander", "--n", "14",
+                             "--r", "6", "--t", "3", "--w", "4", "--seed", "7",
+                             *girth_flag, "--out", str(path))
+        assert code == 2 and "parameters too dense" in err and out == ""
+        assert not path.exists()
 
 
 def test_verify_wzl_distance_and_availability(tmp_path, capsys):
@@ -180,6 +185,25 @@ def test_verify_malformed_artifact_is_input_error(tmp_path, capsys, mutate):
     path = tmp_path / "wzl.json"
     run(capsys, "construct", "wzl", "--r", "2", "--t", "2", "--out", str(path))
     path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    code, out, err = run(capsys, "verify", "--code", str(path), "--distance")
+    assert code == 2 and "error" in err and out == ""
+
+
+def test_internal_error_is_not_an_input_error(tmp_path, monkeypatch):
+    # exit 2 is for input errors only; an internal failure propagates
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal failure")
+
+    monkeypatch.setattr(cli.constructions, "build_wzl", broken)
+    with pytest.raises(RuntimeError, match="internal failure"):
+        cli.main(["construct", "wzl", "--r", "2", "--t", "2",
+                  "--out", str(tmp_path / "wzl.json")])
+
+
+def test_verify_deeply_nested_artifact_is_input_error(tmp_path, capsys):
+    # json.load raises RecursionError here, which must not escape as a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
     code, out, err = run(capsys, "verify", "--code", str(path), "--distance")
     assert code == 2 and "error" in err and out == ""
 

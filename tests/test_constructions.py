@@ -62,7 +62,7 @@ def test_sample_biregular_relaxed_girth():
     # (t, r+1) = (3, 7) at n = 14: every left pair budget exceeds the
     # number of distinct right pairs, so girth > 4 is unachievable and
     # only the simple-graph relaxation can succeed.
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError):
         sample_biregular(14, 3, 7, seed=7, max_tries=50, min_girth=6)
     g = sample_biregular(14, 3, 7, seed=7, min_girth=4)
     assert g.is_simple()

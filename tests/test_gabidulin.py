@@ -4,8 +4,10 @@ from itertools import product
 import pytest
 
 from lrcav.gabidulin import (GabidulinSpec, LinearizedPoly, default_spec,
-                             gab_encode, lin_eval, moore_interpolate, rank_weight)
+                             gab_encode, lin_eval, moore_interpolate, moore_matrix,
+                             rank_weight)
 from lrcav.galois import build_tower
+from lrcav.linalg import rank_over_base, solve
 
 
 def tower24():
@@ -146,3 +148,19 @@ def test_interpolate_rejects_dependent_points():
     t = tower24()
     with pytest.raises(ValueError):
         moore_interpolate(t, [t.one, t.one], [t.one, t.one])
+
+
+@pytest.mark.parametrize("w,m", [(1, 8), (2, 4), (4, 5), (8, 3)])
+def test_interpolate_matches_moore_solve(w, m):
+    # oracle: the O(k^3) Moore-matrix solve, at random independent points
+    t = build_tower(w, m, seed=1)
+    rng = random.Random(8 + w)
+    for k in range(1, m + 1):
+        for _ in range(4):
+            pts = [t.rand(rng) for _ in range(k)]
+            while rank_over_base(t, pts) < k:
+                pts = [t.rand(rng) for _ in range(k)]
+            vals = [t.rand(rng) for _ in range(k)]
+            f = moore_interpolate(t, pts, vals)
+            assert f.coeffs == solve(moore_matrix(t, pts, k), vals)
+            assert [lin_eval(t, f, p) for p in pts] == vals

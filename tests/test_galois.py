@@ -187,3 +187,43 @@ def test_frobenius_base_linearity(i, data):
     rhs = t.add(t.scalar_mul(lam, t.frobenius(a, i)),
                 t.scalar_mul(mu, t.frobenius(b, i)))
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# table Frobenius and Itoh-Tsujii inversion against plain powering
+# ---------------------------------------------------------------------------
+
+ORACLE_TOWERS = [(1, 6), (2, 3), (4, 5), (8, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("w,m", ORACLE_TOWERS)
+def test_frobenius_table_matches_power(w, m):
+    t = build_tower(w, m, seed=w)
+    q = t.base.q
+    rng = random.Random(10 + w)
+    for a in [t.zero, t.one] + [t.rand(rng) for _ in range(20)]:
+        for i in range(m + 1):
+            assert t.frobenius(a, i) == t.pow(a, q**i)
+
+
+@pytest.mark.parametrize("w,m", ORACLE_TOWERS)
+def test_inverse_matches_power(w, m):
+    t = build_tower(w, m, seed=w)
+    e = t.base.q**m - 2
+    rng = random.Random(20 + w)
+    randoms = [t.rand_nonzero(rng) for _ in range(20)]
+    embedded = list(range(1, t.base.q))  # base elements: coordinate 0 only
+    for a in randoms + embedded:
+        assert t.inv(a) == t.pow(a, e)
+
+
+def test_degree_one_tower_is_the_base_field():
+    # m = 1: any monic x + c is irreducible, Frobenius is the identity and
+    # inversion is base-field inversion (an empty Itoh-Tsujii chain)
+    base = BaseField(3)
+    for c in range(base.q):
+        assert is_irreducible(base, [c, 1])
+        t = FieldTower(base, 1, [c, 1])
+        for a in range(1, base.q):
+            assert t.frobenius(a, 1) == a
+            assert t.inv(a) == base.inv(a)
