@@ -137,18 +137,19 @@ class ErasureTrialStats:
 
 
 def whole_block_pattern(code: CompositeCode, e: int) -> List[int]:
-    """Adversarial pattern covering whole inner blocks first."""
+    """Adversarial pattern covering whole inner blocks first.
+
+    Block b holds coordinates [b*n_I, (b+1)*n_I), so that is the first e.
+    """
     if code.inner_n is None:
         raise ValueError("not a concatenated code")
-    full, rest = divmod(e, code.inner_n)
-    pattern = list(range(full * code.inner_n))
-    pattern += list(range(full * code.inner_n, full * code.inner_n + rest))
-    return pattern
+    return list(range(e))
 
 
 def _trial(code: CompositeCode, erased: Sequence[int], rng: random.Random,
            full_decode: bool) -> Tuple[bool, int]:
-    survivors = [j for j in range(code.n) if j not in set(erased)]
+    erased = set(erased)
+    survivors = [j for j in range(code.n) if j not in erased]
     rank = survivor_rank(code, survivors)
     if not full_decode:
         return rank >= code.k, rank

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from typing import List
 
@@ -86,12 +87,23 @@ def _base_rows(rows, q: int) -> list:
     return rows
 
 
+def _check_rebuild(stored: dict, rebuilt: dict) -> None:
+    stale = [key for key in stored if stored[key] != rebuilt[key]]
+    if stale:
+        raise InputError("stored data disagree with the code rebuilt from the "
+                         f"artifact: {', '.join(stale)}")
+
+
 def load_artifact(path: str):
     """Returns (doc, code) where code is a LinearCode or CompositeCode.
 
     The schema is checked here, so any malformed artifact is an InputError:
     a JSON object with the keys its kind reads, non-negative integer sizes
-    and base-field matrices of integers in [0, q).
+    and base-field matrices of integers in [0, q).  The code is rebuilt
+    from its parameters (concat) or stored parity (the other kinds), and
+    every stored size and matrix the rebuild also yields must equal it:
+    k of a linear code; outer_map and n_G of a composite, and for concat
+    also n, n_I and k_I.
     """
     try:
         with open(path) as fh:
@@ -116,14 +128,21 @@ def load_artifact(path: str):
     if kind in ("wzl", "raw"):
         parity = Matrix.from_rows(base, mats["parity"], doc["n"])
         code = constructions.LinearCode.from_parity(base, parity, doc["r"], doc["t"])
+        _check_rebuild({"k": doc["k"]}, {"k": code.k})
         return doc, code
     tower = FieldTower(base, _count(f, "m"), _base_rows([f.get("ext_modulus")], base.q)[0])
+    params = doc.get("params")
+    stored = {"outer_map": mats.get("outer_map"), "n_G": _count(params, "n_G")}
     if kind == "concat":
         code = constructions.assemble_concatenated(
-            tower, doc["r"], doc["t"], _count(doc.get("params"), "blocks"), doc["k"])
-        return doc, code
-    parity = Matrix.from_rows(base, mats["parity"], doc["n"])
-    return doc, constructions.assemble_expander_code(tower, parity, doc["k"])
+            tower, doc["r"], doc["t"], _count(params, "blocks"), doc["k"])
+        stored.update(n=doc["n"], n_I=params.get("n_I"), k_I=params.get("k_I"))
+    else:
+        parity = Matrix.from_rows(base, mats["parity"], doc["n"])
+        code = constructions.assemble_expander_code(tower, parity, doc["k"])
+    _check_rebuild(stored, {"outer_map": code.outer_map.data, "n": code.n,
+                            "n_G": code.n_g, "n_I": code.inner_n, "k_I": code.inner_k})
+    return doc, code
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +209,13 @@ def cmd_construct(args) -> int:
         doc = artifact_from_linear(code, "wzl", prov)
     elif args.subkind == "concat":
         k = args.k
+        if k is None and args.d is None:
+            raise InputError("concat needs --k or a target --d")
+        inner = constructions.build_wzl(args.r, args.t)
         if k is None:
-            if args.d is None:
-                raise InputError("concat needs --k or a target --d")
-            n_i = constructions.build_wzl(args.r, args.t).n
-            k = analysis.concatenated_dimension(args.blocks * n_i, args.d,
+            k = analysis.concatenated_dimension(args.blocks * inner.n, args.d,
                                                 args.r, args.t)
-        k_i = constructions.build_wzl(args.r, args.t).k
-        m = args.m if args.m is not None else args.blocks * k_i
+        m = args.m if args.m is not None else args.blocks * inner.k
         tower = FieldTower(BaseField(1), m)
         code = constructions.assemble_concatenated(tower, args.r, args.t,
                                                    args.blocks, k)
@@ -270,8 +288,7 @@ def cmd_verify(args) -> int:
             if stats.adversarial_success is False:
                 failed = True
         else:
-            import random as _random
-            rng = _random.Random(args.seed)
+            rng = random.Random(args.seed)
             ok = 0
             for _ in range(args.trials):
                 erased = rng.sample(range(code.n), args.erasures)

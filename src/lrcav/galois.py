@@ -20,6 +20,8 @@ from __future__ import annotations
 import random
 from typing import List, Sequence
 
+from .linalg import RankTracker
+
 ExtElement = int
 
 # Primitive polynomials over GF(2), keyed by degree w; bit i is the
@@ -112,117 +114,24 @@ class BaseField:
         return f"BaseField(w={self.w})"
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over a BaseField (dense coefficient lists, low to high)
-# ---------------------------------------------------------------------------
+def is_irreducible(tower: FieldTower) -> bool:
+    """Is the tower's modulus f irreducible?  Decided in packed arithmetic.
 
-def _poly_trim(p: List[int]) -> List[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(f: BaseField, a: Sequence[int], b: Sequence[int]) -> List[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] ^= f.mul(ai, bj)
-    return _poly_trim(out)
-
-
-def _poly_mod(f: BaseField, a: Sequence[int], mod: Sequence[int]) -> List[int]:
-    # mod is monic
-    r = list(a)
-    dm = len(mod) - 1
-    while len(r) - 1 >= dm and r:
-        lead = r[-1]
-        shift = len(r) - 1 - dm
-        if lead:
-            for i, mi in enumerate(mod):
-                if mi:
-                    r[shift + i] ^= f.mul(lead, mi)
-        _poly_trim(r)
-        if r and len(r) - 1 >= dm and r[-1] == 0:
-            _poly_trim(r)
-    return _poly_trim(r)
-
-
-def _poly_powmod(f: BaseField, a: Sequence[int], e: int, mod: Sequence[int]) -> List[int]:
-    result = [1]
-    base = _poly_mod(f, a, mod)
-    while e:
-        if e & 1:
-            result = _poly_mod(f, _poly_mul(f, result, base), mod)
-        base = _poly_mod(f, _poly_mul(f, base, base), mod)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(f: BaseField, a: Sequence[int], b: Sequence[int]) -> List[int]:
-    a, b = list(a), list(b)
-    while b:
-        # make b monic before reduction
-        lead_inv = f.inv(b[-1])
-        b = [f.mul(c, lead_inv) for c in b]
-        a, b = b, _poly_mod(f, a, b)
-    return a
-
-
-def _prime_factors(m: int) -> List[int]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
-def is_irreducible(base: BaseField, poly: Sequence[int]) -> bool:
-    """Rabin irreducibility test for a monic polynomial over GF(2^w)."""
-    m = len(poly) - 1
-    if m < 1 or poly[-1] != 1:
+    A monic f of degree m is irreducible iff (1) x^(q^m) = x mod f, which
+    makes f squarefree with every factor's degree dividing m, and (2) the
+    Frobenius map a -> a^q of GF(q)[x]/(f) fixes only GF(q), i.e. the
+    images (x^i)^q - x^i for 0 < i < m are GF(q)-independent: for a
+    squarefree f the fixed space has one dimension per irreducible factor
+    (Berlekamp 1967).
+    """
+    a = tower.x
+    for _ in range(tower.m):  # one pass each: frobenius(a, m) presumes the answer
+        a = tower.frobenius(a, 1)
+    if a != tower.x:
         return False
-    q = base.q
-    x = [0, 1]
-    # x^(q^m) == x mod poly (x itself reduces when m = 1)
-    xqm = _poly_powmod(base, x, q**m, poly)
-    if _poly_trim(list(xqm)) != _poly_mod(base, x, poly):
-        return False
-    for p in _prime_factors(m):
-        g = _poly_powmod(base, x, q ** (m // p), poly)
-        # gcd(x^(q^(m/p)) - x, poly) must be trivial
-        diff = list(g) + [0] * (2 - len(g))
-        diff[1] ^= 1
-        _poly_trim(diff)
-        gcd = _poly_gcd(base, poly, diff)
-        if len(gcd) - 1 > 0:
-            return False
-    return True
-
-
-def find_irreducible(base: BaseField, m: int, seed: int = 0,
-                     max_tries: int = 10**6) -> List[int]:
-    """Seeded search for a monic irreducible degree-m polynomial."""
-    if m < 1:
-        raise ValueError("extension degree must be >= 1")
-    rng = random.Random(seed)
-    if m == 1:
-        return [rng.randrange(base.q), 1]
-    for _ in range(max_tries):
-        poly = [rng.randrange(base.q) for _ in range(m)] + [1]
-        if is_irreducible(base, poly):
-            return poly
-    raise RuntimeError("irreducible polynomial search exhausted (internal error)")
+    tracker = RankTracker(tower)
+    return all(tracker.add(tower.frobenius(e, 1) ^ e)
+               for e in map(tower.basis_element, range(1, tower.m)))
 
 
 class FieldTower:
@@ -239,19 +148,29 @@ class FieldTower:
             raise ValueError("extension degree must be >= 1")
         self.base = base
         self.m = m
-        if ext_modulus is None:
-            ext_modulus = find_irreducible(base, m, seed)
-        ext_modulus = list(ext_modulus)
-        if len(ext_modulus) != m + 1 or ext_modulus[-1] != 1:
-            raise ValueError("extension modulus must be monic of degree m")
-        if not is_irreducible(base, ext_modulus):
-            raise ValueError("extension modulus is reducible")
-        self.ext_modulus = tuple(ext_modulus)
         self.zero: ExtElement = 0
         self.one: ExtElement = 1
-        # x^m = sum of the lower modulus terms (characteristic 2), packed
         self._top = m * base.w
-        self._reduce = self.from_coords(ext_modulus[:-1])
+        # without a modulus, seeded draws of monic candidates until one is
+        # irreducible (a degree-1 candidate always is)
+        rng = random.Random(seed)
+        while True:
+            self._set_modulus(ext_modulus if ext_modulus is not None else
+                              [rng.randrange(base.q) for _ in range(m)] + [1])
+            if is_irreducible(self):
+                break
+            if ext_modulus is not None:
+                raise ValueError("extension modulus is reducible")
+
+    def _set_modulus(self, poly: Sequence[int]) -> None:
+        """Arithmetic and Frobenius tables modulo a monic degree-m poly."""
+        poly = tuple(poly)
+        if len(poly) != self.m + 1 or poly[-1] != 1:
+            raise ValueError("extension modulus must be monic of degree m")
+        self.ext_modulus = poly
+        # x^m = sum of the lower modulus terms (characteristic 2), packed
+        self._reduce = self.from_coords(poly[:-1])
+        self.x = self.basis_element(1) if self.m > 1 else self._reduce  # x mod f
         self._frob_tables = self._build_frobenius_tables()
 
     def _build_frobenius_tables(self) -> List[List[ExtElement]]:
@@ -262,7 +181,7 @@ class FieldTower:
         of its bits' images.
         """
         m, w = self.m, self.base.w
-        xq = self.basis_element(1) if m > 1 else self._reduce  # x mod the modulus
+        xq = self.x
         for _ in range(w):
             xq = self.mul(xq, xq)
         bit_images = []

@@ -189,6 +189,55 @@ def test_verify_malformed_artifact_is_input_error(tmp_path, capsys, mutate):
     assert code == 2 and "error" in err and out == ""
 
 
+def _zero_outer_map(doc):
+    doc["matrices"]["outer_map"] = [[0] * len(row) for row in doc["matrices"]["outer_map"]]
+    return doc
+
+
+def _set_param(key, value):
+    def mutate(doc):
+        doc["params"][key] = value
+        return doc
+    return mutate
+
+
+COMPOSITE_ARTIFACTS = {
+    "concat": ["concat", "--r", "3", "--t", "2", "--blocks", "3", "--k", "9"],
+    "expander": ["expander", "--n", "14", "--r", "6", "--t", "3", "--w", "4",
+                 "--k", "4", "--min-girth", "4", "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("kind,mutate", [
+    ("concat", _zero_outer_map), ("expander", _zero_outer_map),
+    ("concat", lambda doc: dict(doc, n=31)), ("concat", _set_param("n_G", 17)),
+    ("concat", _set_param("n_I", 11)), ("concat", _set_param("k_I", 5)),
+    ("expander", _set_param("n_G", 3)),
+], ids=["concat-zero-outer-map", "expander-zero-outer-map", "concat-n",
+        "concat-n_G", "concat-n_I", "concat-k_I", "expander-n_G"])
+def test_verify_tampered_composite_is_input_error(tmp_path, capsys, kind, mutate):
+    # verify checks the stored matrices: before, an all-zero outer_map was
+    # ignored (concat) or recomputed from parity (expander) and passed
+    path = tmp_path / f"{kind}.json"
+    run(capsys, "construct", *COMPOSITE_ARTIFACTS[kind], "--out", str(path))
+    code, _, _ = run(capsys, "verify", "--code", str(path), "--erasures", "6",
+                     "--trials", "20", "--seed", "1")
+    assert code == 0
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    code, out, err = run(capsys, "verify", "--code", str(path), "--erasures", "6",
+                         "--trials", "20", "--seed", "1")
+    assert code == 2 and "disagree" in err and out == ""
+
+
+def test_verify_stale_linear_dimension_is_input_error(tmp_path, capsys):
+    # k is not read from the artifact, so a stale value used to pass unnoticed
+    path = tmp_path / "wzl.json"
+    run(capsys, "construct", "wzl", "--r", "2", "--t", "2", "--out", str(path))
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), k=5)))
+    code, out, err = run(capsys, "verify", "--code", str(path), "--distance")
+    assert code == 2 and "disagree" in err and out == ""
+
+
 def test_internal_error_is_not_an_input_error(tmp_path, monkeypatch):
     # exit 2 is for input errors only; an internal failure propagates
     def broken(*args, **kwargs):

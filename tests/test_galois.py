@@ -1,11 +1,33 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcav.galois import (BaseField, FieldTower, _poly_mod, _poly_mul, build_tower,
-                          find_irreducible, is_irreducible)
+from lrcav.galois import BaseField, FieldTower, build_tower, is_irreducible
+
+
+# dense coefficient-list polynomials over a BaseField (low to high): the
+# independent oracle for the packed tower arithmetic
+
+def _poly_mul(f, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] ^= f.mul(ai, bj)
+    return out
+
+
+def _poly_mod(f, a, mod):
+    # mod is monic; returns the len(mod) - 1 low coefficients of a mod mod
+    r = list(a)
+    dm = len(mod) - 1
+    for shift in range(len(r) - 1 - dm, -1, -1):
+        lead = r[shift + dm]
+        for i, mi in enumerate(mod):
+            r[shift + i] ^= f.mul(lead, mi)
+    return (r + [0] * dm)[:dm]
 
 
 def test_gf2_behaves_like_prime_field():
@@ -80,23 +102,52 @@ def _gf2_poly_has_small_factor(poly_bits, degree):
 
 def test_find_irreducible_degree_one_trivial():
     f = BaseField(2)
-    poly = find_irreducible(f, 1, seed=5)
+    poly = FieldTower(f, 1, seed=5).ext_modulus
     assert len(poly) == 2 and poly[-1] == 1
 
 
 def test_find_irreducible_gf2_degree4_no_small_factors():
     f = BaseField(1)
-    poly = find_irreducible(f, 4, seed=3)
+    poly = FieldTower(f, 4, seed=3).ext_modulus
     bits = sum(c << i for i, c in enumerate(poly))
     assert not _gf2_poly_has_small_factor(bits, 4)
 
 
 def test_find_irreducible_gf4_degree3():
     f = BaseField(2)
-    poly = find_irreducible(f, 3, seed=1)
-    assert is_irreducible(f, poly)
+    t = FieldTower(f, 3, seed=1)
+    assert is_irreducible(t)
     # deterministic given the seed
-    assert poly == find_irreducible(f, 3, seed=1)
+    assert t.ext_modulus == FieldTower(f, 3, seed=1).ext_modulus
+
+
+def _mobius(n):
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+@pytest.mark.parametrize("w,m", [(1, m) for m in range(1, 9)] + [(2, m) for m in range(1, 5)]
+                         + [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_irreducible_count_matches_gauss_formula(w, m):
+    # exhaustive over monic degree-m polynomials: (1/m) sum_{d|m} mu(d) q^(m/d)
+    base = BaseField(w)
+    q = base.q
+    count = 0
+    for low in itertools.product(range(q), repeat=m):
+        try:
+            FieldTower(base, m, list(low) + [1])
+            count += 1
+        except ValueError as exc:
+            assert "reducible" in str(exc)
+    gauss = sum(_mobius(d) * q ** (m // d) for d in range(1, m + 1) if m % d == 0)
+    assert count * m == gauss
 
 
 def test_reducible_modulus_rejected():
@@ -147,7 +198,7 @@ def test_mul_matches_polynomial_product_mod_modulus():
             a, b = t.rand(rng), t.rand(rng)
             prod = _poly_mod(t.base, _poly_mul(t.base, t.coords(a), t.coords(b)),
                              t.ext_modulus)
-            assert t.coords(t.mul(a, b)) == prod + [0] * (m - len(prod))
+            assert t.coords(t.mul(a, b)) == prod
 
 
 @pytest.mark.parametrize("w,m", [(1, 18), (4, 5), (8, 3)])
@@ -222,8 +273,8 @@ def test_degree_one_tower_is_the_base_field():
     # inversion is base-field inversion (an empty Itoh-Tsujii chain)
     base = BaseField(3)
     for c in range(base.q):
-        assert is_irreducible(base, [c, 1])
         t = FieldTower(base, 1, [c, 1])
+        assert is_irreducible(t)
         for a in range(1, base.q):
             assert t.frobenius(a, 1) == a
             assert t.inv(a) == base.inv(a)
