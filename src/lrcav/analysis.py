@@ -41,10 +41,9 @@ class AvailabilityReport:
     failed_coordinates: List[int]
 
 
-def verify_availability(code: LinearCode, r: int, t: int,
-                        budget: int = 10**8) -> AvailabilityReport:
+def verify_availability(code: LinearCode, r: int, t: int) -> AvailabilityReport:
     """Search t pairwise disjoint recovering sets of size <= r per coordinate."""
-    checks = enumerate_local_checks(code, r, budget)
+    checks = enumerate_local_checks(code, r)
     z = code.field.zero
     per_coord: Dict[int, List[List[int]]] = {i: [] for i in range(code.n)}
     for h in checks.checks:
@@ -89,8 +88,6 @@ def _disjoint_sets(candidates: List[List[int]], t: int) -> Optional[List[List[in
 def erasure_correctable(code: LinearCode, erased: Sequence[int]) -> bool:
     """True iff no nonzero codeword is supported inside the erased set."""
     erased = sorted(set(erased))
-    if not erased:
-        return True
     f = code.field
     # full-rank parity submatrix on the erased columns <=> correctable
     H = code.parity

@@ -68,10 +68,11 @@ def yaakobi_distance(n: int, k: int, r: int, t: int, q: int = 2,
 
 
 def shortening_singleton_distance(n: int, k: int, r: int) -> int:
-    """d <= n - (k-1) - floor((k-2)/(r-1)), the Singleton-instantiated form."""
+    """d <= n - (k-1) - s with s = min(floor((k-2)/(r-1)), n-k), the
+    Singleton-instantiated form (s is the largest feasible shortening)."""
     if r < 2 or k < 2:
         raise ValueError("need r >= 2 and k >= 2")
-    return n - (k - 1) - (k - 2) // (r - 1)
+    return n - (k - 1) - min((k - 2) // (r - 1), n - k)
 
 
 def griesmer_d(q: int, n: int, k: int) -> int:

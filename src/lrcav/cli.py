@@ -163,13 +163,21 @@ def cmd_bounds(args) -> int:
          bounds.yaakobi_distance(n, k, r, t, q)),
     ]
     if r >= 2 and k >= 2:
+        # the shortening bound holds for codes with availability t >= 2 only
+        if t >= 2:
+            singleton = bounds.shortening_singleton_distance(n, k, r)
+            sweep = shortening.availability_shortening_bounds(n, k, 1, r, q).d_upper
+        else:
+            singleton = sweep = "n/a (needs t >= 2)"
         rows.append(("shortening_singleton", "shortening bound, Singleton form",
-                     bounds.shortening_singleton_distance(n, k, r)))
-        sb = shortening.availability_shortening_bounds(n, k, 1, r, q)
-        rows.append(("shortening_sweep", "shortening bound, oracle sweep",
-                     sb.d_upper))
+                     singleton))
+        rows.append(("shortening_sweep", "shortening bound, oracle sweep", sweep))
     cap = bounds.rate_cap(r, t)
-    rows.append(("rate_cap_k", "rate-product cap on k", f"{cap} * n = {float(cap) * n:.3f}"))
+    cap_n = f"{cap} * n = {float(cap) * n:.3f}"
+    rows.append(("rate_cap_k", "rate-product cap on k", cap_n))
+    if k > cap * n:
+        rows.append(("infeasible", "k above the rate cap: no such code",
+                     f"k = {k} > {cap_n}"))
     for name, label, val in rows:
         print(f"  {name:22s} {label:38s} {val}")
     return 0
@@ -255,7 +263,7 @@ def cmd_verify(args) -> int:
         if isinstance(code, constructions.LinearCode):
             d = analysis.min_distance(code)
             report["distance"] = d
-            if doc.get("t") is not None and d != doc["t"] + 1 and doc["kind"] == "wzl":
+            if d != doc["t"] + 1 and doc["kind"] == "wzl":
                 failed = True
         else:
             raise InputError("--distance applies to linear-code artifacts")

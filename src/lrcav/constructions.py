@@ -50,9 +50,7 @@ class LinearCode:
         """Systematic (rref) generator matrix, k x n."""
         if self._generator is None:
             basis = nullspace(self.parity)
-            G = Matrix.from_rows(self.field, basis, self.n) if basis else \
-                Matrix.zeros(self.field, 0, self.n)
-            self._generator = rref(G)[0] if basis else G
+            self._generator = rref(Matrix.from_rows(self.field, basis, self.n))[0]
         return self._generator
 
     def codewords(self):
@@ -242,12 +240,6 @@ def assemble_expander_code(tower: FieldTower, parity: Matrix, k: int) -> Composi
     return CompositeCode("expander", tower, gab, outer_map, beta)
 
 
-def wzl_systematic_generator(r: int, t: int) -> Tuple[Matrix, int, int]:
-    """Systematic generator of the WZL(r, t) code; returns (G, n_I, k_I)."""
-    code = build_wzl(r, t)
-    return code.generator(), code.n, code.k
-
-
 def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
                           k: int) -> CompositeCode:
     """Gabidulin outer code with per-group binary WZL inner encoding."""
@@ -255,7 +247,8 @@ def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
         raise ValueError("concatenated construction needs a GF(2) base field")
     if blocks < 1:
         raise ValueError("need at least one block")
-    g_inner, n_i, k_i = wzl_systematic_generator(r, t)
+    inner = build_wzl(r, t)
+    g_inner, n_i, k_i = inner.generator(), inner.n, inner.k
     n_g = blocks * k_i
     if n_g > tower.m:
         raise ValueError("n_G = blocks*k_I exceeds the extension degree m")
@@ -313,8 +306,5 @@ def composite_erasure_decode(code: CompositeCode,
     chosen = select_independent_survivors(code, order)
     if len(chosen) < code.k:
         return None
-    f = moore_interpolate(code.tower, [code.beta[j] for j in chosen],
-                          [values[j] for j in chosen])
-    coeffs = list(f.coeffs)
-    coeffs += [code.tower.zero] * (code.k - len(coeffs))
-    return coeffs
+    return moore_interpolate(code.tower, [code.beta[j] for j in chosen],
+                             [values[j] for j in chosen]).coeffs

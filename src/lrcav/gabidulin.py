@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from .galois import ExtElement, FieldTower
-from .linalg import Matrix, rank_over_base
+from .linalg import rank_over_base
 
 
 @dataclass
@@ -20,9 +20,6 @@ class LinearizedPoly:
     """Coefficients a_0..a_l of sum(a_i x^(q^i)), low q-degree first."""
 
     coeffs: List[ExtElement]
-
-    def q_degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 @dataclass
@@ -65,23 +62,6 @@ def gab_encode(spec: GabidulinSpec, message: Sequence[ExtElement]) -> List[ExtEl
     return [lin_eval(spec.tower, f, a) for a in spec.eval_points]
 
 
-def rank_weight(tower: FieldTower, v: Sequence[ExtElement]) -> int:
-    return rank_over_base(tower, v)
-
-
-def moore_matrix(tower: FieldTower, points: Sequence[ExtElement], width: int) -> Matrix:
-    """Matrix with entry (i, j) = points[i]^(q^j)."""
-    rows = []
-    for p in points:
-        row = []
-        x = p
-        for j in range(width):
-            row.append(x)
-            x = tower.frobenius(x, 1)
-        rows.append(row)
-    return Matrix.from_rows(tower, rows, width)
-
-
 def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
                       values: Sequence[ExtElement]) -> LinearizedPoly:
     """The unique f of q-degree < k through k independent (point, value) pairs.
@@ -90,8 +70,9 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
     annihilator of the points so far and f interpolates them.  At each new
     point p, c = A(p) is nonzero because p is independent of them; then
     f += ((y - f(p)) / c) * A keeps the old values and takes y at p, and
-    A <- A^q - c^(q-1) * A also vanishes at p.  The Moore-matrix solve
-    ``solve(moore_matrix(...), values)`` gives the same f in O(k^3).
+    A <- A^q - c^(q-1) * A also vanishes at p.  Solving the Moore system
+    (entry (i, j) = points[i]^(q^j)) gives the same f in O(k^3); the
+    tests keep that solve as the oracle.
     """
     k = len(points)
     if len(values) != k:

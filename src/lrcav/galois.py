@@ -80,9 +80,6 @@ class BaseField:
                 a ^= self.modulus
         return p
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -92,14 +89,6 @@ class BaseField:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
         return self.exp[(self.q - 1 - self.log[a]) % (self.q - 1)]
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0 if e else 1
-        return self.exp[(self.log[a] * e) % (self.q - 1)]
-
-    def elements(self):
-        return range(self.q)
 
     def rand_nonzero(self, rng: random.Random) -> int:
         return rng.randrange(1, self.q)
@@ -223,9 +212,6 @@ class FieldTower:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def add(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        return a ^ b
-
     def scalar_mul(self, lam: int, a: ExtElement) -> ExtElement:
         if lam <= 1:
             return a if lam else 0
@@ -278,16 +264,6 @@ class FieldTower:
             rest = self.frobenius(b, 1)
         norm = self.mul(a, rest)
         return self.scalar_mul(self.base.inv(norm), rest)
-
-    def pow(self, a: ExtElement, e: int) -> ExtElement:
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
 
     def frobenius(self, a: ExtElement, i: int) -> ExtElement:
         """a^(q^i) by i passes of byte-table lookups; i = m is the identity."""

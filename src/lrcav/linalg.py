@@ -1,9 +1,10 @@
 """Exact linear algebra over any field object from :mod:`lrcav.galois`.
 
-A "field" here is anything with ``zero``, ``one``, ``add``, ``mul`` and
-``inv`` (both BaseField and FieldTower qualify).  Matrices are plain
-row-major lists of field elements; all operations are pure and
-deterministic (first nonzero pivot, smallest column first).
+A "field" here is anything with ``zero``, ``one``, ``mul`` and ``inv``
+whose elements are ints that add by XOR and are nonzero iff truthy
+(both BaseField and FieldTower qualify: characteristic 2 throughout).
+Matrices are plain row-major lists of field elements; all operations
+are pure and deterministic (first nonzero pivot, smallest column first).
 """
 
 from __future__ import annotations
@@ -34,25 +35,12 @@ class Matrix:
         z = field.zero
         return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
 
-    @classmethod
-    def identity(cls, field, n: int):
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
-
     def copy(self) -> "Matrix":
         return Matrix(self.field, self.rows, self.cols, [list(r) for r in self.data])
 
     def transpose(self) -> "Matrix":
         data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
         return Matrix(self.field, self.cols, self.rows, data)
-
-    def row(self, i: int) -> List[object]:
-        return self.data[i]
-
-    def col(self, j: int) -> List[object]:
-        return [self.data[i][j] for i in range(self.rows)]
 
     def mul_vec(self, v: Sequence[object]) -> List[object]:
         f = self.field
@@ -62,8 +50,8 @@ class Matrix:
         for row in self.data:
             acc = f.zero
             for a, x in zip(row, v):
-                if a != f.zero and x != f.zero:
-                    acc = f.add(acc, f.mul(a, x))
+                if a and x:
+                    acc ^= f.mul(a, x)
             out.append(acc)
         return out
 
@@ -75,13 +63,13 @@ class Matrix:
         for i in range(self.rows):
             for k in range(self.cols):
                 a = self.data[i][k]
-                if a == f.zero:
+                if not a:
                     continue
                 orow = other.data[k]
                 trow = out.data[i]
                 for j in range(other.cols):
-                    if orow[j] != f.zero:
-                        trow[j] = f.add(trow[j], f.mul(a, orow[j]))
+                    if orow[j]:
+                        trow[j] ^= f.mul(a, orow[j])
         return out
 
 
@@ -94,7 +82,7 @@ def rref(M: Matrix):
     for col in range(R.cols):
         pr = None
         for i in range(prow, R.rows):
-            if R.data[i][col] != f.zero:
+            if R.data[i][col]:
                 pr = i
                 break
         if pr is None:
@@ -104,19 +92,14 @@ def rref(M: Matrix):
         if inv != f.one:
             R.data[prow] = [f.mul(inv, x) for x in R.data[prow]]
         for i in range(R.rows):
-            if i != prow and R.data[i][col] != f.zero:
+            if i != prow and R.data[i][col]:
                 c = R.data[i][col]
-                R.data[i] = [f.add(x, f.mul(c, y))
-                             for x, y in zip(R.data[i], R.data[prow])]
+                R.data[i] = [x ^ f.mul(c, y) for x, y in zip(R.data[i], R.data[prow])]
         pivots.append(col)
         prow += 1
         if prow == R.rows:
             break
     return R, len(pivots), pivots
-
-
-def rank(M: Matrix) -> int:
-    return rref(M)[1]
 
 
 def solve(A: Matrix, b: Sequence[object]):

@@ -12,7 +12,7 @@ the shortening bounds on dimension and distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
@@ -33,9 +33,22 @@ class LocalCheckSet:
         return [tuple(i for i, x in enumerate(h) if x != 0) for h in self.checks]
 
 
+def _projective_points(q: int, d: int):
+    """Coefficient vectors of length d over GF(q) whose first nonzero is 1."""
+    for lead in range(d):
+        for tail in product(range(q), repeat=d - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
 def enumerate_local_checks(code: LinearCode, r: int,
                            budget: int = 10**8) -> LocalCheckSet:
-    """All dual codewords of weight <= r+1, via per-support nullspaces."""
+    """All dual codewords of weight <= r+1, via per-support nullspaces.
+
+    The dual words supported inside an (r+1)-support are the span of its
+    nullspace; one word per projective point of that span is walked, so
+    every check appears up to scaling.  The budget bounds the nullspace
+    work up front and the span words walked as they are counted.
+    """
     n, f = code.n, code.field
     w = min(r + 1, n)
     cost = comb(n, w) * (r + 1) ** 3
@@ -47,12 +60,19 @@ def enumerate_local_checks(code: LinearCode, r: int,
     for support in combinations(range(n), w):
         cols = Matrix.from_rows(f, [[G.data[i][j] for j in support]
                                     for i in range(G.rows)], w)
-        for v in nullspace(cols):
+        basis = nullspace(cols)
+        cost += (f.q ** len(basis) - 1) // (f.q - 1)
+        if cost > budget:
+            raise ValueError(f"local-check enumeration exceeds budget {budget}")
+        for coeffs in _projective_points(f.q, len(basis)):
             h = [f.zero] * n
-            for j, x in zip(support, v):
-                h[j] = x
+            for c, v in zip(coeffs, basis):
+                if c:
+                    for j, x in zip(support, v):
+                        if x:
+                            h[j] ^= f.mul(c, x)
             # normalize: first nonzero entry scaled to 1
-            lead = next(x for x in h if x != f.zero)
+            lead = next(x for x in h if x)
             if lead != f.one:
                 inv = f.inv(lead)
                 h = [f.mul(inv, x) for x in h]
@@ -68,21 +88,13 @@ def closure(code: LinearCode, I: Sequence[int]) -> Set[int]:
     I = sorted(set(I))
     f = code.field
     G = code.generator()
-    if G.rows == 0:
-        return set(range(code.n))
     # messages u with (uG) vanishing on I
     restricted = Matrix.from_rows(f, [[G.data[i][j] for i in range(G.rows)]
-                                      for j in I], G.rows) if I else None
-    if restricted is None:
-        null_msgs = [list(row) for row in Matrix.identity(f, G.rows).data]
-    else:
-        null_msgs = nullspace(restricted)
-    if not null_msgs:
-        return set(range(code.n))
-    sub = Matrix.from_rows(f, null_msgs, G.rows).matmul(G)
+                                      for j in I], G.rows)
+    sub = Matrix.from_rows(f, nullspace(restricted), G.rows).matmul(G)
     out = set(I)
     for j in range(code.n):
-        if all(sub.data[i][j] == f.zero for i in range(sub.rows)):
+        if not any(row[j] for row in sub.data):
             out.add(j)
     return out
 

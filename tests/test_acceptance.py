@@ -22,9 +22,9 @@ from lrcav.constructions import (assemble_concatenated, assemble_expander_code,
                                  build_expander_parity, build_wzl,
                                  check_expansion, sample_biregular)
 from lrcav.gabidulin import (LinearizedPoly, default_spec, gab_encode,
-                             lin_eval, moore_interpolate, rank_weight)
+                             lin_eval, moore_interpolate)
 from lrcav.galois import BaseField, build_tower
-from lrcav.linalg import Matrix, rref
+from lrcav.linalg import Matrix, rank_over_base, rref
 from lrcav.shortening import (build_shortening_set, closure,
                               enumerate_local_checks)
 
@@ -102,7 +102,7 @@ def test_criterion_04_gabidulin_mrd_exhaustive(report):
             continue
         count += 1
         msg = [c0, c1]
-        w = rank_weight(tower, gab_encode(spec, msg))
+        w = rank_over_base(tower, gab_encode(spec, msg))
         best = w if best is None else min(best, w)
     elapsed = time.perf_counter() - start
     ok = count == 255 and best == 3 and elapsed < 1.0

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lrcav import cli
 from lrcav.constructions import CompositeCode, LinearCode
@@ -19,6 +21,30 @@ def test_bounds_table(capsys):
     assert "wang_rawat" in out and " 9" in out
     assert "shortening_singleton" in out and " 8" in out
     assert "tbf" in out and "yaakobi" in out and "rate_cap_k" in out
+    assert "infeasible" not in out
+
+
+def test_bounds_reports_k_above_the_rate_cap(capsys):
+    # no code exists, which the negative distance bounds also prove; the
+    # table keeps every row and exits 0
+    code, out, _ = run(capsys, "bounds", "--n", "5", "--k", "5",
+                       "--r", "1", "--t", "3")
+    assert code == 0
+    assert "wang_rawat" in out and "-11" in out and "rate_cap_k" in out
+    line = [row for row in out.splitlines() if row.startswith("  infeasible ")]
+    assert len(line) == 1 and line[0].endswith("k = 5 > 1/4 * n = 1.250")
+
+
+def test_bounds_shortening_rows_need_availability_two(capsys):
+    # three disjoint [3,2,2] parity codes have t = 1 and d = 2, above the
+    # 0 and 1 the shortening bound would print at (n, k, r) = (9, 6, 2)
+    code, out, _ = run(capsys, "bounds", "--n", "9", "--k", "6",
+                       "--r", "2", "--t", "1")
+    assert code == 0
+    for name in ("shortening_singleton", "shortening_sweep"):
+        line = [row for row in out.splitlines() if row.startswith(f"  {name} ")]
+        assert len(line) == 1 and line[0].endswith("n/a (needs t >= 2)")
+    assert "infeasible" not in out
 
 
 def test_bounds_rejects_bad_t(capsys):
@@ -108,6 +134,22 @@ def test_verify_wzl_distance_and_availability(tmp_path, capsys):
     assert report["distance"] == 3
     assert report["availability"]["pass"] is True
     assert len(report["availability"]["witness_sets"]) == 6
+
+
+def test_verify_availability_uses_every_local_check(tmp_path, capsys):
+    # coordinate 3 needs the check 000111, which no nullspace basis of a
+    # 5-support holds; a basis-only enumeration failed coordinates 3, 4, 5
+    path = tmp_path / "raw.json"
+    parity = [[int(c) for c in row] for row in ("110001", "110110", "011010")]
+    path.write_text(json.dumps({
+        "format_version": "1", "kind": "raw",
+        "field": {"w": 1, "m": 1, "modulus": 3, "ext_modulus": None},
+        "n": 6, "k": 3, "r": 4, "t": 2, "matrices": {"parity": parity}}))
+    code, out, _ = run(capsys, "verify", "--code", str(path), "--availability")
+    assert code == 0
+    report = json.loads(out)["availability"]
+    assert report["pass"] is True and report["failed_coordinates"] == []
+    assert report["witness_sets"]["3"] == [[0, 2], [4, 5]]
 
 
 def test_verify_erasures_composite(tmp_path, capsys):
@@ -269,6 +311,63 @@ def test_verify_rejects_vacuous_runs(tmp_path, capsys, kind, flags):
         "--out", str(path))
     code, out, err = run(capsys, "verify", "--code", str(path), *flags)
     assert code == 2 and "error" in err and out == ""
+
+
+@pytest.fixture(scope="module")
+def valid_artifacts(tmp_path_factory):
+    base = tmp_path_factory.mktemp("artifacts")
+    docs = {}
+    for kind, argv in [("wzl", ["wzl", "--r", "2", "--t", "2"]),
+                       *COMPOSITE_ARTIFACTS.items()]:
+        path = base / f"{kind}.json"
+        assert cli.main(["construct", *argv, "--out", str(path)]) == 0
+        docs[kind] = json.loads(path.read_text())
+    return base, docs
+
+
+RETYPED = ["x", None, 1.5, True, [], {}, [[1]]]
+
+
+def _paths(obj, prefix=()):
+    """Every key path and list index of a JSON document."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_verify_mutated_artifact_keeps_the_exit_contract(valid_artifacts, capsys, data):
+    # drop a key or entry, change a value's type, or shift an integer by 1-2:
+    # verify must pass, fail or reject the input, never raise
+    base, docs = valid_artifacts
+    kind = data.draw(st.sampled_from(sorted(docs)), label="kind")
+    doc = json.loads(json.dumps(docs[kind]))
+    path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    leaf = path[-1]
+    value = parent[leaf]
+    ops = ["drop", "retype"] + (["shift"] if type(value) is int else [])
+    op = data.draw(st.sampled_from(ops), label="op")
+    if op == "drop":
+        del parent[leaf]
+    elif op == "retype":
+        parent[leaf] = data.draw(st.sampled_from(
+            [v for v in RETYPED if type(v) is not type(value)]), label="new value")
+    else:
+        parent[leaf] = value + data.draw(st.sampled_from([-2, -1, 1, 2]), label="shift")
+    flags = data.draw(st.sampled_from([
+        ["--distance"], ["--availability"],
+        ["--erasures", "2", "--trials", "3", "--seed", "1"]]), label="flags")
+    artifact = base / "mutated.json"
+    artifact.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--code", str(artifact), *flags]) in (0, 1, 2)
+    capsys.readouterr()
 
 
 def test_shorten_reports_sets_and_bounds(tmp_path, capsys):

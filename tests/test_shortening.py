@@ -1,8 +1,13 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lrcav.constructions import build_wzl
+from lrcav.analysis import verify_availability
+from lrcav.constructions import LinearCode, build_wzl
+from lrcav.galois import BaseField
+from lrcav.linalg import Matrix
 from lrcav.shortening import (LocalCheckSet,
                               availability_shortening_bounds,
                               build_shortening_set, closure,
@@ -37,6 +42,63 @@ def test_local_checks_budget():
     code = build_wzl(4, 2)
     with pytest.raises(ValueError):
         enumerate_local_checks(code, 4, budget=10)
+
+
+def test_local_checks_budget_bounds_the_span_walk():
+    # k = 0: every 5-support's nullspace is all of GF(2)^5, 31 words each;
+    # the up-front estimate is C(6, 5) * 5^3 = 750, the walk adds 6 * 31
+    f = BaseField(1)
+    code = LinearCode.from_parity(f, Matrix.from_rows(
+        f, [[int(i == j) for j in range(6)] for i in range(6)]))
+    assert len(enumerate_local_checks(code, 4, budget=750 + 6 * 31).checks) == 62
+    with pytest.raises(ValueError, match="exceeds budget"):
+        enumerate_local_checks(code, 4, budget=750 + 6 * 31 - 1)
+
+
+# parity rows 110001, 110110, 011010: the check 000111 is the sum of two
+# words of a support's nullspace, and a basis of each nullspace misses it
+SPAN_EXAMPLE = [[int(c) for c in row] for row in ("110001", "110110", "011010")]
+
+
+def test_local_checks_walk_each_support_span():
+    f = BaseField(1)
+    code = LinearCode.from_parity(f, Matrix.from_rows(f, SPAN_EXAMPLE))
+    assert code.k == 3
+    assert (0, 0, 0, 1, 1, 1) in enumerate_local_checks(code, 4).checks
+    report = verify_availability(code, 4, 2)
+    assert report.ok and report.failed_coordinates == []
+    assert report.recovering_sets[3] == [{0, 2}, {4, 5}]
+
+
+def _dual_words(f, parity, n, r):
+    """Brute force: every combination of the parity rows (the dual code) of
+    weight 1..r+1, with its leading entry 1."""
+    words = set()
+    for coeffs in product(range(f.q), repeat=len(parity)):
+        h = [0] * n
+        for c, row in zip(coeffs, parity):
+            for j, x in enumerate(row):
+                h[j] ^= f.mul(c, x)
+        support = [x for x in h if x]
+        if 1 <= len(support) <= r + 1 and support[0] == 1:
+            words.add(tuple(h))
+    return words
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_local_checks_match_brute_force_dual_words(data):
+    w = data.draw(st.sampled_from([1, 2]), label="w")
+    f = BaseField(w)
+    n = data.draw(st.integers(1, 7), label="n")
+    rows = data.draw(st.integers(0, 5 if w == 1 else 4), label="rows")
+    parity = data.draw(st.lists(st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n),
+                                min_size=rows, max_size=rows), label="parity")
+    r = data.draw(st.integers(1, n), label="r")
+    code = LinearCode.from_parity(f, Matrix.from_rows(f, parity, n))
+    checks = enumerate_local_checks(code, r).checks
+    assert len(set(checks)) == len(checks)
+    assert set(checks) == _dual_words(f, parity, n, r)
 
 
 def test_supports_match_checks():
@@ -134,10 +196,8 @@ def test_availability_bounds_closed_form():
     for n in range(6, 30):
         for r in range(2, 6):
             for k in range(3, n):
-                s_star = (k - 2) // (r - 1)
-                if 1 <= s_star <= n - k:  # minimizing s must be feasible
-                    b = availability_shortening_bounds(n, k, n - k + 1, r)
-                    assert b.d_upper == shortening_singleton_distance(n, k, r)
+                b = availability_shortening_bounds(n, k, n - k + 1, r)
+                assert b.d_upper == shortening_singleton_distance(n, k, r)
 
 
 def test_availability_bounds_k_direction():
