@@ -313,24 +313,24 @@ def cmd_shorten(args) -> int:
     if not isinstance(code, constructions.LinearCode):
         raise InputError("shorten applies to linear-code artifacts")
     checks = shortening.enumerate_local_checks(code, args.r)
-    result = shortening.build_shortening_set(checks, args.s, code.n, args.r)
-    cl = sorted(shortening.closure(code, result.I))
+    if args.s < 1:
+        raise InputError("need s >= 1")
+    per_s = shortening.build_shortening_set(checks)
+    if args.s > len(per_s):
+        raise InputError(f"fewer than s={args.s} independent local checks; "
+                         "input is not a valid (r,t)-LRC dual set at this r")
+    closures = [shortening.closure(code, res.I) for res in per_s]
+    result = per_s[args.s - 1]
     d = analysis.min_distance(code)
-    table = []
-    for s in range(1, code.n - code.k + 1):
-        try:
-            res = shortening.build_shortening_set(checks, s, code.n, args.r)
-        except ValueError:
-            break
-        table.append({"s": s, "size_I": len(res.I),
-                      "size_Cl": len(shortening.closure(code, res.I)),
-                      "k_bound_cap": 1 + (args.r - 1) * s,
-                      "cl_floor": 1 + args.r * s})
+    table = [{"s": res.s, "size_I": len(res.I), "size_Cl": len(cl),
+              "k_bound_cap": 1 + (args.r - 1) * res.s,
+              "cl_floor": 1 + args.r * res.s}
+             for res, cl in zip(per_s, closures)]
     sb = shortening.availability_shortening_bounds(code.n, code.k, d, args.r,
                                                    code.field.q) \
         if args.r >= 2 else None
     out = {
-        "I": result.I, "Cl_I": cl, "s": result.s,
+        "I": result.I, "Cl_I": sorted(closures[args.s - 1]), "s": result.s,
         "s1": result.s1, "j": result.j,
         "per_s": table,
         "bounds": None if sb is None else

@@ -133,6 +133,8 @@ def sample_biregular(n: int, t: int, rp1: int, seed: int,
     Raises ValueError, as for any other unusable parameters, when no
     sample in max_tries passes.
     """
+    if t < 1 or rp1 < 2:
+        raise ValueError("need t >= 1 and r+1 >= 2")
     if (n * t) % rp1 != 0:
         raise ValueError("r+1 must divide n*t")
     if min_girth not in (4, 6):
@@ -211,13 +213,14 @@ class CompositeCode:
 def _apply_outer_map(tower: FieldTower, outer_map: Matrix,
                      symbols: Sequence[ExtElement]) -> List[ExtElement]:
     """Coordinate j is sum_i outer_map[i][j] * symbols[i] (base scalars)."""
+    scalar_mul = tower.base.scalar_mul
     out = []
     for j in range(outer_map.cols):
         acc = tower.zero
         for i in range(outer_map.rows):
             lam = outer_map.data[i][j]
             if lam:
-                acc ^= tower.scalar_mul(lam, symbols[i])
+                acc ^= scalar_mul(lam, symbols[i])
         out.append(acc)
     return out
 
@@ -275,7 +278,7 @@ def encode_composite(code: CompositeCode, message: Sequence[ExtElement]) -> List
 def select_independent_survivors(code: CompositeCode,
                                  indices: Sequence[int]) -> List[int]:
     """Greedy (by index) subset of survivors with base-independent betas."""
-    tracker = RankTracker(code.tower)
+    tracker = RankTracker(code.tower.base)
     chosen: List[int] = []
     for j in indices:
         if tracker.add(code.beta[j]):

@@ -93,6 +93,23 @@ class BaseField:
     def rand_nonzero(self, rng: random.Random) -> int:
         return rng.randrange(1, self.q)
 
+    def scalar_mul(self, lam: int, a: int) -> int:
+        """lam times each w-bit coordinate of the packed vector a."""
+        if lam <= 1:
+            return a if lam else 0
+        w, exp, log = self.w, self.exp, self.log
+        order = mask = self.q - 1
+        llam = log[lam]
+        out = 0
+        shift = 0
+        while a:
+            c = a & mask
+            if c:
+                out |= exp[(llam + log[c]) % order] << shift
+            a >>= w
+            shift += w
+        return out
+
     def __eq__(self, other):
         return isinstance(other, BaseField) and other.w == self.w
 
@@ -118,7 +135,7 @@ def is_irreducible(tower: FieldTower) -> bool:
         a = tower.frobenius(a, 1)
     if a != tower.x:
         return False
-    tracker = RankTracker(tower)
+    tracker = RankTracker(tower.base)
     return all(tracker.add(tower.frobenius(e, 1) ^ e)
                for e in map(tower.basis_element, range(1, tower.m)))
 
@@ -176,7 +193,7 @@ class FieldTower:
         bit_images = []
         col = self.one
         for _ in range(m):
-            bit_images += [self.scalar_mul(1 << s, col) for s in range(w)]
+            bit_images += [self.base.scalar_mul(1 << s, col) for s in range(w)]
             col = self.mul(col, xq)
         tables = []
         for start in range(0, len(bit_images), 8):
@@ -204,43 +221,21 @@ class FieldTower:
     def rand(self, rng: random.Random) -> ExtElement:
         return self.from_coords([rng.randrange(self.base.q) for _ in range(self.m)])
 
-    def rand_nonzero(self, rng: random.Random) -> ExtElement:
-        while True:
-            a = self.rand(rng)
-            if a:
-                return a
-
     # -- arithmetic -----------------------------------------------------------
-
-    def scalar_mul(self, lam: int, a: ExtElement) -> ExtElement:
-        if lam <= 1:
-            return a if lam else 0
-        base = self.base
-        w, exp, log = base.w, base.exp, base.log
-        order = mask = base.q - 1
-        llam = log[lam]
-        out = 0
-        shift = 0
-        while a:
-            c = a & mask
-            if c:
-                out |= exp[(llam + log[c]) % order] << shift
-            a >>= w
-            shift += w
-        return out
 
     def mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
         """Horner over b's coordinates: acc = acc*x + b_i*a, top coordinate first."""
         w, mask, top = self.base.w, self.base.q - 1, self._top
+        scalar_mul = self.base.scalar_mul
         acc = 0
         for shift in range(top - w, -1, -w):
             acc <<= w
             hi = acc >> top
             if hi:
-                acc ^= (hi << top) ^ self.scalar_mul(hi, self._reduce)
+                acc ^= (hi << top) ^ scalar_mul(hi, self._reduce)
             c = b >> shift & mask
             if c:
-                acc ^= self.scalar_mul(c, a)
+                acc ^= scalar_mul(c, a)
         return acc
 
     def inv(self, a: ExtElement) -> ExtElement:
@@ -263,7 +258,7 @@ class FieldTower:
                     k += 1
             rest = self.frobenius(b, 1)
         norm = self.mul(a, rest)
-        return self.scalar_mul(self.base.inv(norm), rest)
+        return self.base.scalar_mul(self.base.inv(norm), rest)
 
     def frobenius(self, a: ExtElement, i: int) -> ExtElement:
         """a^(q^i) by i passes of byte-table lookups; i = m is the identity."""

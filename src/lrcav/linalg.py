@@ -55,23 +55,6 @@ class Matrix:
             out.append(acc)
         return out
 
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        f = self.field
-        out = Matrix.zeros(f, self.rows, other.cols)
-        for i in range(self.rows):
-            for k in range(self.cols):
-                a = self.data[i][k]
-                if not a:
-                    continue
-                orow = other.data[k]
-                trow = out.data[i]
-                for j in range(other.cols):
-                    if orow[j]:
-                        trow[j] ^= f.mul(a, orow[j])
-        return out
-
 
 def rref(M: Matrix):
     """Reduced row echelon form.  Returns (R, rank, pivot columns)."""
@@ -136,38 +119,47 @@ def nullspace(M: Matrix) -> List[List[object]]:
 
 def rank_over_base(tower, vectors) -> int:
     """Rank of extension-field elements viewed as base-field coordinate rows."""
-    tracker = RankTracker(tower)
+    tracker = RankTracker(tower.base)
     for v in vectors:
         tracker.add(v)
     return tracker.rank
 
 
 class RankTracker:
-    """Incremental rank over GF(2^w) of packed extension elements.
+    """Incremental echelon form of packed vectors over a base field GF(2^w).
 
-    Each basis row is keyed by its top nonzero coordinate and scaled so
-    that coordinate is 1; reducing a new row by the basis row with the
-    same top coordinate therefore clears that coordinate.
+    A packed vector of any length holds coordinate i in bits
+    [i*w, (i+1)*w), so an extension element, a local check and a
+    generator column all fit.  Each basis row is keyed by its lowest
+    nonzero coordinate and scaled so that coordinate is 1; the keys are
+    therefore exactly the pivot columns of the rref of the rows added.
     """
 
-    def __init__(self, tower):
-        self.tower = tower
+    def __init__(self, base):
+        self.base = base
         self.basis: Dict[int, int] = {}
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
+    def reduce(self, row: int) -> int:
+        """Row minus its projection on the basis: 0 iff row is in the span."""
+        base, w = self.base, self.base.w
+        while row:
+            low = ((row & -row).bit_length() - 1) // w
+            pivot = self.basis.get(low)
+            if pivot is None:
+                return row
+            row ^= base.scalar_mul(row >> (low * w) & (base.q - 1), pivot)
+        return 0
+
     def add(self, row: int) -> bool:
         """Add a row; True iff it increased the rank."""
-        tower = self.tower
-        w = tower.base.w
-        while row:
-            top = (row.bit_length() - 1) // w
-            lead = row >> (top * w)
-            pivot = self.basis.get(top)
-            if pivot is None:
-                self.basis[top] = tower.scalar_mul(tower.base.inv(lead), row)
-                return True
-            row ^= tower.scalar_mul(lead, pivot)
-        return False
+        row = self.reduce(row)
+        if not row:
+            return False
+        base, w = self.base, self.base.w
+        low = ((row & -row).bit_length() - 1) // w
+        self.basis[low] = base.scalar_mul(base.inv(row >> (low * w) & (base.q - 1)), row)
+        return True

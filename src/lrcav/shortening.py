@@ -2,11 +2,12 @@
 
 A local check is a dual codeword of weight at most r+1; its support
 minus any one coordinate is a recovering set for that coordinate.  The
-greedy set builder accumulates s linearly independent local checks,
+greedy set builder accumulates linearly independent local checks,
 preferring checks that overlap the already-covered coordinates, and
-derives a coordinate set I whose closure contains every covered
-coordinate.  Plugging |I| and |Cl(I)| into generic k*/d* oracles yields
-the shortening bounds on dimension and distance.
+derives for each count s of them a coordinate set I whose closure
+contains every covered coordinate.  Plugging |I| and |Cl(I)| into
+generic k*/d* oracles yields the shortening bounds on dimension and
+distance.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import comb
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .constructions import LinearCode
-from .linalg import Matrix, nullspace, rref
+from .linalg import Matrix, RankTracker, nullspace
 
 
 @dataclass
@@ -84,19 +85,18 @@ def enumerate_local_checks(code: LinearCode, r: int,
 
 
 def closure(code: LinearCode, I: Sequence[int]) -> Set[int]:
-    """Coordinates determined by the values on I (subcode method)."""
-    I = sorted(set(I))
-    f = code.field
-    G = code.generator()
-    # messages u with (uG) vanishing on I
-    restricted = Matrix.from_rows(f, [[G.data[i][j] for i in range(G.rows)]
-                                      for j in I], G.rows)
-    sub = Matrix.from_rows(f, nullspace(restricted), G.rows).matmul(G)
-    out = set(I)
-    for j in range(code.n):
-        if not any(row[j] for row in sub.data):
-            out.add(j)
-    return out
+    """Coordinates determined by the values on I.
+
+    Coordinate j is determined iff the generator's column j lies in the
+    span of its columns on I.
+    """
+    G, w = code.generator(), code.field.w
+    columns = [sum(row[j] << (i * w) for i, row in enumerate(G.data))
+               for j in range(code.n)]
+    tracker = RankTracker(code.field)
+    for i in I:
+        tracker.add(columns[i])
+    return {j for j, col in enumerate(columns) if not tracker.reduce(col)}
 
 
 @dataclass
@@ -110,73 +110,52 @@ class ShorteningResult:
     l: int
 
 
-def build_shortening_set(checks: LocalCheckSet, s: int, n: int, r: int) -> ShorteningResult:
-    """Greedy accumulation of s independent local checks and the set I.
+def build_shortening_set(checks: LocalCheckSet) -> List[ShorteningResult]:
+    """One greedy pass over the local checks; entry s-1 is the result for s.
 
-    Checks are picked by largest overlap with the covered set (ties by
+    Checks are picked by largest overlap with the covered set J (ties by
     lowest index).  A zero-overlap pick starts a fresh component: the
-    step counters (s1, j) are recorded at its first occurrence.  I is
-    the covered set minus the pivot columns of the accumulated check
-    matrix, padded up to 1+(r-1)s coordinates; all removed coordinates
-    are recoverable from I through the checks, so Cl(I) covers J.
+    step counters (s1, j) are recorded at its first occurrence.  The
+    pick that raises the rank of the picked checks X to s closes the
+    result for s, and the pass stops at the rank of all checks.  I is J
+    minus the pivot columns of X, padded up to 1+(r-1)s coordinates; all
+    removed coordinates are recoverable from I through the checks, so
+    Cl(I) covers J.
     """
-    if s < 1:
-        raise ValueError("need s >= 1")
     if not checks.checks:
         raise ValueError("no local checks available")
-    remaining = list(range(len(checks.checks)))
-    supports = checks.supports()
-
-    first = remaining.pop(0)
-    X = [checks.checks[first]]
-    J: Set[int] = set(supports[first])
-    x_rank = 1
-    l = 1
-    i = 1
-    s1 = 0
-    j_rec = 0
-    recorded = False
-
-    while i < s:
-        if not remaining:
-            raise ValueError(f"fewer than s={s} independent local checks; "
-                             "input is not a valid (r,t)-LRC dual set at this r")
-        best = max(remaining, key=lambda idx: (len(J & set(supports[idx])), -idx))
-        overlap = len(J & set(supports[best]))
+    f, n, r = checks.field, checks.n, checks.r
+    packed = [sum(x << (j * f.w) for j, x in enumerate(h)) for h in checks.checks]
+    full = RankTracker(f)
+    for h in packed:
+        full.add(h)
+    supports = [set(sup) for sup in checks.supports()]
+    remaining = list(range(len(packed)))
+    tracker = RankTracker(f)
+    X: List[Tuple] = []
+    J: Set[int] = set()
+    s1 = j_rec = 0
+    results: List[ShorteningResult] = []
+    while tracker.rank < full.rank:
+        best = max(remaining, key=lambda idx: (len(J & supports[idx]), -idx))
         remaining.remove(best)
-        if overlap == 0:
-            if not recorded:
-                j_rec = l
-                s1 = i
-                recorded = True
-            X.append(checks.checks[best])
-            J |= set(supports[best])
-            x_rank += 1
-            i += 1
-        else:
-            X.append(checks.checks[best])
-            J |= set(supports[best])
-            new_rank = rref(Matrix.from_rows(checks.field, list(X), checks.n))[1]
-            if new_rank > x_rank:
-                x_rank = new_rank
-                i += 1
-        l += 1
-
-    Xmat = Matrix.from_rows(checks.field, list(X), checks.n)
-    _, rk, pivots = rref(Xmat)
-    assert rk == s, "accumulated checks should span an s-dimensional space"
-    I = sorted(J - set(pivots))
-    target = 1 + (r - 1) * s
-    if len(I) < target:
-        # fresh (uncovered) coordinates first so the closure keeps growing
-        fresh = [c for c in range(n) if c not in J]
-        fallback = [c for c in range(n) if c in J and c not in I]
-        for c in fresh + fallback:
-            if len(I) >= target:
-                break
-            I.append(c)
-        I.sort()
-    return ShorteningResult(X=list(X), I=I, J=sorted(J), s=s, s1=s1, j=j_rec, l=l)
+        if J and not s1 and not J & supports[best]:
+            s1, j_rec = tracker.rank, len(X)
+        X.append(checks.checks[best])
+        J |= supports[best]
+        if not tracker.add(packed[best]):
+            continue
+        s = tracker.rank
+        pivots = sorted(tracker.basis)
+        I = sorted(J.difference(pivots))
+        pad = 1 + (r - 1) * s - len(I)
+        if pad > 0:
+            # fresh (uncovered) coordinates first so the closure keeps growing
+            fresh = [c for c in range(n) if c not in J]
+            I = sorted(I + (fresh + pivots)[:pad])
+        results.append(ShorteningResult(X=list(X), I=I, J=sorted(J), s=s,
+                                        s1=s1, j=j_rec, l=len(X)))
+    return results
 
 
 # -- oracles -----------------------------------------------------------------

@@ -227,8 +227,10 @@ def test_criterion_10_shortening_set_guarantees(report):
     for r, t in [(2, 2), (3, 2), (2, 3), (4, 2)]:
         code = build_wzl(r, t)
         checks = enumerate_local_checks(code, r)
-        for s in range(1, code.n - code.k + 1):
-            res = build_shortening_set(checks, s, code.n, r)
+        per_s = build_shortening_set(checks)
+        ok &= len(per_s) == code.n - code.k
+        for s, res in enumerate(per_s, 1):
+            ok &= res.s == s
             cl = closure(code, res.I)
             checked += 1
             ok &= len(res.I) <= 1 + (r - 1) * s

@@ -124,6 +124,18 @@ def test_construct_expander_too_dense_for_girth6(tmp_path, capsys):
         assert not path.exists()
 
 
+@pytest.mark.parametrize("r,t", [("-1", "3"), ("-2", "3"), ("6", "0")],
+                         ids=["r=-1", "r=-2", "t=0"])
+def test_construct_expander_rejects_r_or_t_below_one(tmp_path, capsys, r, t):
+    path = tmp_path / "x.json"
+    code, out, err = run(capsys, "construct", "expander", "--n", "14",
+                         "--r", r, "--t", t, "--w", "4", "--min-girth", "4",
+                         "--seed", "7", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: need t >= 1 and r+1 >= 2\n"
+    assert not path.exists()
+
+
 def test_verify_wzl_distance_and_availability(tmp_path, capsys):
     path = tmp_path / "wzl.json"
     run(capsys, "construct", "wzl", "--r", "2", "--t", "2", "--out", str(path))
@@ -383,6 +395,21 @@ def test_shorten_reports_sets_and_bounds(tmp_path, capsys):
     for row in report["per_s"]:
         assert row["size_I"] <= row["k_bound_cap"]
         assert row["size_Cl"] >= min(row["cl_floor"], 6)
+
+
+@pytest.mark.parametrize("r,s,message", [
+    ("3", "0", "need s >= 1"),
+    ("3", "5", "fewer than s=5 independent local checks; "
+               "input is not a valid (r,t)-LRC dual set at this r"),
+    ("1", "2", "no local checks available"),
+], ids=["s=0", "s-above-rank", "no-checks"])
+def test_shorten_input_errors(tmp_path, capsys, r, s, message):
+    # WZL(3,2): n - k = 4 independent checks at r = 3, none of weight <= 2
+    path = tmp_path / "wzl.json"
+    run(capsys, "construct", "wzl", "--r", "3", "--t", "2", "--out", str(path))
+    code, out, err = run(capsys, "shorten", "--code", str(path),
+                         "--r", r, "--s", s)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_no_command_usage_error(capsys):

@@ -124,7 +124,7 @@ def test_expander_codeword_satisfies_parity():
         acc = tower.zero
         for lam, c in zip(row, cw):
             if lam:
-                acc ^= tower.scalar_mul(lam, c)
+                acc ^= tower.base.scalar_mul(lam, c)
         assert acc == tower.zero
 
 

@@ -43,8 +43,9 @@ def test_evaluation_is_base_linear():
         f = LinearizedPoly([t.rand(rng) for _ in range(3)])
         beta, gamma = t.rand(rng), t.rand(rng)
         a, b = rng.randrange(t.base.q), rng.randrange(t.base.q)
-        lhs = lin_eval(t, f, t.scalar_mul(a, beta) ^ t.scalar_mul(b, gamma))
-        rhs = t.scalar_mul(a, lin_eval(t, f, beta)) ^ t.scalar_mul(b, lin_eval(t, f, gamma))
+        scale = t.base.scalar_mul
+        lhs = lin_eval(t, f, scale(a, beta) ^ scale(b, gamma))
+        rhs = scale(a, lin_eval(t, f, beta)) ^ scale(b, lin_eval(t, f, gamma))
         assert lhs == rhs
 
 
@@ -98,7 +99,7 @@ def test_rank_weight_zero_vector():
 
 def test_rank_weight_repeated_element():
     t = tower24()
-    a = t.rand_nonzero(random.Random(4))
+    a = random.Random(4).randrange(1, t.base.q ** t.m)
     assert rank_over_base(t, [a, a, a]) == 1
 
 
@@ -107,7 +108,7 @@ def test_rank_weight_frobenius_orbit_of_basis_image():
     rng = random.Random(5)
     # some nonzero element whose Frobenius orbit spans; search a few
     for _ in range(50):
-        a = t.rand_nonzero(rng)
+        a = rng.randrange(1, t.base.q ** t.m)
         orbit = [t.frobenius(a, i) for i in range(t.m)]
         if rank_over_base(t, orbit) == t.m:
             return
@@ -117,7 +118,7 @@ def test_rank_weight_frobenius_orbit_of_basis_image():
 def test_interpolate_single_point():
     t = tower24()
     rng = random.Random(6)
-    beta = t.rand_nonzero(rng)
+    beta = rng.randrange(1, t.base.q ** t.m)
     y = t.rand(rng)
     f = moore_interpolate(t, [beta], [y])
     assert f.coeffs == [t.mul(y, t.inv(beta))]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from lrcav.constructions import build_wzl
 from lrcav.galois import BaseField, build_tower
-from lrcav.linalg import Matrix, nullspace, rank_over_base, rref, solve
+from lrcav.linalg import Matrix, RankTracker, nullspace, rank_over_base, rref, solve
 
 F2 = BaseField(1)
 F16 = BaseField(4)
@@ -120,8 +120,8 @@ def test_rank_over_base_basis_vectors():
 def test_rank_over_base_scalar_multiple():
     t = build_tower(2, 4)
     rng = random.Random(1)
-    a = t.rand_nonzero(rng)
-    assert rank_over_base(t, [a, t.scalar_mul(3, a)]) == 1
+    a = rng.randrange(1, t.base.q ** t.m)
+    assert rank_over_base(t, [a, t.base.scalar_mul(3, a)]) == 1
 
 
 def test_rank_over_base_matches_bit_matrix_oracle():
@@ -133,7 +133,37 @@ def test_rank_over_base_matches_bit_matrix_oracle():
             vs = [t.rand(rng) for _ in range(rng.randrange(1, 10))]
             if rng.randrange(2):
                 # force a dependency: a base-field combination of earlier rows
-                vs.append(t.scalar_mul(rng.randrange(t.base.q), vs[0])
-                          ^ t.scalar_mul(rng.randrange(t.base.q), vs[-1]))
+                vs.append(t.base.scalar_mul(rng.randrange(t.base.q), vs[0])
+                          ^ t.base.scalar_mul(rng.randrange(t.base.q), vs[-1]))
             M = Matrix.from_rows(t.base, [t.coords(v) for v in vs], 8)
             assert rank_over_base(t, vs) == rank(M)
+
+
+@pytest.mark.parametrize("w", [1, 2, 8])
+def test_rank_tracker_keys_are_rref_pivots_and_reduce_tests_the_span(w):
+    # packed rows of any length over GF(2^w): coordinate j in bits [j*w, (j+1)*w)
+    f = BaseField(w)
+    rng = random.Random(w)
+
+    def pack(row):
+        return sum(x << (j * w) for j, x in enumerate(row))
+
+    for _ in range(60):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 10)
+        data = [[rng.randrange(f.q) if rng.randrange(3) else 0 for _ in range(cols)]
+                for _ in range(rows)]
+        tracker = RankTracker(f)
+        added = [tracker.add(pack(row)) for row in data]
+        _, rk, pivots = rref(Matrix.from_rows(f, data, cols))
+        assert sorted(tracker.basis) == pivots and tracker.rank == rk
+        assert added == [rank(Matrix.from_rows(f, data[:i + 1], cols))
+                         > rank(Matrix.from_rows(f, data[:i], cols)) for i in range(rows)]
+        coeffs = [rng.randrange(f.q) for _ in data]
+        combo = [0] * cols
+        for c, row in zip(coeffs, data):
+            combo = [y ^ f.mul(c, x) for x, y in zip(row, combo)]
+        assert tracker.reduce(pack(combo)) == 0
+        for _ in range(10):
+            v = [rng.randrange(f.q) for _ in range(cols)]
+            in_span = rank(Matrix.from_rows(f, data + [v], cols)) == rk
+            assert (tracker.reduce(pack(v)) == 0) == in_span

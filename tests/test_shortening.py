@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from lrcav.analysis import verify_availability
 from lrcav.constructions import LinearCode, build_wzl
 from lrcav.galois import BaseField
-from lrcav.linalg import Matrix
-from lrcav.shortening import (LocalCheckSet,
+from lrcav.linalg import Matrix, rref
+from lrcav.shortening import (LocalCheckSet, ShorteningResult,
                               availability_shortening_bounds,
                               build_shortening_set, closure,
                               enumerate_local_checks, shortened_k_bound,
@@ -123,25 +124,37 @@ def test_closure_is_monotone_and_idempotent():
         assert closure(code, sorted(cl)) == cl
 
 
-def test_closure_brute_force_oracle():
+def _closure_by_codewords(code, I):
     # coordinate j is determined by I iff every codeword vanishing on I
-    # vanishes at j; check against exhaustive codeword enumeration
+    # vanishes at j
+    vanish = [w for w in code.codewords() if all(w[i] == 0 for i in I)]
+    return set(I) | {j for j in range(code.n) if all(w[j] == 0 for w in vanish)}
+
+
+def test_closure_brute_force_oracle():
     code = build_wzl(2, 2)
-    words = list(code.codewords())
     for I in product([0, 1], repeat=code.n):
         Iset = [i for i, b in enumerate(I) if b]
-        vanish = [w for w in words if all(w[i] == 0 for i in Iset)]
-        expect = {j for j in range(code.n) if all(w[j] == 0 for w in vanish)}
-        expect |= set(Iset)
-        assert closure(code, Iset) == expect
+        assert closure(code, Iset) == _closure_by_codewords(code, Iset)
+
+
+def test_closure_brute_force_oracle_gf4():
+    # generator columns packed 2 bits per coordinate: a GF(4) [6, 3] code
+    f = BaseField(2)
+    code = LinearCode.from_parity(f, Matrix.from_rows(
+        f, [[1, 2, 0, 3, 1, 0], [0, 1, 1, 2, 0, 3], [3, 0, 2, 0, 0, 1]]))
+    assert code.k == 3
+    for I in product([0, 1], repeat=code.n):
+        Iset = [i for i, b in enumerate(I) if b]
+        assert closure(code, Iset) == _closure_by_codewords(code, Iset)
 
 
 @pytest.mark.parametrize("r,t", [(2, 2), (3, 2), (2, 3), (4, 2)])
 def test_shortening_set_invariants(r, t):
     code = build_wzl(r, t)
-    checks = enumerate_local_checks(code, r)
-    for s in range(1, code.n - code.k + 1):
-        res = build_shortening_set(checks, s, code.n, r)
+    per_s = build_shortening_set(enumerate_local_checks(code, r))
+    assert len(per_s) == code.n - code.k
+    for s, res in enumerate(per_s, 1):
         assert len(res.X) == res.l
         assert res.s == s
         assert len(res.I) <= 1 + (r - 1) * s
@@ -151,21 +164,101 @@ def test_shortening_set_invariants(r, t):
 
 
 def test_shortening_set_zero_overlap_counters():
-    # with a single check the loop never runs: counters stay zero
+    # the first pick closes the result for s = 1: counters stay zero
     code = build_wzl(2, 2)
-    checks = enumerate_local_checks(code, 2)
-    res = build_shortening_set(checks, 1, code.n, 2)
+    res = build_shortening_set(enumerate_local_checks(code, 2))[0]
     assert (res.s1, res.j, res.l) == (0, 0, 1)
 
 
 def test_shortening_set_needs_enough_checks():
+    # the pass stops at the rank of the checks: one check gives s = 1 only
     code = build_wzl(2, 2)
     checks = enumerate_local_checks(code, 2)
     one = LocalCheckSet(checks.field, checks.n, checks.r, checks.checks[:1])
-    with pytest.raises(ValueError):
-        build_shortening_set(one, 2, code.n, 2)
-    with pytest.raises(ValueError):
-        build_shortening_set(checks, 0, code.n, 2)
+    assert [res.s for res in build_shortening_set(one)] == [1]
+    none = LocalCheckSet(checks.field, checks.n, checks.r, [])
+    with pytest.raises(ValueError, match="no local checks available"):
+        build_shortening_set(none)
+
+
+def _greedy_rref_oracle(checks, s):
+    """The shortening set for one s, from a greedy pass that runs rref on
+    the picked checks after every overlapping pick and for the pivots."""
+    n, r = checks.n, checks.r
+    remaining = list(range(len(checks.checks)))
+    supports = checks.supports()
+    first = remaining.pop(0)
+    X = [checks.checks[first]]
+    J = set(supports[first])
+    x_rank, l, i, s1, j_rec, recorded = 1, 1, 1, 0, 0, False
+    while i < s:
+        if not remaining:
+            return None
+        best = max(remaining, key=lambda idx: (len(J & set(supports[idx])), -idx))
+        overlap = len(J & set(supports[best]))
+        remaining.remove(best)
+        X.append(checks.checks[best])
+        J |= set(supports[best])
+        if overlap == 0:
+            if not recorded:
+                j_rec, s1, recorded = l, i, True
+            x_rank += 1
+            i += 1
+        else:
+            new_rank = rref(Matrix.from_rows(checks.field, list(X), n))[1]
+            if new_rank > x_rank:
+                x_rank = new_rank
+                i += 1
+        l += 1
+    _, rk, pivots = rref(Matrix.from_rows(checks.field, list(X), n))
+    assert rk == s
+    I = sorted(J - set(pivots))
+    target = 1 + (r - 1) * s
+    if len(I) < target:
+        fresh = [c for c in range(n) if c not in J]
+        fallback = [c for c in range(n) if c in J and c not in I]
+        for c in fresh + fallback:
+            if len(I) >= target:
+                break
+            I.append(c)
+        I.sort()
+    return ShorteningResult(X=list(X), I=I, J=sorted(J), s=s, s1=s1, j=j_rec, l=l)
+
+
+def _assert_matches_greedy_oracle(code, r):
+    checks = enumerate_local_checks(code, r)
+    if not checks.checks:
+        with pytest.raises(ValueError, match="no local checks available"):
+            build_shortening_set(checks)
+        return
+    expect = []
+    for s in range(1, code.n + 1):
+        res = _greedy_rref_oracle(checks, s)
+        if res is None:
+            break
+        expect.append(res)
+    assert build_shortening_set(checks) == expect
+
+
+@pytest.mark.parametrize("r,t", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
+def test_shortening_set_matches_greedy_rref_oracle(r, t):
+    code = build_wzl(r, t)
+    for rr in sorted({1, 2, r - 1, r, r + 1}):
+        _assert_matches_greedy_oracle(code, rr)
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_shortening_set_matches_greedy_rref_oracle_random(w):
+    # seeded random codes over GF(2) and GF(4) with n <= 8; at most 5
+    # (GF(2)) or 4 (GF(4)) parity rows keep the dual, and so the checks, small
+    f = BaseField(w)
+    rng = random.Random(w)
+    for _ in range(200):
+        n = rng.randrange(2, 9)
+        parity = [[rng.randrange(f.q) for _ in range(n)]
+                  for _ in range(rng.randrange(1, min(n, 6 if w == 1 else 5)))]
+        code = LinearCode.from_parity(f, Matrix.from_rows(f, parity, n))
+        _assert_matches_greedy_oracle(code, rng.randrange(1, n))
 
 
 def test_singleton_oracles():
