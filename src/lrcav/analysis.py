@@ -25,10 +25,10 @@ def min_distance(code: LinearCode, max_enumeration: int = 2**22) -> int:
         raise ValueError("the zero code has no minimum distance")
     if code.field.q**code.k > max_enumeration:
         raise ValueError("codeword enumeration exceeds the budget")
-    z = code.field.zero
+    weight = code.field.weight
     best = None
     for cw in code.codewords():
-        w = sum(1 for x in cw if x != z)
+        w = weight(cw)
         if w and (best is None or w < best):
             best = w
     return best
@@ -44,10 +44,8 @@ class AvailabilityReport:
 def verify_availability(code: LinearCode, r: int, t: int) -> AvailabilityReport:
     """Search t pairwise disjoint recovering sets of size <= r per coordinate."""
     checks = enumerate_local_checks(code, r)
-    z = code.field.zero
     per_coord: Dict[int, List[List[int]]] = {i: [] for i in range(code.n)}
-    for h in checks.checks:
-        supp = [i for i, x in enumerate(h) if x != z]
+    for supp in checks.supports():
         for i in supp:
             per_coord[i].append([j for j in supp if j != i])
 
@@ -87,13 +85,13 @@ def _disjoint_sets(candidates: List[List[int]], t: int) -> Optional[List[List[in
 
 def erasure_correctable(code: LinearCode, erased: Sequence[int]) -> bool:
     """True iff no nonzero codeword is supported inside the erased set."""
-    erased = sorted(set(erased))
-    f = code.field
-    # full-rank parity submatrix on the erased columns <=> correctable
-    H = code.parity
-    sub = Matrix.from_rows(f, [[H.data[i][j] for j in erased]
-                               for i in range(H.rows)], len(erased))
-    return rref(sub)[1] == len(erased)
+    erased = set(erased)
+    if not all(0 <= j < code.n for j in erased):
+        raise ValueError("erased coordinates must lie in [0, n)")
+    f, H = code.field, code.parity
+    # parity columns on the erased coordinates of full rank <=> correctable
+    mask = sum((f.q - 1) << (j * f.w) for j in erased)
+    return rref(Matrix(f, H.rows, H.cols, [row & mask for row in H.data]))[1] == len(erased)
 
 
 def partial_block_rank_bound(e: int, r: int, t: int) -> int:

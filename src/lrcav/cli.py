@@ -39,7 +39,7 @@ def artifact_from_linear(code: constructions.LinearCode, kind: str,
                   "modulus": code.field.modulus, "ext_modulus": None},
         "n": code.n, "k": code.k,
         "r": code.claimed_r, "t": code.claimed_t,
-        "matrices": {"parity": [list(row) for row in code.parity.data]},
+        "matrices": {"parity": code.parity.to_lists()},
         "provenance": provenance,
     }
 
@@ -55,7 +55,7 @@ def artifact_from_composite(code: constructions.CompositeCode, kind: str,
                   "ext_modulus": list(tower.ext_modulus)},
         "n": code.n, "k": code.k,
         "r": r, "t": t,
-        "matrices": {"outer_map": [list(row) for row in code.outer_map.data]},
+        "matrices": {"outer_map": code.outer_map.to_lists()},
         "params": {"n_G": code.n_g},
         "provenance": provenance,
     }
@@ -140,7 +140,7 @@ def load_artifact(path: str):
     else:
         parity = Matrix.from_rows(base, mats["parity"], doc["n"])
         code = constructions.assemble_expander_code(tower, parity, doc["k"])
-    _check_rebuild(stored, {"outer_map": code.outer_map.data, "n": code.n,
+    _check_rebuild(stored, {"outer_map": code.outer_map.to_lists(), "n": code.n,
                             "n_G": code.n_g, "n_I": code.inner_n, "k_I": code.inner_k})
     return doc, code
 
@@ -242,7 +242,7 @@ def cmd_construct(args) -> int:
         code = constructions.assemble_expander_code(tower, parity, k)
         prov["parameters"] = {"n": args.n, "r": args.r, "t": args.t,
                               "w": args.w, "k": k, "m": m}
-        prov["parity"] = [list(row) for row in parity.data]
+        prov["parity"] = parity.to_lists()
         doc = artifact_from_composite(code, "expander", args.r, args.t, prov)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown construct kind {args.subkind!r}")
@@ -256,6 +256,8 @@ def cmd_verify(args) -> int:
         raise InputError("verify needs --distance, --availability or --erasures")
     if args.erasures is not None and args.trials < 1:
         raise InputError("--erasures needs --trials >= 1")
+    if args.erasures is not None and args.seed is None:
+        raise InputError("--erasures requires --seed")
     doc, code = load_artifact(args.code)
     report = {"artifact": args.code, "kind": doc["kind"]}
     failed = False
@@ -279,8 +281,6 @@ def cmd_verify(args) -> int:
         }
         failed |= not rep.ok
     if args.erasures is not None:
-        if args.seed is None:
-            raise InputError("--erasures requires --seed")
         if isinstance(code, constructions.CompositeCode):
             stats = analysis.erasure_monte_carlo(code, args.erasures,
                                                  args.trials, args.seed)
@@ -309,12 +309,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_shorten(args) -> int:
+    if args.s < 1:
+        raise InputError("need s >= 1")
     doc, code = load_artifact(args.code)
     if not isinstance(code, constructions.LinearCode):
         raise InputError("shorten applies to linear-code artifacts")
     checks = shortening.enumerate_local_checks(code, args.r)
-    if args.s < 1:
-        raise InputError("need s >= 1")
     per_s = shortening.build_shortening_set(checks)
     if args.s > len(per_s):
         raise InputError(f"fewer than s={args.s} independent local checks; "

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,15 +50,21 @@ class LinearCode:
         """Systematic (rref) generator matrix, k x n."""
         if self._generator is None:
             basis = nullspace(self.parity)
-            self._generator = rref(Matrix.from_rows(self.field, basis, self.n))[0]
+            self._generator = rref(Matrix(self.field, len(basis), self.n, basis))[0]
         return self._generator
 
     def codewords(self):
-        """All q^k codewords (exhaustive; caller owns the budget)."""
-        from itertools import product
-        Gt = self.generator().transpose()
+        """All q^k codewords, packed, messages in lexicographic order.
+
+        Exhaustive; the caller owns the budget.
+        """
+        rows, scalar_mul = self.generator().data, self.field.scalar_mul
         for msg in product(range(self.field.q), repeat=self.k):
-            yield Gt.mul_vec(list(msg))
+            cw = 0
+            for c, row in zip(msg, rows):
+                if c:
+                    cw ^= scalar_mul(c, row)
+            yield cw
 
 
 def build_wzl(r: int, t: int, size_cap: int = 10**5) -> LinearCode:
@@ -72,16 +78,9 @@ def build_wzl(r: int, t: int, size_cap: int = 10**5) -> LinearCode:
     coords = list(combinations(universe, t))
     index = {c: i for i, c in enumerate(coords)}
     f2 = BaseField(1)
-    rows = []
-    for s in combinations(universe, t - 1):
-        row = [0] * n
-        rest = [v for v in universe if v not in s]
-        for v in rest:
-            row[index[tuple(sorted(s + (v,)))]] = 1
-        rows.append(row)
-    parity = Matrix.from_rows(f2, rows, n)
-    code = LinearCode.from_parity(f2, parity, claimed_r=r, claimed_t=t)
-    return code
+    rows = [sum(1 << index[tuple(sorted(s + (v,)))] for v in universe if v not in s)
+            for s in combinations(universe, t - 1)]
+    return LinearCode.from_parity(f2, Matrix(f2, len(rows), n, rows), claimed_r=r, claimed_t=t)
 
 
 @dataclass
@@ -213,15 +212,14 @@ class CompositeCode:
 def _apply_outer_map(tower: FieldTower, outer_map: Matrix,
                      symbols: Sequence[ExtElement]) -> List[ExtElement]:
     """Coordinate j is sum_i outer_map[i][j] * symbols[i] (base scalars)."""
-    scalar_mul = tower.base.scalar_mul
-    out = []
-    for j in range(outer_map.cols):
-        acc = tower.zero
-        for i in range(outer_map.rows):
-            lam = outer_map.data[i][j]
-            if lam:
-                acc ^= scalar_mul(lam, symbols[i])
-        out.append(acc)
+    scalar_mul, w, mask = tower.base.scalar_mul, tower.base.w, tower.base.q - 1
+    out = [tower.zero] * outer_map.cols
+    for row, symbol in zip(outer_map.data, symbols):
+        while row:  # the row's nonzero coordinates, lowest first
+            j = ((row & -row).bit_length() - 1) // w
+            lam = row >> (j * w) & mask
+            out[j] ^= scalar_mul(lam, symbol)
+            row ^= lam << (j * w)
     return out
 
 
@@ -237,7 +235,7 @@ def assemble_expander_code(tower: FieldTower, parity: Matrix, k: int) -> Composi
     if k > n_g:
         raise ValueError("k exceeds n_G")
     basis = nullspace(parity)
-    outer_map = rref(Matrix.from_rows(tower.base, basis, n))[0]
+    outer_map = rref(Matrix(tower.base, len(basis), n, basis))[0]
     gab = default_spec(tower, n_g, k)
     beta = _apply_outer_map(tower, outer_map, gab.eval_points)
     return CompositeCode("expander", tower, gab, outer_map, beta)
@@ -257,13 +255,9 @@ def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
         raise ValueError("n_G = blocks*k_I exceeds the extension degree m")
     if k > n_g:
         raise ValueError("k exceeds n_G")
-    n = blocks * n_i
-    f2 = tower.base
-    outer = Matrix.zeros(f2, n_g, n)
-    for b in range(blocks):
-        for i in range(k_i):
-            for j in range(n_i):
-                outer.data[b * k_i + i][b * n_i + j] = g_inner.data[i][j]
+    # block b holds the inner generator on coordinates [b*n_I, (b+1)*n_I); w = 1
+    outer = Matrix(tower.base, n_g, blocks * n_i,
+                   [row << (b * n_i) for b in range(blocks) for row in g_inner.data])
     gab = default_spec(tower, n_g, k)
     beta = _apply_outer_map(tower, outer, gab.eval_points)
     return CompositeCode("concatenated", tower, gab, outer, beta,

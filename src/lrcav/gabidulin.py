@@ -68,7 +68,8 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
 
     Newton interpolation in O(k^2) tower operations: A is the monic
     annihilator of the points so far and f interpolates them.  At each new
-    point p, c = A(p) is nonzero because p is independent of them; then
+    point p, c = A(p) is zero exactly when p lies in their span (the
+    points are then dependent, a ValueError); otherwise
     f += ((y - f(p)) / c) * A keeps the old values and takes y at p, and
     A <- A^q - c^(q-1) * A also vanishes at p.  Solving the Moore system
     (entry (i, j) = points[i]^(q^j)) gives the same f in O(k^3); the
@@ -77,8 +78,6 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
     k = len(points)
     if len(values) != k:
         raise ValueError("points and values differ in length")
-    if rank_over_base(tower, points) != k:
-        raise ValueError("interpolation points are linearly dependent over the base field")
     mul, frob = tower.mul, tower.frobenius
     f = [tower.zero] * k
     ann = [tower.one]
@@ -91,6 +90,8 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
             c ^= mul(a, x)
             if f[i]:
                 fp ^= mul(f[i], x)
+        if not c:
+            raise ValueError("interpolation points are linearly dependent over the base field")
         c_inv = tower.inv(c)
         scale = mul(y ^ fp, c_inv)
         if scale:

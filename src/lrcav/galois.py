@@ -3,8 +3,10 @@
 Base field elements are integers in [0, 2^w) whose bits are polynomial
 coefficients over GF(2).  Extension elements are integers of m*w bits:
 coordinate i in the polynomial basis (a base element) sits in bits
-[i*w, (i+1)*w).  Only characteristic 2 is supported, so subtraction
-equals addition everywhere, and adding extension elements is XOR.
+[i*w, (i+1)*w).  Every base-field vector (a matrix row, a local check,
+a codeword) is packed the same way, by ``BaseField.pack``.  Only
+characteristic 2 is supported, so subtraction equals addition
+everywhere, and adding extension elements or vectors is XOR.
 
 Primitive polynomials used for the base fields (one per width w):
     w=1 : x + 1
@@ -93,6 +95,30 @@ class BaseField:
     def rand_nonzero(self, rng: random.Random) -> int:
         return rng.randrange(1, self.q)
 
+    def pack(self, coords: Sequence[int]) -> int:
+        """The packed vector with coordinate i in bits [i*w, (i+1)*w)."""
+        w = self.w
+        return sum(c << (i * w) for i, c in enumerate(coords))
+
+    def unpack(self, a: int, n: int) -> List[int]:
+        """The first n coordinates of the packed vector a."""
+        w, mask = self.w, self.q - 1
+        return [a >> (i * w) & mask for i in range(n)]
+
+    def normalize(self, a: int) -> int:
+        """The nonzero packed vector a scaled so its lowest nonzero coordinate is 1."""
+        low = ((a & -a).bit_length() - 1) // self.w
+        return self.scalar_mul(self.inv(a >> (low * self.w) & (self.q - 1)), a)
+
+    def weight(self, a: int) -> int:
+        """Number of nonzero coordinates of the packed vector a."""
+        w = self.w
+        lanes = -(-a.bit_length() // w)
+        folded = a
+        for s in range(1, w):
+            folded |= a >> s
+        return (folded & ((1 << (lanes * w)) - 1) // (self.q - 1)).bit_count()
+
     def scalar_mul(self, lam: int, a: int) -> int:
         """lam times each w-bit coordinate of the packed vector a."""
         if lam <= 1:
@@ -175,7 +201,7 @@ class FieldTower:
             raise ValueError("extension modulus must be monic of degree m")
         self.ext_modulus = poly
         # x^m = sum of the lower modulus terms (characteristic 2), packed
-        self._reduce = self.from_coords(poly[:-1])
+        self._reduce = self.base.pack(poly[:-1])
         self.x = self.basis_element(1) if self.m > 1 else self._reduce  # x mod f
         self._frob_tables = self._build_frobenius_tables()
 
@@ -203,23 +229,13 @@ class FieldTower:
             tables.append(table)
         return tables
 
-    # -- element constructors and the base-field view -------------------------
-
-    def from_coords(self, coords: Sequence[int]) -> ExtElement:
-        if len(coords) != self.m:
-            raise ValueError("coordinate vector has wrong length")
-        w = self.base.w
-        return sum(c << (i * w) for i, c in enumerate(coords))
-
-    def coords(self, a: ExtElement) -> List[int]:
-        w, mask = self.base.w, self.base.q - 1
-        return [a >> (i * w) & mask for i in range(self.m)]
+    # -- element constructors -------------------------------------------------
 
     def basis_element(self, i: int) -> ExtElement:
         return 1 << (i * self.base.w)
 
     def rand(self, rng: random.Random) -> ExtElement:
-        return self.from_coords([rng.randrange(self.base.q) for _ in range(self.m)])
+        return self.base.pack([rng.randrange(self.base.q) for _ in range(self.m)])
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -1,16 +1,17 @@
-"""Exact linear algebra over any field object from :mod:`lrcav.galois`.
+"""Exact linear algebra over a base field GF(2^w) from :mod:`lrcav.galois`.
 
-A "field" here is anything with ``zero``, ``one``, ``mul`` and ``inv``
-whose elements are ints that add by XOR and are nonzero iff truthy
-(both BaseField and FieldTower qualify: characteristic 2 throughout).
-Matrices are plain row-major lists of field elements; all operations
-are pure and deterministic (first nonzero pivot, smallest column first).
+A vector is one packed int, coordinate i in bits [i*w, (i+1)*w) (see
+``BaseField.pack``), and a matrix row is such a vector.  The one
+elimination step is ``RankTracker.reduce``: ``rref`` feeds the rows to a
+tracker and then clears each pivot column in one back-substitution pass,
+and ``nullspace`` and ``solve`` read their answers off the rref.  All
+operations are pure and deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 @dataclass
@@ -18,103 +19,70 @@ class Matrix:
     field: object
     rows: int
     cols: int
-    data: List[List[object]]
+    data: List[int]
 
     @classmethod
-    def from_rows(cls, field, rows: Sequence[Sequence[object]], cols: int | None = None):
+    def from_rows(cls, field, rows: Sequence[Sequence[int]], cols: int | None = None):
         rows = [list(r) for r in rows]
         if cols is None:
             cols = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != cols:
                 raise ValueError("ragged rows")
-        return cls(field, len(rows), cols, rows)
+            if not all(0 <= x < field.q for x in r):
+                raise ValueError(f"matrix entries must lie in [0, {field.q})")
+        return cls(field, len(rows), cols, [field.pack(r) for r in rows])
 
-    @classmethod
-    def zeros(cls, field, rows: int, cols: int):
-        z = field.zero
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, [list(r) for r in self.data])
+    def to_lists(self) -> List[List[int]]:
+        return [self.field.unpack(row, self.cols) for row in self.data]
 
     def transpose(self) -> "Matrix":
-        data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
+        w, mask = self.field.w, self.field.q - 1
+        data = [sum((row >> (j * w) & mask) << (i * w) for i, row in enumerate(self.data))
+                for j in range(self.cols)]
         return Matrix(self.field, self.cols, self.rows, data)
-
-    def mul_vec(self, v: Sequence[object]) -> List[object]:
-        f = self.field
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        out = []
-        for row in self.data:
-            acc = f.zero
-            for a, x in zip(row, v):
-                if a and x:
-                    acc ^= f.mul(a, x)
-            out.append(acc)
-        return out
 
 
 def rref(M: Matrix):
     """Reduced row echelon form.  Returns (R, rank, pivot columns)."""
     f = M.field
-    R = M.copy()
-    pivots: List[int] = []
-    prow = 0
-    for col in range(R.cols):
-        pr = None
-        for i in range(prow, R.rows):
-            if R.data[i][col]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        R.data[prow], R.data[pr] = R.data[pr], R.data[prow]
-        inv = f.inv(R.data[prow][col])
-        if inv != f.one:
-            R.data[prow] = [f.mul(inv, x) for x in R.data[prow]]
-        for i in range(R.rows):
-            if i != prow and R.data[i][col]:
-                c = R.data[i][col]
-                R.data[i] = [x ^ f.mul(c, y) for x, y in zip(R.data[i], R.data[prow])]
-        pivots.append(col)
-        prow += 1
-        if prow == R.rows:
-            break
-    return R, len(pivots), pivots
+    w, mask = f.w, f.q - 1
+    tracker = RankTracker(f)
+    for row in M.data:
+        tracker.add(row)
+    pivots = sorted(tracker.basis)
+    rows = [tracker.basis[col] for col in pivots]
+    # back-substitution, last pivot first: the rows below are already reduced
+    for i in range(len(rows) - 2, -1, -1):
+        for col, lower in zip(pivots[i + 1:], rows[i + 1:]):
+            c = rows[i] >> (col * w) & mask
+            if c:
+                rows[i] ^= f.scalar_mul(c, lower)
+    return Matrix(f, M.rows, M.cols, rows + [0] * (M.rows - len(rows))), len(pivots), pivots
 
 
-def solve(A: Matrix, b: Sequence[object]):
-    """One solution of Ax = b (free variables zero), or None if inconsistent."""
-    if len(b) != A.rows:
+def solve(A: Matrix, b: int) -> Optional[int]:
+    """One solution x of Ax = b (free variables zero), or None if inconsistent."""
+    w = A.field.w
+    if b >> (A.rows * w):
         raise ValueError("dimension mismatch")
-    f = A.field
-    aug = Matrix.from_rows(f, [list(r) + [bv] for r, bv in zip(A.data, b)],
-                           A.cols + 1)
+    mask, top = A.field.q - 1, A.cols * w
+    aug = Matrix(A.field, A.rows, A.cols + 1,
+                 [row | (b >> (i * w) & mask) << top for i, row in enumerate(A.data)])
     R, rk, pivots = rref(aug)
     if A.cols in pivots:
         return None
-    x = [f.zero] * A.cols
-    for i, col in enumerate(pivots):
-        x[col] = R.data[i][A.cols]
-    return x
+    return sum((row >> top) << (col * w) for row, col in zip(R.data, pivots))
 
 
-def nullspace(M: Matrix) -> List[List[object]]:
+def nullspace(M: Matrix) -> List[int]:
     """Basis of the right nullspace (cols - rank vectors)."""
-    f = M.field
+    w, mask = M.field.w, M.field.q - 1
     R, rk, pivots = rref(M)
-    free = [j for j in range(M.cols) if j not in set(pivots)]
-    basis = []
-    for fc in free:
-        v = [f.zero] * M.cols
-        v[fc] = f.one
-        for i, pc in enumerate(pivots):
-            # char 2: negation is identity
-            v[pc] = R.data[i][fc]
-        basis.append(v)
-    return basis
+    free = sorted(set(range(M.cols)).difference(pivots))
+    # char 2: negation is identity
+    return [sum((row >> (fc * w) & mask) << (pc * w) for row, pc in zip(R.data, pivots))
+            | 1 << (fc * w) for fc in free]
 
 
 def rank_over_base(tower, vectors) -> int:
@@ -129,7 +97,7 @@ class RankTracker:
     """Incremental echelon form of packed vectors over a base field GF(2^w).
 
     A packed vector of any length holds coordinate i in bits
-    [i*w, (i+1)*w), so an extension element, a local check and a
+    [i*w, (i+1)*w), so an extension element, a matrix row and a
     generator column all fit.  Each basis row is keyed by its lowest
     nonzero coordinate and scaled so that coordinate is 1; the keys are
     therefore exactly the pivot columns of the rref of the rows added.
@@ -159,7 +127,5 @@ class RankTracker:
         row = self.reduce(row)
         if not row:
             return False
-        base, w = self.base, self.base.w
-        low = ((row & -row).bit_length() - 1) // w
-        self.basis[low] = base.scalar_mul(base.inv(row >> (low * w) & (base.q - 1)), row)
+        self.basis[((row & -row).bit_length() - 1) // self.base.w] = self.base.normalize(row)
         return True

@@ -23,15 +23,16 @@ from .linalg import Matrix, RankTracker, nullspace
 
 @dataclass
 class LocalCheckSet:
-    """Dual codewords of weight <= r+1, deduplicated, leading entry 1."""
+    """Dual codewords of weight <= r+1, packed, deduplicated, leading entry 1."""
 
     field: object
     n: int
     r: int
-    checks: List[Tuple]
+    checks: List[int]
 
     def supports(self) -> List[Tuple[int, ...]]:
-        return [tuple(i for i, x in enumerate(h) if x != 0) for h in self.checks]
+        unpack, n = self.field.unpack, self.n
+        return [tuple(i for i, x in enumerate(unpack(h, n)) if x) for h in self.checks]
 
 
 def _projective_points(q: int, d: int):
@@ -55,32 +56,30 @@ def enumerate_local_checks(code: LinearCode, r: int,
     cost = comb(n, w) * (r + 1) ** 3
     if cost > budget:
         raise ValueError(f"local-check enumeration cost {cost} exceeds budget {budget}")
-    G = code.generator()
+    rows = code.generator().data
+    fw, mask = f.w, f.q - 1
     seen = set()
-    checks: List[Tuple] = []
+    checks: List[int] = []
     for support in combinations(range(n), w):
-        cols = Matrix.from_rows(f, [[G.data[i][j] for j in support]
-                                    for i in range(G.rows)], w)
-        basis = nullspace(cols)
+        shifts = [j * fw for j in support]
+        # the generator's columns on the support, as coordinates 0..w-1
+        cols = [sum((row >> s & mask) << (i * fw) for i, s in enumerate(shifts))
+                for row in rows]
+        basis = nullspace(Matrix(f, len(rows), w, cols))
         cost += (f.q ** len(basis) - 1) // (f.q - 1)
         if cost > budget:
             raise ValueError(f"local-check enumeration exceeds budget {budget}")
         for coeffs in _projective_points(f.q, len(basis)):
-            h = [f.zero] * n
+            h = 0
             for c, v in zip(coeffs, basis):
                 if c:
-                    for j, x in zip(support, v):
-                        if x:
-                            h[j] ^= f.mul(c, x)
-            # normalize: first nonzero entry scaled to 1
-            lead = next(x for x in h if x)
-            if lead != f.one:
-                inv = f.inv(lead)
-                h = [f.mul(inv, x) for x in h]
-            key = tuple(h)
-            if key not in seen:
-                seen.add(key)
-                checks.append(key)
+                    h ^= f.scalar_mul(c, v)
+            h = f.normalize(h)
+            # coordinate i of h sits at support[i]
+            h = sum((h >> (i * fw) & mask) << s for i, s in enumerate(shifts))
+            if h not in seen:
+                seen.add(h)
+                checks.append(h)
     return LocalCheckSet(f, n, r, checks)
 
 
@@ -90,9 +89,7 @@ def closure(code: LinearCode, I: Sequence[int]) -> Set[int]:
     Coordinate j is determined iff the generator's column j lies in the
     span of its columns on I.
     """
-    G, w = code.generator(), code.field.w
-    columns = [sum(row[j] << (i * w) for i, row in enumerate(G.data))
-               for j in range(code.n)]
+    columns = code.generator().transpose().data
     tracker = RankTracker(code.field)
     for i in I:
         tracker.add(columns[i])
@@ -101,7 +98,7 @@ def closure(code: LinearCode, I: Sequence[int]) -> Set[int]:
 
 @dataclass
 class ShorteningResult:
-    X: List[Tuple]
+    X: List[int]
     I: List[int]
     J: List[int]
     s: int
@@ -125,14 +122,13 @@ def build_shortening_set(checks: LocalCheckSet) -> List[ShorteningResult]:
     if not checks.checks:
         raise ValueError("no local checks available")
     f, n, r = checks.field, checks.n, checks.r
-    packed = [sum(x << (j * f.w) for j, x in enumerate(h)) for h in checks.checks]
     full = RankTracker(f)
-    for h in packed:
+    for h in checks.checks:
         full.add(h)
     supports = [set(sup) for sup in checks.supports()]
-    remaining = list(range(len(packed)))
+    remaining = list(range(len(checks.checks)))
     tracker = RankTracker(f)
-    X: List[Tuple] = []
+    X: List[int] = []
     J: Set[int] = set()
     s1 = j_rec = 0
     results: List[ShorteningResult] = []
@@ -143,7 +139,7 @@ def build_shortening_set(checks: LocalCheckSet) -> List[ShorteningResult]:
             s1, j_rec = tracker.rank, len(X)
         X.append(checks.checks[best])
         J |= supports[best]
-        if not tracker.add(packed[best]):
+        if not tracker.add(checks.checks[best]):
             continue
         s = tracker.rank
         pivots = sorted(tracker.basis)

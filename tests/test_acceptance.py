@@ -165,8 +165,8 @@ def test_criterion_07_expander_pipeline(report):
     samples = 1000
     for _ in range(samples):
         cols = rng.sample(range(14), 3)
-        sub = Matrix.from_rows(base, [[parity.data[i][j] for j in cols]
-                                      for i in range(parity.rows)], 3)
+        sub = Matrix.from_rows(base, [[row[j] for j in cols]
+                                      for row in parity.to_lists()], 3)
         full += rref(sub)[1] == 3
     freq = full / samples
     ok &= freq >= 0.99

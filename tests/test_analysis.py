@@ -60,7 +60,7 @@ def test_recovering_sets_actually_recover():
     # each set's check must express coordinate i from the set's members
     code = build_wzl(3, 2)
     rep = verify_availability(code, 3, 2)
-    words = list(code.codewords())
+    words = [code.field.unpack(w, code.n) for w in code.codewords()]
     for i, sets in rep.recovering_sets.items():
         for s in sets:
             # values on s determine the value at i across all codewords
@@ -75,6 +75,10 @@ def test_erasure_correctable_repetition():
     assert erasure_correctable(code, [0, 1, 2])
     assert not erasure_correctable(code, [0, 1, 2, 3])
     assert erasure_correctable(code, [])
+    # a coordinate outside the code is an error, not an empty parity column
+    for bad in ([4], [0, -1]):
+        with pytest.raises(ValueError, match="erased coordinates"):
+            erasure_correctable(code, bad)
 
 
 def test_erasure_correctable_matches_distance():

@@ -183,6 +183,19 @@ def test_verify_erasures_requires_seed(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--distance", "--availability", "--erasures", "2"],
+     "--erasures requires --seed"),
+    (["shorten", "--r", "3", "--s", "0"], "need s >= 1"),
+], ids=["verify-seed", "shorten-s"])
+def test_argument_errors_come_before_loading_the_artifact(tmp_path, capsys, argv,
+                                                          message):
+    # a bad argument is reported without reading (or enumerating) the code
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, *argv[:1], "--code", missing, *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_erasures_failure_exit(tmp_path, capsys):
     # erasing more than d-1 coordinates of the WZL(2,2) code must fail
     path = tmp_path / "wzl.json"

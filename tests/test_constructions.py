@@ -45,7 +45,7 @@ def test_wzl_rejects_bad_params():
 
 def test_wzl_every_parity_row_has_weight_rp1():
     code = build_wzl(3, 2)
-    for row in code.parity.data:
+    for row in code.parity.to_lists():
         assert sum(row) == 4
 
 
@@ -109,7 +109,7 @@ def test_expander_parity_shape_and_weights():
     base = __import__("lrcav.galois", fromlist=["BaseField"]).BaseField(4)
     parity = build_expander_parity(g, base, seed=7)
     assert (parity.rows, parity.cols) == (6, 14)
-    for row in parity.data:
+    for row in parity.to_lists():
         assert sum(1 for x in row if x) == 7
 
 
@@ -120,7 +120,7 @@ def test_expander_codeword_satisfies_parity():
     msg = [tower.rand(rng) for _ in range(code.k)]
     cw = encode_composite(code, msg)
     # every parity row must annihilate the codeword coefficient-wise
-    for row in parity.data:
+    for row in parity.to_lists():
         acc = tower.zero
         for lam, c in zip(row, cw):
             if lam:
@@ -205,8 +205,8 @@ def test_concatenated_blocks_are_inner_codewords():
     for b in range(3):
         block = cw[10 * b:10 * (b + 1)]
         for comp in range(tower.m):
-            bits = [tower.coords(x)[comp] for x in block]
-            for row in inner.parity.data:
+            bits = [tower.base.unpack(x, tower.m)[comp] for x in block]
+            for row in inner.parity.to_lists():
                 assert sum(l * v for l, v in zip(row, bits)) % 2 == 0
 
 

@@ -3,16 +3,17 @@ from itertools import product
 
 import pytest
 
+from listalg import ListMatrix, solve
 from lrcav.gabidulin import (GabidulinSpec, LinearizedPoly, default_spec,
                              gab_encode, lin_eval, moore_interpolate)
 from lrcav.galois import build_tower
-from lrcav.linalg import Matrix, rank_over_base, solve
+from lrcav.linalg import rank_over_base
 
 
 def moore_matrix(tower, points, width):
     # entry (i, j) = points[i]^(q^j): the Moore system behind the O(k^3) oracle
     rows = [[tower.frobenius(p, j) for j in range(width)] for p in points]
-    return Matrix.from_rows(tower, rows, width)
+    return ListMatrix.from_rows(tower, rows, width)
 
 
 def tower24():
@@ -153,11 +154,24 @@ def test_interpolate_rejects_dependent_points():
     t = tower24()
     with pytest.raises(ValueError):
         moore_interpolate(t, [t.one, t.one], [t.one, t.one])
+    # a zero point, first or later
+    with pytest.raises(ValueError):
+        moore_interpolate(t, [t.zero], [t.one])
+    with pytest.raises(ValueError):
+        moore_interpolate(t, [t.one, t.zero], [t.one, t.one])
+    # a later point in the span of two earlier ones: p3 = p1 + p2
+    rng = random.Random(9)
+    p1, p2 = t.basis_element(1), t.rand(rng)
+    while rank_over_base(t, [p1, p2]) < 2:
+        p2 = t.rand(rng)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        moore_interpolate(t, [p1, p2, p1 ^ p2], [t.rand(rng) for _ in range(3)])
 
 
 @pytest.mark.parametrize("w,m", [(1, 8), (2, 4), (4, 5), (8, 3)])
 def test_interpolate_matches_moore_solve(w, m):
-    # oracle: the O(k^3) Moore-matrix solve, at random independent points
+    # oracle: the O(k^3) Moore-matrix solve by list elimination over the
+    # tower, at random independent points
     t = build_tower(w, m, seed=1)
     rng = random.Random(8 + w)
     for k in range(1, m + 1):

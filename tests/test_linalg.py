@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import listalg
+from listalg import ListMatrix
 from lrcav.constructions import build_wzl
 from lrcav.galois import BaseField, build_tower
 from lrcav.linalg import Matrix, RankTracker, nullspace, rank_over_base, rref, solve
 
 F2 = BaseField(1)
 F16 = BaseField(4)
+FIELDS = {w: BaseField(w) for w in (1, 2, 8)}
 
 
 def rank(M):
@@ -26,7 +29,7 @@ def test_rref_identity():
 
 
 def test_rref_zero_matrix():
-    R, rk, pivots = rref(Matrix.zeros(F2, 3, 4))
+    R, rk, pivots = rref(Matrix.from_rows(F2, [[0] * 4] * 3))
     assert rk == 0 and pivots == []
 
 
@@ -57,18 +60,19 @@ def test_rank_equals_transpose_rank(seed):
 
 
 def test_solve_identity():
-    b = [3, 7, 1]
+    b = F16.pack([3, 7, 1])
     assert solve(identity(F16, 3), b) == b
 
 
 def test_solve_inconsistent():
-    A = Matrix.zeros(F16, 2, 3)
-    assert solve(A, [1, 0]) is None
+    A = Matrix.from_rows(F16, [[0] * 3] * 2)
+    assert solve(A, F16.pack([1, 0])) is None
 
 
 def test_solve_dimension_mismatch():
+    # a packed right-hand side with a coordinate beyond the 3 rows
     with pytest.raises(ValueError):
-        solve(identity(F16, 3), [1, 2])
+        solve(identity(F16, 3), F16.pack([1, 2, 0, 4]))
 
 
 def test_solve_roundtrip_random_invertible():
@@ -80,8 +84,8 @@ def test_solve_roundtrip_random_invertible():
             if rank(A) == 5:
                 break
         b = [rng.randrange(16) for _ in range(5)]
-        x = solve(A, b)
-        assert A.mul_vec(x) == b
+        x = solve(A, F16.pack(b))
+        assert ListMatrix.from_rows(F16, A.to_lists()).mul_vec(F16.unpack(x, 5)) == b
 
 
 def test_nullspace_identity_empty():
@@ -90,7 +94,7 @@ def test_nullspace_identity_empty():
 
 def test_nullspace_parity_vector():
     M = Matrix.from_rows(F2, [[1, 1]], 2)
-    assert nullspace(M) == [[1, 1]]
+    assert nullspace(M) == [F2.pack([1, 1])]
 
 
 def test_nullspace_dimension_and_annihilation():
@@ -101,9 +105,9 @@ def test_nullspace_dimension_and_annihilation():
         basis = nullspace(M)
         assert len(basis) == 7 - rank(M)
         for v in basis:
-            assert M.mul_vec(v) == [0] * 4
+            assert ListMatrix.from_rows(F16, M.to_lists()).mul_vec(F16.unpack(v, 7)) == [0] * 4
         if basis:
-            assert rank(Matrix.from_rows(F16, basis, 7)) == len(basis)
+            assert rank(Matrix(F16, len(basis), 7, basis)) == len(basis)
 
 
 def test_wzl22_generator_dimension():
@@ -135,8 +139,8 @@ def test_rank_over_base_matches_bit_matrix_oracle():
                 # force a dependency: a base-field combination of earlier rows
                 vs.append(t.base.scalar_mul(rng.randrange(t.base.q), vs[0])
                           ^ t.base.scalar_mul(rng.randrange(t.base.q), vs[-1]))
-            M = Matrix.from_rows(t.base, [t.coords(v) for v in vs], 8)
-            assert rank_over_base(t, vs) == rank(M)
+            M = ListMatrix.from_rows(t.base, [t.base.unpack(v, 8) for v in vs], 8)
+            assert rank_over_base(t, vs) == listalg.rref(M)[1]
 
 
 @pytest.mark.parametrize("w", [1, 2, 8])
@@ -144,9 +148,10 @@ def test_rank_tracker_keys_are_rref_pivots_and_reduce_tests_the_span(w):
     # packed rows of any length over GF(2^w): coordinate j in bits [j*w, (j+1)*w)
     f = BaseField(w)
     rng = random.Random(w)
+    pack = f.pack
 
-    def pack(row):
-        return sum(x << (j * w) for j, x in enumerate(row))
+    def rank(rows, cols):
+        return listalg.rref(ListMatrix.from_rows(f, rows, cols))[1]
 
     for _ in range(60):
         rows, cols = rng.randrange(1, 7), rng.randrange(1, 10)
@@ -154,10 +159,10 @@ def test_rank_tracker_keys_are_rref_pivots_and_reduce_tests_the_span(w):
                 for _ in range(rows)]
         tracker = RankTracker(f)
         added = [tracker.add(pack(row)) for row in data]
-        _, rk, pivots = rref(Matrix.from_rows(f, data, cols))
+        _, rk, pivots = listalg.rref(ListMatrix.from_rows(f, data, cols))
         assert sorted(tracker.basis) == pivots and tracker.rank == rk
-        assert added == [rank(Matrix.from_rows(f, data[:i + 1], cols))
-                         > rank(Matrix.from_rows(f, data[:i], cols)) for i in range(rows)]
+        assert added == [rank(data[:i + 1], cols) > rank(data[:i], cols)
+                         for i in range(rows)]
         coeffs = [rng.randrange(f.q) for _ in data]
         combo = [0] * cols
         for c, row in zip(coeffs, data):
@@ -165,5 +170,49 @@ def test_rank_tracker_keys_are_rref_pivots_and_reduce_tests_the_span(w):
         assert tracker.reduce(pack(combo)) == 0
         for _ in range(10):
             v = [rng.randrange(f.q) for _ in range(cols)]
-            in_span = rank(Matrix.from_rows(f, data + [v], cols)) == rk
+            in_span = rank(data + [v], cols) == rk
             assert (tracker.reduce(pack(v)) == 0) == in_span
+
+
+def test_from_rows_rejects_entries_outside_the_field():
+    # an entry >= q would spill into the next packed coordinate
+    with pytest.raises(ValueError):
+        Matrix.from_rows(F2, [[1, 2, 0]])
+    with pytest.raises(ValueError):
+        Matrix.from_rows(F16, [[0, 15], [16, 0]])
+    with pytest.raises(ValueError):
+        Matrix.from_rows(F16, [[-1]])
+    M = Matrix.from_rows(F16, [[0, 15], [3, 0]])
+    assert M.data == [15 << 4, 3] and M.to_lists() == [[0, 15], [3, 0]]
+
+
+def _matrices(data, f):
+    """A rows x cols list matrix over f, 0x0 to 8x10, with some zero rows
+    and columns and sparse entries."""
+    rows = data.draw(st.integers(0, 8), label="rows")
+    cols = data.draw(st.integers(0, 10), label="cols")
+    zero_rows = data.draw(st.sets(st.integers(0, max(rows - 1, 0))), label="zero rows")
+    zero_cols = data.draw(st.sets(st.integers(0, max(cols - 1, 0))), label="zero cols")
+    entry = st.one_of(st.just(0), st.integers(1, f.q - 1))
+    return rows, cols, [[0 if i in zero_rows or j in zero_cols else data.draw(entry)
+                         for j in range(cols)] for i in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_elimination_matches_list_oracle(data):
+    f = FIELDS[data.draw(st.sampled_from(sorted(FIELDS)), label="w")]
+    rows, cols, lists = _matrices(data, f)
+    M, L = Matrix.from_rows(f, lists, cols), ListMatrix.from_rows(f, lists, cols)
+    assert M.to_lists() == lists
+    R, rk, pivots = rref(M)
+    LR, lrk, lpivots = listalg.rref(L)
+    assert (R.rows, R.cols) == (rows, cols)
+    assert (R.to_lists(), rk, pivots) == (LR.data, lrk, lpivots)
+    assert [f.unpack(v, cols) for v in nullspace(M)] == listalg.nullspace(L)
+    # right-hand sides: random (often inconsistent) and A x (consistent)
+    x = [data.draw(st.integers(0, f.q - 1)) for _ in range(cols)]
+    for b in ([data.draw(st.integers(0, f.q - 1)) for _ in range(rows)], L.mul_vec(x)):
+        expect = listalg.solve(L, b)
+        got = solve(M, f.pack(b))
+        assert (got if got is None else f.unpack(got, cols)) == expect

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from listalg import ListMatrix, rref
 from lrcav.analysis import verify_availability
 from lrcav.constructions import LinearCode, build_wzl
 from lrcav.galois import BaseField
-from lrcav.linalg import Matrix, rref
+from lrcav.linalg import Matrix
 from lrcav.shortening import (LocalCheckSet, ShorteningResult,
                               availability_shortening_bounds,
                               build_shortening_set, closure,
@@ -19,24 +20,25 @@ from lrcav.shortening import (LocalCheckSet, ShorteningResult,
 def test_local_checks_are_dual_words():
     code = build_wzl(3, 2)
     checks = enumerate_local_checks(code, 3)
-    G = code.generator()
+    G = code.generator().to_lists()
     for h in checks.checks:
+        h = checks.field.unpack(h, code.n)
         assert sum(1 for x in h if x) <= 4
-        for i in range(G.rows):
-            assert sum(G.data[i][j] * h[j] for j in range(code.n)) % 2 == 0
+        for g in G:
+            assert sum(g[j] * h[j] for j in range(code.n)) % 2 == 0
 
 
 def test_local_checks_include_parity_rows():
     code = build_wzl(2, 2)
-    found = {tuple(h) for h in enumerate_local_checks(code, 2).checks}
+    found = set(enumerate_local_checks(code, 2).checks)
     for row in code.parity.data:
-        assert tuple(row) in found
+        assert row in found
 
 
 def test_local_checks_deduplicated():
     code = build_wzl(2, 3)
     checks = enumerate_local_checks(code, 2)
-    assert len({tuple(h) for h in checks.checks}) == len(checks.checks)
+    assert len(set(checks.checks)) == len(checks.checks)
 
 
 def test_local_checks_budget():
@@ -65,7 +67,7 @@ def test_local_checks_walk_each_support_span():
     f = BaseField(1)
     code = LinearCode.from_parity(f, Matrix.from_rows(f, SPAN_EXAMPLE))
     assert code.k == 3
-    assert (0, 0, 0, 1, 1, 1) in enumerate_local_checks(code, 4).checks
+    assert f.pack((0, 0, 0, 1, 1, 1)) in enumerate_local_checks(code, 4).checks
     report = verify_availability(code, 4, 2)
     assert report.ok and report.failed_coordinates == []
     assert report.recovering_sets[3] == [{0, 2}, {4, 5}]
@@ -99,13 +101,14 @@ def test_local_checks_match_brute_force_dual_words(data):
     code = LinearCode.from_parity(f, Matrix.from_rows(f, parity, n))
     checks = enumerate_local_checks(code, r).checks
     assert len(set(checks)) == len(checks)
-    assert set(checks) == _dual_words(f, parity, n, r)
+    assert set(checks) == {f.pack(h) for h in _dual_words(f, parity, n, r)}
 
 
 def test_supports_match_checks():
     code = build_wzl(2, 2)
     checks = enumerate_local_checks(code, 2)
     for h, sup in zip(checks.checks, checks.supports()):
+        h = checks.field.unpack(h, code.n)
         assert all(h[j] != 0 for j in sup)
         assert sum(1 for x in h if x) == len(sup)
 
@@ -127,7 +130,8 @@ def test_closure_is_monotone_and_idempotent():
 def _closure_by_codewords(code, I):
     # coordinate j is determined by I iff every codeword vanishing on I
     # vanishes at j
-    vanish = [w for w in code.codewords() if all(w[i] == 0 for i in I)]
+    words = [code.field.unpack(w, code.n) for w in code.codewords()]
+    vanish = [w for w in words if all(w[i] == 0 for i in I)]
     return set(I) | {j for j in range(code.n) if all(w[j] == 0 for w in vanish)}
 
 
@@ -182,9 +186,14 @@ def test_shortening_set_needs_enough_checks():
 
 
 def _greedy_rref_oracle(checks, s):
-    """The shortening set for one s, from a greedy pass that runs rref on
-    the picked checks after every overlapping pick and for the pivots."""
+    """The shortening set for one s, from a greedy pass that runs the list
+    rref on the picked checks after every overlapping pick and for the pivots."""
     n, r = checks.n, checks.r
+
+    def rref_of(X):
+        return rref(ListMatrix.from_rows(checks.field,
+                                         [checks.field.unpack(h, n) for h in X], n))
+
     remaining = list(range(len(checks.checks)))
     supports = checks.supports()
     first = remaining.pop(0)
@@ -205,12 +214,12 @@ def _greedy_rref_oracle(checks, s):
             x_rank += 1
             i += 1
         else:
-            new_rank = rref(Matrix.from_rows(checks.field, list(X), n))[1]
+            new_rank = rref_of(X)[1]
             if new_rank > x_rank:
                 x_rank = new_rank
                 i += 1
         l += 1
-    _, rk, pivots = rref(Matrix.from_rows(checks.field, list(X), n))
+    _, rk, pivots = rref_of(X)
     assert rk == s
     I = sorted(J - set(pivots))
     target = 1 + (r - 1) * s
