@@ -30,35 +30,29 @@ from .linalg import Matrix, RankTracker, nullspace, rank_over_base, rref
 
 @dataclass
 class LinearCode:
-    """Length-n linear code given by a (possibly redundant) parity matrix."""
+    """Length-n code: a (possibly redundant) parity and its rref generator, k x n."""
 
     field: BaseField
     n: int
     k: int
     parity: Matrix
+    generator: Matrix
     claimed_r: Optional[int] = None
     claimed_t: Optional[int] = None
-    _generator: Optional[Matrix] = None
 
     @classmethod
     def from_parity(cls, f: BaseField, parity: Matrix, claimed_r=None, claimed_t=None):
-        n = parity.cols
-        k = n - rref(parity)[1]
-        return cls(f, n, k, parity, claimed_r, claimed_t)
-
-    def generator(self) -> Matrix:
-        """Systematic (rref) generator matrix, k x n."""
-        if self._generator is None:
-            basis = nullspace(self.parity)
-            self._generator = rref(Matrix(self.field, len(basis), self.n, basis))[0]
-        return self._generator
+        """The code with this parity; k is the nullspace's dimension."""
+        basis = nullspace(parity)
+        generator = rref(Matrix(f, len(basis), parity.cols, basis))[0]
+        return cls(f, parity.cols, generator.rows, parity, generator, claimed_r, claimed_t)
 
     def codewords(self):
         """All q^k codewords, packed, messages in lexicographic order.
 
         Exhaustive; the caller owns the budget.
         """
-        rows, scalar_mul = self.generator().data, self.field.scalar_mul
+        rows, scalar_mul = self.generator.data, self.field.scalar_mul
         for msg in product(range(self.field.q), repeat=self.k):
             cw = 0
             for c, row in zip(msg, rows):
@@ -109,16 +103,10 @@ class BipartiteGraph:
 
     def is_simple_girth_gt4(self) -> bool:
         """No repeated edges and no two left vertices sharing >= 2 rights."""
-        sets = []
-        for nbrs in self.adj:
-            s = set(nbrs)
-            if len(s) != len(nbrs):
-                return False
-            sets.append(s)
-        for a, b in combinations(range(self.n_left), 2):
-            if len(sets[a] & sets[b]) >= 2:
-                return False
-        return True
+        if not self.is_simple():
+            return False
+        sets = [set(nbrs) for nbrs in self.adj]
+        return all(len(a & b) < 2 for a, b in combinations(sets, 2))
 
 
 def sample_biregular(n: int, t: int, rp1: int, seed: int,
@@ -178,7 +166,7 @@ def build_expander_parity(g: BipartiteGraph, base: BaseField, seed: int) -> Matr
     for nbrs in g.right_adjacency():
         row = [0] * g.n_left
         for v in nbrs:
-            row[v] = base.rand_nonzero(rng)
+            row[v] = rng.randrange(1, base.q)
         rows.append(row)
     return Matrix.from_rows(base, rows, g.n_left)
 
@@ -225,17 +213,14 @@ def _apply_outer_map(tower: FieldTower, outer_map: Matrix,
 
 def assemble_expander_code(tower: FieldTower, parity: Matrix, k: int) -> CompositeCode:
     """Composite of a Gabidulin code with the code defined by an expander parity."""
-    n = parity.cols
-    rk = rref(parity)[1]
-    if rk != parity.rows:
+    base_code = LinearCode.from_parity(tower.base, parity)
+    n_g, outer_map = base_code.k, base_code.generator
+    if n_g != parity.cols - parity.rows:
         raise ValueError("expander parity matrix is rank deficient")
-    n_g = n - rk
     if n_g > tower.m:
         raise ValueError("n_G exceeds the extension degree m")
     if k > n_g:
         raise ValueError("k exceeds n_G")
-    basis = nullspace(parity)
-    outer_map = rref(Matrix(tower.base, len(basis), n, basis))[0]
     gab = default_spec(tower, n_g, k)
     beta = _apply_outer_map(tower, outer_map, gab.eval_points)
     return CompositeCode("expander", tower, gab, outer_map, beta)
@@ -249,7 +234,7 @@ def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
     if blocks < 1:
         raise ValueError("need at least one block")
     inner = build_wzl(r, t)
-    g_inner, n_i, k_i = inner.generator(), inner.n, inner.k
+    g_inner, n_i, k_i = inner.generator, inner.n, inner.k
     n_g = blocks * k_i
     if n_g > tower.m:
         raise ValueError("n_G = blocks*k_I exceeds the extension degree m")
@@ -304,4 +289,4 @@ def composite_erasure_decode(code: CompositeCode,
     if len(chosen) < code.k:
         return None
     return moore_interpolate(code.tower, [code.beta[j] for j in chosen],
-                             [values[j] for j in chosen]).coeffs
+                             [values[j] for j in chosen])

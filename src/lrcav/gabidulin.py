@@ -16,13 +16,6 @@ from .linalg import rank_over_base
 
 
 @dataclass
-class LinearizedPoly:
-    """Coefficients a_0..a_l of sum(a_i x^(q^i)), low q-degree first."""
-
-    coeffs: List[ExtElement]
-
-
-@dataclass
 class GabidulinSpec:
     tower: FieldTower
     n: int
@@ -31,7 +24,7 @@ class GabidulinSpec:
 
     def __post_init__(self):
         if not (1 <= self.k <= self.n <= self.tower.m):
-            raise ValueError("need k <= n <= extension degree m")
+            raise ValueError("need 1 <= k <= n <= extension degree m")
         if len(self.eval_points) != self.n:
             raise ValueError("need exactly n evaluation points")
         if rank_over_base(self.tower, self.eval_points) != self.n:
@@ -44,10 +37,11 @@ def default_spec(tower: FieldTower, n: int, k: int) -> GabidulinSpec:
     return GabidulinSpec(tower, n, k, points)
 
 
-def lin_eval(tower: FieldTower, f: LinearizedPoly, x: ExtElement) -> ExtElement:
+def lin_eval(tower: FieldTower, coeffs: Sequence[ExtElement], x: ExtElement) -> ExtElement:
+    """sum(a_i * x^(q^i)) for coeffs a_0, a_1, ..., low q-degree first."""
     acc = tower.zero
     xi = x
-    for i, a in enumerate(f.coeffs):
+    for i, a in enumerate(coeffs):
         if i > 0:
             xi = tower.frobenius(xi, 1)
         if a:
@@ -58,12 +52,11 @@ def lin_eval(tower: FieldTower, f: LinearizedPoly, x: ExtElement) -> ExtElement:
 def gab_encode(spec: GabidulinSpec, message: Sequence[ExtElement]) -> List[ExtElement]:
     if len(message) != spec.k:
         raise ValueError(f"message must have {spec.k} symbols")
-    f = LinearizedPoly(list(message))
-    return [lin_eval(spec.tower, f, a) for a in spec.eval_points]
+    return [lin_eval(spec.tower, message, a) for a in spec.eval_points]
 
 
 def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
-                      values: Sequence[ExtElement]) -> LinearizedPoly:
+                      values: Sequence[ExtElement]) -> List[ExtElement]:
     """The unique f of q-degree < k through k independent (point, value) pairs.
 
     Newton interpolation in O(k^2) tower operations: A is the monic
@@ -73,7 +66,8 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
     f += ((y - f(p)) / c) * A keeps the old values and takes y at p, and
     A <- A^q - c^(q-1) * A also vanishes at p.  Solving the Moore system
     (entry (i, j) = points[i]^(q^j)) gives the same f in O(k^3); the
-    tests keep that solve as the oracle.
+    tests keep that solve as the oracle.  f is returned as its
+    coefficients, low q-degree first.
     """
     k = len(points)
     if len(values) != k:
@@ -101,4 +95,4 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
         ann = ([mul(ratio, ann[0])]
                + [frob(a, 1) ^ mul(ratio, b) for a, b in zip(ann, ann[1:])]
                + [tower.one])
-    return LinearizedPoly(f)
+    return f

@@ -92,9 +92,6 @@ class BaseField:
             raise ZeroDivisionError("inversion of zero field element")
         return self.exp[(self.q - 1 - self.log[a]) % (self.q - 1)]
 
-    def rand_nonzero(self, rng: random.Random) -> int:
-        return rng.randrange(1, self.q)
-
     def pack(self, coords: Sequence[int]) -> int:
         """The packed vector with coordinate i in bits [i*w, (i+1)*w)."""
         w = self.w
@@ -135,15 +132,6 @@ class BaseField:
             a >>= w
             shift += w
         return out
-
-    def __eq__(self, other):
-        return isinstance(other, BaseField) and other.w == self.w
-
-    def __hash__(self):
-        return hash(("BaseField", self.w))
-
-    def __repr__(self):
-        return f"BaseField(w={self.w})"
 
 
 def is_irreducible(tower: FieldTower) -> bool:
@@ -290,16 +278,6 @@ class FieldTower:
                 a >>= 8
             a = out
         return a
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldTower) and other.base == self.base
-                and other.ext_modulus == self.ext_modulus)
-
-    def __hash__(self):
-        return hash(("FieldTower", self.base.w, self.ext_modulus))
-
-    def __repr__(self):
-        return f"FieldTower(q=2^{self.base.w}, m={self.m})"
 
 
 def build_tower(w: int, m: int, ext_modulus: Sequence[int] | None = None,

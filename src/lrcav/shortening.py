@@ -56,7 +56,7 @@ def enumerate_local_checks(code: LinearCode, r: int,
     cost = comb(n, w) * (r + 1) ** 3
     if cost > budget:
         raise ValueError(f"local-check enumeration cost {cost} exceeds budget {budget}")
-    rows = code.generator().data
+    rows = code.generator.data
     fw, mask = f.w, f.q - 1
     seen = set()
     checks: List[int] = []
@@ -89,7 +89,7 @@ def closure(code: LinearCode, I: Sequence[int]) -> Set[int]:
     Coordinate j is determined iff the generator's column j lies in the
     span of its columns on I.
     """
-    columns = code.generator().transpose().data
+    columns = code.generator.transpose().data
     tracker = RankTracker(code.field)
     for i in I:
         tracker.add(columns[i])

@@ -21,8 +21,7 @@ from lrcav.bounds import (_expansion_residual, concat_expander_crossover,
 from lrcav.constructions import (assemble_concatenated, assemble_expander_code,
                                  build_expander_parity, build_wzl,
                                  check_expansion, sample_biregular)
-from lrcav.gabidulin import (LinearizedPoly, default_spec, gab_encode,
-                             lin_eval, moore_interpolate)
+from lrcav.gabidulin import default_spec, gab_encode, lin_eval, moore_interpolate
 from lrcav.galois import BaseField, build_tower
 from lrcav.linalg import Matrix, rank_over_base, rref
 from lrcav.shortening import (build_shortening_set, closure,
@@ -118,14 +117,14 @@ def test_criterion_05_interpolation_roundtrip(report):
     good = 0
     for _ in range(100):
         k = rng.randrange(1, n + 1)
-        f = LinearizedPoly([tower.rand(rng) for _ in range(k)])
+        f = [tower.rand(rng) for _ in range(k)]
         values = [lin_eval(tower, f, p) for p in points]
         # erase down to exactly k independent survivors (basis subsets
         # are automatically independent)
         keep = sorted(rng.sample(range(n), k))
         g = moore_interpolate(tower, [points[i] for i in keep],
                               [values[i] for i in keep])
-        good += g.coeffs == f.coeffs
+        good += g == f
     report(5, good == 100, f"{good}/100 exact coefficient recoveries")
 
 

@@ -207,6 +207,36 @@ def test_verify_erasures_failure_exit(tmp_path, capsys):
     assert report["erasures"]["successes"] < 50
 
 
+@pytest.mark.parametrize("e", ["-1", "7"])
+def test_verify_erasures_outside_the_length_is_input_error(tmp_path, capsys, e):
+    # WZL(2,2) has n = 6: neither -1 nor n + 1 erasures can be drawn
+    path = tmp_path / "wzl.json"
+    run(capsys, "construct", "wzl", "--r", "2", "--t", "2", "--out", str(path))
+    code, out, err = run(capsys, "verify", "--code", str(path),
+                         "--erasures", e, "--trials", "5", "--seed", "1")
+    assert (code, out, err) == (2, "", "error: need 0 <= e <= n\n")
+
+
+def test_verify_erasing_every_coordinate_is_a_failure(tmp_path, capsys):
+    path = tmp_path / "wzl.json"
+    run(capsys, "construct", "wzl", "--r", "2", "--t", "2", "--out", str(path))
+    code, out, _ = run(capsys, "verify", "--code", str(path),
+                       "--erasures", "6", "--trials", "5", "--seed", "1")
+    assert code == 1 and json.loads(out)["erasures"]["successes"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["concat", "--r", "3", "--t", "2", "--blocks", "3"],
+    ["expander", "--n", "14", "--r", "6", "--t", "3", "--w", "4",
+     "--min-girth", "4", "--seed", "7"],
+], ids=["concat", "expander"])
+def test_construct_k_zero_names_the_lower_bound(tmp_path, capsys, argv):
+    path = tmp_path / "x.json"
+    code, out, err = run(capsys, "construct", *argv, "--k", "0", "--out", str(path))
+    assert (code, out) == (2, "") and not path.exists()
+    assert err == "error: need 1 <= k <= n <= extension degree m\n"
+
+
 def test_verify_truncated_artifact(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"format_version": "1", "kind":')

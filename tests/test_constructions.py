@@ -3,16 +3,20 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import listalg
+from listalg import ListMatrix
 from lrcav.analysis import min_distance, verify_availability
-from lrcav.constructions import (BipartiteGraph, assemble_concatenated,
+from lrcav.constructions import (BipartiteGraph, LinearCode, assemble_concatenated,
                                  assemble_expander_code, build_expander_parity,
                                  build_wzl, check_expansion,
                                  composite_erasure_decode, encode_composite,
                                  sample_biregular, select_independent_survivors,
                                  survivor_rank)
-from lrcav.galois import build_tower
-from lrcav.linalg import rref
+from lrcav.galois import BaseField, build_tower
+from lrcav.linalg import Matrix, rref
 
 
 @pytest.mark.parametrize("r,t,n,k,d", [
@@ -56,6 +60,36 @@ def test_sample_biregular_degrees():
     right = g.right_adjacency()
     assert all(len(a) == 3 for a in right)
     assert g.is_simple_girth_gt4()
+
+
+def _configuration_graph(rng):
+    """One configuration-model sample, not rejected: parallel edges and
+    4-cycles are kept."""
+    t, rp1 = rng.randrange(1, 4), rng.randrange(2, 5)
+    n = rp1 * rng.randrange(1, 4)
+    n_right = n * t // rp1
+    right_stubs = [c for c in range(n_right) for _ in range(rp1)]
+    rng.shuffle(right_stubs)
+    return BipartiteGraph(n, n_right, [sorted(right_stubs[v * t:(v + 1) * t])
+                                       for v in range(n)])
+
+
+def _girth_gt4_brute_force(g):
+    if any(nbrs.count(c) > 1 for nbrs in g.adj for c in nbrs):
+        return False
+    return all(sum(c in g.adj[u] and c in g.adj[v] for c in range(g.n_right)) < 2
+               for u, v in combinations(range(g.n_left), 2))
+
+
+def test_is_simple_girth_gt4_matches_brute_force():
+    rng = random.Random(41)
+    verdicts, repeated = [], 0
+    for _ in range(300):
+        g = _configuration_graph(rng)
+        verdicts.append(g.is_simple_girth_gt4())
+        assert verdicts[-1] == _girth_gt4_brute_force(g)
+        repeated += not g.is_simple()
+    assert repeated and any(verdicts) and not all(verdicts)
 
 
 def test_sample_biregular_relaxed_girth():
@@ -175,10 +209,32 @@ def test_select_independent_survivors_matches_rank():
 
 def test_wzl_systematic_generator_shape():
     code = build_wzl(3, 2)
-    G = code.generator()
+    G = code.generator
     assert (code.n, code.k) == (10, 6)
     assert (G.rows, G.cols) == (6, 10)
     assert rref(G)[1] == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_from_parity_matches_list_oracle(data):
+    # random parities over GF(2) and GF(4), n <= 8, with zero and repeated rows
+    f = BaseField(data.draw(st.sampled_from([1, 2]), label="w"))
+    n = data.draw(st.integers(1, 8), label="n")
+    entry = st.one_of(st.just(0), st.integers(1, f.q - 1))
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=8),
+                     label="rows")
+    rows += data.draw(st.lists(st.sampled_from(rows + [[0] * n]), max_size=3),
+                      label="zero or repeated rows")
+    code = LinearCode.from_parity(f, Matrix.from_rows(f, rows, n))
+    H = ListMatrix.from_rows(f, rows, n)
+    basis = listalg.nullspace(H)
+    assert (code.n, code.k) == (n, n - listalg.rref(H)[1])
+    G = code.generator
+    assert (G.rows, G.cols) == (code.k, n)
+    assert G.to_lists() == listalg.rref(ListMatrix.from_rows(f, basis, n))[0].data
+    for g in G.to_lists():
+        assert H.mul_vec(g) == [0] * len(rows)
 
 
 def concat_code():
@@ -226,6 +282,17 @@ def test_concatenated_rejects_nonbinary_base():
     tower = build_tower(2, 9, seed=0)
     with pytest.raises(ValueError):
         assemble_concatenated(tower, 3, 2, blocks=1, k=3)
+
+
+def test_assemble_expander_guards():
+    _, parity = expander_code()  # 6 x 14 of full rank: n_G = 8
+    repeated = Matrix(parity.field, 7, 14, parity.data + parity.data[:1])
+    with pytest.raises(ValueError, match="rank deficient"):
+        assemble_expander_code(build_tower(4, 8, seed=1), repeated, k=4)
+    with pytest.raises(ValueError, match="n_G exceeds the extension degree m"):
+        assemble_expander_code(build_tower(4, 7, seed=1), parity, k=4)
+    with pytest.raises(ValueError, match="k exceeds n_G"):
+        assemble_expander_code(build_tower(4, 8, seed=1), parity, k=9)
 
 
 def test_assemble_guards():

@@ -20,7 +20,7 @@ from lrcav.shortening import (LocalCheckSet, ShorteningResult,
 def test_local_checks_are_dual_words():
     code = build_wzl(3, 2)
     checks = enumerate_local_checks(code, 3)
-    G = code.generator().to_lists()
+    G = code.generator.to_lists()
     for h in checks.checks:
         h = checks.field.unpack(h, code.n)
         assert sum(1 for x in h if x) <= 4
