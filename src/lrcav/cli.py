@@ -216,6 +216,8 @@ def cmd_construct(args) -> int:
         prov["parameters"] = {"r": args.r, "t": args.t}
         doc = artifact_from_linear(code, "wzl", prov)
     elif args.subkind == "concat":
+        if args.blocks < 1:  # before the default m = blocks * k_I builds a tower
+            raise InputError("need at least one block")
         k = args.k
         if k is None and args.d is None:
             raise InputError("concat needs --k or a target --d")

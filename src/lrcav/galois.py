@@ -109,28 +109,39 @@ class BaseField:
 
     def weight(self, a: int) -> int:
         """Number of nonzero coordinates of the packed vector a."""
-        w = self.w
-        lanes = -(-a.bit_length() // w)
         folded = a
-        for s in range(1, w):
+        for s in range(1, self.w):
             folded |= a >> s
-        return (folded & ((1 << (lanes * w)) - 1) // (self.q - 1)).bit_count()
+        return (folded & self.lane_ones(a)).bit_count()
+
+    def lane_ones(self, a: int) -> int:
+        """Bit 0 of every w-bit coordinate that the packed vector a reaches."""
+        return ((1 << (-(-a.bit_length() // self.w) * self.w)) - 1) // (self.q - 1)
+
+    def alpha_multiples(self, a: int, ones: int, count: int) -> List[int]:
+        """[a, alpha*a, ..., alpha^(count-1)*a]: every coordinate of a times alpha^s.
+
+        Each step doubles every w-bit lane at once: shift left by one, clear
+        the bits that left their lanes and XOR the modulus's low bits
+        (alpha^w) into those lanes.  ones is ``lane_ones`` of a or wider.
+        """
+        w, low = self.w, self.modulus ^ self.q
+        out = [a]
+        for _ in range(count - 1):
+            over = a >> (w - 1) & ones
+            a = (a ^ over << (w - 1)) << 1 ^ over * low
+            out.append(a)
+        return out
 
     def scalar_mul(self, lam: int, a: int) -> int:
         """lam times each w-bit coordinate of the packed vector a."""
         if lam <= 1:
             return a if lam else 0
-        w, exp, log = self.w, self.exp, self.log
-        order = mask = self.q - 1
-        llam = log[lam]
         out = 0
-        shift = 0
-        while a:
-            c = a & mask
-            if c:
-                out |= exp[(llam + log[c]) % order] << shift
-            a >>= w
-            shift += w
+        for image in self.alpha_multiples(a, self.lane_ones(a), lam.bit_length()):
+            if lam & 1:
+                out ^= image
+            lam >>= 1
         return out
 
 
@@ -171,6 +182,9 @@ class FieldTower:
         self.zero: ExtElement = 0
         self.one: ExtElement = 1
         self._top = m * base.w
+        self._full = (1 << self._top) - 1
+        self._ones = self._full // (base.q - 1)
+        self._window = max(1, 4 // base.w) * base.w
         # without a modulus, seeded draws of monic candidates until one is
         # irreducible (a degree-1 candidate always is)
         rng = random.Random(seed)
@@ -190,6 +204,9 @@ class FieldTower:
         self.ext_modulus = poly
         # x^m = sum of the lower modulus terms (characteristic 2), packed
         self._reduce = self.base.pack(poly[:-1])
+        images = self.base.alpha_multiples(self._reduce, self._ones, self.base.w)
+        self._fold_tables = _subset_tables(images)  # right for one overflowing coordinate
+        self._fold_tables = self._nibble_tables(self._reduce)  # c * x^m mod f
         self.x = self.basis_element(1) if self.m > 1 else self._reduce  # x mod f
         self._frob_tables = self._build_frobenius_tables()
 
@@ -207,15 +224,25 @@ class FieldTower:
         bit_images = []
         col = self.one
         for _ in range(m):
-            bit_images += [self.base.scalar_mul(1 << s, col) for s in range(w)]
+            bit_images += self.base.alpha_multiples(col, self._ones, w)
             col = self.mul(col, xq)
-        tables = []
-        for start in range(0, len(bit_images), 8):
-            table = [0]
-            for image in bit_images[start:start + 8]:
-                table += [t ^ image for t in table]
-            tables.append(table)
-        return tables
+        nibbles = _subset_tables(bit_images + [0] * 4)  # padded: they pair up, one pair a byte
+        return [[hi ^ lo for hi in high for lo in low]
+                for low, high in zip(nibbles[::2], nibbles[1::2])]
+
+    def _nibble_tables(self, a: ExtElement) -> List[tuple]:
+        """Tables of c*a, one per nibble of a Horner window of mul.
+
+        Bit p of a window stands for alpha^(p mod w) * x^(p div w): lane
+        doubling gives alpha^s * a, and at w < 4 a shift by one coordinate
+        is reduced mod f through the first fold table.
+        """
+        w, top, fold = self.base.w, self._top, self._fold_tables[0]
+        images = self.base.alpha_multiples(a, self._ones, w)
+        for _ in range(self._window - w):
+            y = images[-w] << w
+            images.append(y & self._full ^ fold[y >> top])
+        return _subset_tables(images)
 
     # -- element constructors -------------------------------------------------
 
@@ -228,18 +255,31 @@ class FieldTower:
     # -- arithmetic -----------------------------------------------------------
 
     def mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        """Horner over b's coordinates: acc = acc*x + b_i*a, top coordinate first."""
-        w, mask, top = self.base.w, self.base.q - 1, self._top
-        scalar_mul = self.base.scalar_mul
+        """Windowed Horner over b, top window first: acc = acc*x^c + (window of b)*a.
+
+        A window is c coordinates of b: as many as fit in 4 bits, at least one.
+        Its nibbles index per-call tables of multiples of a; what the shift
+        pushes past the top coordinate folds back through the tower's tables.
+        """
+        tables, folds = self._nibble_tables(a), self._fold_tables
+        window, full = self._window, self._full
+        below, window_mask = max(self._top - window, 0), (1 << window) - 1
+        shifts = range((b.bit_length() - 1) // window * window, -1, -window)
         acc = 0
-        for shift in range(top - w, -1, -w):
-            acc <<= w
-            hi = acc >> top
-            if hi:
-                acc ^= (hi << top) ^ scalar_mul(hi, self._reduce)
-            c = b >> shift & mask
-            if c:
-                acc ^= scalar_mul(c, a)
+        if len(tables) == 1:  # w <= 4: the loop below with its one table unrolled
+            (table,), (fold,) = tables, folds
+            for shift in shifts:
+                acc = (acc << window & full) ^ table[b >> shift & window_mask] ^ fold[acc >> below]
+            return acc
+        tables = list(zip(tables, folds))
+        for shift in shifts:
+            hi = acc >> below
+            acc = acc << window & full
+            chunk = b >> shift & window_mask
+            for table, fold in tables:
+                acc ^= table[chunk & 15] ^ fold[hi & 15]
+                chunk >>= 4
+                hi >>= 4
         return acc
 
     def inv(self, a: ExtElement) -> ExtElement:
@@ -278,6 +318,16 @@ class FieldTower:
                 a >>= 8
             a = out
         return a
+
+
+def _subset_tables(images: List[int]) -> List[tuple]:
+    """One 16-entry table per four images: index c -> XOR of the images at c's set bits."""
+    tables = []
+    for a0, a1, a2, a3 in zip(*[iter(images + [0, 0, 0])] * 4):
+        a01, a23 = a0 ^ a1, a2 ^ a3
+        tables.append((0, a0, a1, a01, a2, a2 ^ a0, a2 ^ a1, a2 ^ a01,
+                       a3, a3 ^ a0, a3 ^ a1, a3 ^ a01, a23, a23 ^ a0, a23 ^ a1, a23 ^ a01))
+    return tables
 
 
 def build_tower(w: int, m: int, ext_modulus: Sequence[int] | None = None,

@@ -101,6 +101,16 @@ def test_construct_concat_needs_k_or_d(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("blocks", ["0", "-1"])
+def test_construct_concat_without_blocks_is_input_error(tmp_path, capsys, blocks):
+    # the default extension degree is blocks * k_I, so the tower must not be built first
+    path = tmp_path / "x.json"
+    code, out, err = run(capsys, "construct", "concat", "--r", "3", "--t", "2",
+                         "--blocks", blocks, "--k", "2", "--out", str(path))
+    assert (code, out, err) == (2, "", "error: need at least one block\n")
+    assert not path.exists()
+
+
 def test_construct_expander_roundtrip(tmp_path, capsys):
     path = tmp_path / "exp.json"
     code, out, _ = run(capsys, "construct", "expander", "--n", "14",

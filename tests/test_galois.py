@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -28,6 +29,39 @@ def _poly_mod(f, a, mod):
         for i, mi in enumerate(mod):
             r[shift + i] ^= f.mul(lead, mi)
     return (r + [0] * dm)[:dm]
+
+
+def _scalar_mul(f, lam, a):
+    # per-coordinate oracle for BaseField.scalar_mul: unpack, then exp/log products
+    return f.pack([f.mul(lam, c) for c in f.unpack(a, -(-a.bit_length() // f.w))])
+
+
+def _horner_mul(t, a, b):
+    """Oracle for FieldTower.mul: Horner over b's coordinates, top coordinate
+    first, acc = acc*x + b_i*a, with x^m folded back as a base multiple of
+    x^m mod f."""
+    f, w, top = t.base, t.base.w, t.m * t.base.w
+    reduce = f.pack(t.ext_modulus[:-1])
+    acc = 0
+    for shift in range(top - w, -1, -w):
+        acc <<= w
+        hi = acc >> top
+        if hi:
+            acc ^= (hi << top) ^ _scalar_mul(f, hi, reduce)
+        c = b >> shift & (f.q - 1)
+        if c:
+            acc ^= _scalar_mul(f, c, a)
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _base(w):
+    return BaseField(w)
+
+
+@functools.lru_cache(maxsize=None)
+def _tower(w, m):
+    return FieldTower(_base(w), m, seed=w)
 
 
 def _pow(f, a, e):
@@ -209,6 +243,44 @@ def test_mul_matches_polynomial_product_mod_modulus():
             prod = _poly_mod(t.base, _poly_mul(t.base, t.base.unpack(a, m), t.base.unpack(b, m)),
                              t.ext_modulus)
             assert t.base.unpack(t.mul(a, b), m) == prod
+
+
+# every w and m <= 20, plus the bench's wide towers; a window of mul holds
+# 4 // w coordinates at w < 4, so most m are not a multiple of it
+MUL_DEGREES = {w: list(range(1, 21)) + {1: [36, 64]}.get(w, []) for w in range(1, 17)}
+
+
+@pytest.mark.parametrize("w", range(1, 17))
+@settings(max_examples=15, deadline=None)
+@given(a_bits=st.just(0) | st.integers(0, 2**1024 - 1),
+       b_bits=st.just(0) | st.integers(0, 2**1024 - 1), same=st.booleans())
+def test_mul_matches_horner_and_polynomial_oracles(w, a_bits, b_bits, same):
+    for m in MUL_DEGREES[w]:
+        t = _tower(w, m)
+        a = a_bits & (1 << m * w) - 1
+        b = a if same else b_bits & (1 << m * w) - 1
+        prod = t.mul(a, b)
+        assert prod == _horner_mul(t, a, b) == t.mul(b, a)
+        f = t.base
+        assert f.unpack(prod, m) == _poly_mod(
+            f, _poly_mul(f, f.unpack(a, m), f.unpack(b, m)), t.ext_modulus)
+
+
+@pytest.mark.parametrize("w", range(1, 17))
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_lane_operations_match_per_coordinate_oracles(w, data):
+    # scalar_mul, weight and normalize against unpack plus exp/log products
+    f = _base(w)
+    n = data.draw(st.integers(0, 100))
+    coords = data.draw(st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n))
+    a = f.pack(coords)
+    for lam in (0, 1, data.draw(st.integers(0, f.q - 1))):
+        assert f.scalar_mul(lam, a) == _scalar_mul(f, lam, a)
+    assert f.weight(a) == sum(1 for c in coords if c)
+    if a:
+        low = next(c for c in coords if c)
+        assert f.normalize(a) == f.pack([f.mul(f.inv(low), c) for c in coords])
 
 
 @pytest.mark.parametrize("w,m", [(1, 18), (4, 5), (8, 3)])
