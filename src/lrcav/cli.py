@@ -153,6 +153,8 @@ def cmd_bounds(args) -> int:
     n, k, r, t, q = args.n, args.k, args.r, args.t, args.q
     if not 1 <= k <= n or r < 1 or t < 1:
         raise InputError("bounds need 1 <= k <= n, r >= 1 and t >= 1")
+    if q < 2:
+        raise InputError("bounds need q >= 2")
     print(f"bounds for [n={n}, k={k}] with locality r={r}, availability t={t}, q={q}")
     rows = [
         ("wang_rawat", "Wang-Rawat distance bound",

@@ -8,7 +8,7 @@ any k independent surviving points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from .galois import ExtElement, FieldTower
@@ -17,10 +17,13 @@ from .linalg import rank_over_base
 
 @dataclass
 class GabidulinSpec:
+    """An [n, k] Gabidulin code; ``powers[i][j]`` is eval_points[j]^(q^i), i < k."""
+
     tower: FieldTower
     n: int
     k: int
     eval_points: List[ExtElement]
+    powers: List[List[ExtElement]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (1 <= self.k <= self.n <= self.tower.m):
@@ -29,6 +32,9 @@ class GabidulinSpec:
             raise ValueError("need exactly n evaluation points")
         if rank_over_base(self.tower, self.eval_points) != self.n:
             raise ValueError("evaluation points are linearly dependent over the base field")
+        self.powers = [list(self.eval_points)]
+        for _ in range(1, self.k):
+            self.powers.append([self.tower.frobenius(x, 1) for x in self.powers[-1]])
 
 
 def default_spec(tower: FieldTower, n: int, k: int) -> GabidulinSpec:
@@ -37,22 +43,17 @@ def default_spec(tower: FieldTower, n: int, k: int) -> GabidulinSpec:
     return GabidulinSpec(tower, n, k, points)
 
 
-def lin_eval(tower: FieldTower, coeffs: Sequence[ExtElement], x: ExtElement) -> ExtElement:
-    """sum(a_i * x^(q^i)) for coeffs a_0, a_1, ..., low q-degree first."""
-    acc = tower.zero
-    xi = x
-    for i, a in enumerate(coeffs):
-        if i > 0:
-            xi = tower.frobenius(xi, 1)
-        if a:
-            acc ^= tower.mul(a, xi)
-    return acc
-
-
 def gab_encode(spec: GabidulinSpec, message: Sequence[ExtElement]) -> List[ExtElement]:
+    """Message-major: each nonzero symbol a_i leads its n products a_i * x_j^(q^i)."""
     if len(message) != spec.k:
         raise ValueError(f"message must have {spec.k} symbols")
-    return [lin_eval(spec.tower, message, a) for a in spec.eval_points]
+    mul = spec.tower.mul
+    out = [spec.tower.zero] * spec.n
+    for a, powers in zip(message, spec.powers):
+        if a:
+            for j, x in enumerate(powers):
+                out[j] ^= mul(a, x)
+    return out
 
 
 def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
@@ -81,17 +82,17 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
         for i, a in enumerate(ann):
             if i:
                 x = frob(x, 1)
-            c ^= mul(a, x)
+            c ^= mul(x, a)  # x leads both products: one table build serves them
             if f[i]:
-                fp ^= mul(f[i], x)
+                fp ^= mul(x, f[i])
         if not c:
             raise ValueError("interpolation points are linearly dependent over the base field")
         c_inv = tower.inv(c)
-        scale = mul(y ^ fp, c_inv)
+        scale = mul(c_inv, y ^ fp)
+        ratio = mul(c_inv, frob(c, 1))  # c^(q-1)
         if scale:
             for i, a in enumerate(ann):
                 f[i] ^= mul(scale, a)
-        ratio = mul(frob(c, 1), c_inv)  # c^(q-1)
         ann = ([mul(ratio, ann[0])]
                + [frob(a, 1) ^ mul(ratio, b) for a, b in zip(ann, ann[1:])]
                + [tower.one])

@@ -63,24 +63,13 @@ class BaseField:
 
         self.exp: List[int] = [0] * self.q
         self.log: List[int] = [0] * self.q
-        g = 2 if w > 1 else 1
         val = 1
         for i in range(self.q - 1):
             self.exp[i] = val
             self.log[val] = i
-            val = self.mul_clmul(val, g)
-
-    def mul_clmul(self, a: int, b: int) -> int:
-        """Carry-less multiply mod the field polynomial (no tables)."""
-        p = 0
-        while b:
-            if b & 1:
-                p ^= a
-            b >>= 1
-            a <<= 1
-            if a & self.q:
-                a ^= self.modulus
-        return p
+            val <<= 1  # times x, reduced mod the field polynomial
+            if val & self.q:
+                val ^= self.modulus
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -170,7 +159,9 @@ class FieldTower:
 
     Extension elements are packed integers (see the module docstring), so
     zero is 0, one is 1, addition is XOR and an element is nonzero iff it
-    is truthy.  Immutable after construction and safe to share.
+    is truthy.  Beyond its fixed tables, ``mul`` keeps a one-slot memo swapped
+    in as one tuple: a caller on another thread sees a matching pair or
+    misses, so a shared tower costs at most a table rebuild.
     """
 
     def __init__(self, base: BaseField, m: int, ext_modulus: Sequence[int] | None = None,
@@ -208,6 +199,7 @@ class FieldTower:
         self._fold_tables = _subset_tables(images)  # right for one overflowing coordinate
         self._fold_tables = self._nibble_tables(self._reduce)  # c * x^m mod f
         self.x = self.basis_element(1) if self.m > 1 else self._reduce  # x mod f
+        self._memo = (None, [])  # stale mod the last candidate; each candidate starts at x*x
         self._frob_tables = self._build_frobenius_tables()
 
     def _build_frobenius_tables(self) -> List[List[ExtElement]]:
@@ -225,7 +217,7 @@ class FieldTower:
         col = self.one
         for _ in range(m):
             bit_images += self.base.alpha_multiples(col, self._ones, w)
-            col = self.mul(col, xq)
+            col = self.mul(xq, col)
         nibbles = _subset_tables(bit_images + [0] * 4)  # padded: they pair up, one pair a byte
         return [[hi ^ lo for hi in high for lo in low]
                 for low, high in zip(nibbles[::2], nibbles[1::2])]
@@ -258,20 +250,23 @@ class FieldTower:
         """Windowed Horner over b, top window first: acc = acc*x^c + (window of b)*a.
 
         A window is c coordinates of b: as many as fit in 4 bits, at least one.
-        Its nibbles index per-call tables of multiples of a; what the shift
-        pushes past the top coordinate folds back through the tower's tables.
+        Its nibbles index tables of multiples of a, kept for the next call
+        with the same a (put a shared operand first); what the shift pushes
+        past the top coordinate folds back through the tower's tables.
         """
-        tables, folds = self._nibble_tables(a), self._fold_tables
+        key, tables = self._memo
+        if key != a:
+            tables = list(zip(self._nibble_tables(a), self._fold_tables))
+            self._memo = (a, tables)
         window, full = self._window, self._full
         below, window_mask = max(self._top - window, 0), (1 << window) - 1
         shifts = range((b.bit_length() - 1) // window * window, -1, -window)
         acc = 0
         if len(tables) == 1:  # w <= 4: the loop below with its one table unrolled
-            (table,), (fold,) = tables, folds
+            ((table, fold),) = tables
             for shift in shifts:
                 acc = (acc << window & full) ^ table[b >> shift & window_mask] ^ fold[acc >> below]
             return acc
-        tables = list(zip(tables, folds))
         for shift in shifts:
             hi = acc >> below
             acc = acc << window & full

@@ -21,11 +21,12 @@ from lrcav.bounds import (_expansion_residual, concat_expander_crossover,
 from lrcav.constructions import (assemble_concatenated, assemble_expander_code,
                                  build_expander_parity, build_wzl,
                                  check_expansion, sample_biregular)
-from lrcav.gabidulin import default_spec, gab_encode, lin_eval, moore_interpolate
+from lrcav.gabidulin import default_spec, gab_encode, moore_interpolate
 from lrcav.galois import BaseField, build_tower
 from lrcav.linalg import Matrix, rank_over_base, rref
 from lrcav.shortening import (build_shortening_set, closure,
                               enumerate_local_checks)
+from test_gabidulin import lin_eval
 
 
 @pytest.fixture

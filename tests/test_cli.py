@@ -60,6 +60,13 @@ def test_bounds_rejects_impossible_parameters(capsys, n, k, r):
     assert code == 2 and "error" in err and out == ""
 
 
+@pytest.mark.parametrize("q", [0, 1, -3])
+def test_bounds_rejects_alphabets_below_two(capsys, q):
+    code, out, err = run(capsys, "bounds", "--n", "10", "--k", "4",
+                         "--r", "2", "--t", "2", "--q", str(q))
+    assert code == 2 and "bounds need q >= 2" in err and out == ""
+
+
 def test_curves_csv(tmp_path, capsys):
     out_path = tmp_path / "curves.csv"
     code, out, _ = run(capsys, "curves", "--r", "6", "--t", "3",

@@ -1,13 +1,33 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
 from listalg import ListMatrix, solve
-from lrcav.gabidulin import (GabidulinSpec, default_spec, gab_encode, lin_eval,
-                             moore_interpolate)
-from lrcav.galois import build_tower
+from lrcav.gabidulin import GabidulinSpec, default_spec, gab_encode, moore_interpolate
+from lrcav.galois import FieldTower, build_tower
 from lrcav.linalg import rank_over_base
+
+
+def lin_eval(tower, coeffs, x):
+    """sum(a_i * x^(q^i)) for coeffs a_0, a_1, ..., low q-degree first: one
+    point at a time, the oracle for the message-major ``gab_encode``."""
+    acc = tower.zero
+    xi = x
+    for i, a in enumerate(coeffs):
+        if i > 0:
+            xi = tower.frobenius(xi, 1)
+        if a:
+            acc ^= tower.mul(a, xi)
+    return acc
+
+
+def _independent_points(tower, n, rng):
+    pts = [tower.rand(rng) for _ in range(n)]
+    while rank_over_base(tower, pts) < n:
+        pts = [tower.rand(rng) for _ in range(n)]
+    return pts
 
 
 def moore_matrix(tower, points, width):
@@ -61,6 +81,41 @@ def test_encode_zero_message():
     t = tower24()
     spec = default_spec(t, 4, 2)
     assert gab_encode(spec, [t.zero, t.zero]) == [t.zero] * 4
+
+
+@pytest.mark.parametrize("w,m", [(1, 8), (4, 5), (8, 3)])
+def test_encode_matches_per_point_evaluation(w, m):
+    # random independent evaluation points, not the polynomial basis, and
+    # messages with zero symbols in every position
+    t = build_tower(w, m, seed=3)
+    rng = random.Random(30 + w)
+    for k in range(1, m + 1):
+        spec = GabidulinSpec(t, m, k, _independent_points(t, m, rng))
+        for _ in range(6):
+            msg = [t.rand(rng) if rng.random() < 0.6 else t.zero for _ in range(k)]
+            assert gab_encode(spec, msg) == [lin_eval(t, msg, x) for x in spec.eval_points]
+
+
+def test_encode_builds_tables_once_per_nonzero_symbol(monkeypatch):
+    # every product is one FieldTower.mul call, and a symbol's n products
+    # share the product tables of its first one
+    t = build_tower(4, 6, seed=2)
+    spec = GabidulinSpec(t, 6, 5, _independent_points(t, 6, random.Random(11)))
+    msg = [t.basis_element(2) ^ 7, t.zero, t.basis_element(5) ^ 1, t.zero, t.basis_element(1)]
+    expected = [lin_eval(t, msg, x) for x in spec.eval_points]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(FieldTower, "mul", counted("mul", FieldTower.mul))
+    monkeypatch.setattr(FieldTower, "_nibble_tables",
+                        counted("tables", FieldTower._nibble_tables))
+    assert gab_encode(spec, msg) == expected
+    assert calls == {"mul": 6 * 3, "tables": 3}
 
 
 def test_encode_length_mismatch():
@@ -175,9 +230,7 @@ def test_interpolate_matches_moore_solve(w, m):
     rng = random.Random(8 + w)
     for k in range(1, m + 1):
         for _ in range(4):
-            pts = [t.rand(rng) for _ in range(k)]
-            while rank_over_base(t, pts) < k:
-                pts = [t.rand(rng) for _ in range(k)]
+            pts = _independent_points(t, k, rng)
             vals = [t.rand(rng) for _ in range(k)]
             f = moore_interpolate(t, pts, vals)
             assert f == solve(moore_matrix(t, pts, k), vals)

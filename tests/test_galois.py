@@ -1,6 +1,8 @@
 import functools
 import itertools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,20 @@ def _tower(w, m):
     return FieldTower(_base(w), m, seed=w)
 
 
+def _clmul(f, a, b):
+    """Carry-less multiply mod the field polynomial, bit by bit: the oracle
+    for the exp/log tables."""
+    p = 0
+    while b:
+        if b & 1:
+            p ^= a
+        b >>= 1
+        a <<= 1
+        if a & f.q:
+            a ^= f.modulus
+    return p
+
+
 def _pow(f, a, e):
     # square-and-multiply on f.mul: the oracle for Frobenius, inversion and
     # the multiplicative order (works for a BaseField and a FieldTower alike)
@@ -105,7 +121,18 @@ def test_tables_match_carryless_multiplication(w):
     f = BaseField(w)
     for a in range(f.q):
         for b in range(f.q):
-            assert f.mul(a, b) == f.mul_clmul(a, b)
+            assert f.mul(a, b) == _clmul(f, a, b)
+
+
+@pytest.mark.parametrize("w", range(1, 17))
+def test_exp_table_holds_the_powers_of_the_generator(w):
+    f = _base(w)
+    g = 2 if w > 1 else 1
+    val = 1
+    for i in range(f.q - 1):
+        assert f.exp[i] == val and f.log[val] == i
+        val = _clmul(f, val, g)
+    assert val == 1
 
 
 @pytest.mark.parametrize("w", [2, 3, 4, 8])
@@ -143,6 +170,37 @@ def _gf2_poly_has_small_factor(poly_bits, degree):
     while rem.bit_length() - 1 >= 2:
         rem ^= 0b111 << (rem.bit_length() - 3)
     return rem == 0
+
+
+def _first_irreducible(base, m, seed):
+    """The seeded search's draws up to the first one with no monic factor of
+    degree <= m/2 (trial division), and how many draws it rejected."""
+    rng = random.Random(seed)
+    rejected = 0
+    while True:
+        poly = [rng.randrange(base.q) for _ in range(m)] + [1]
+        if all(any(_poly_mod(base, poly, list(low) + [1]))
+               for d in range(1, m // 2 + 1)
+               for low in itertools.product(range(base.q), repeat=d)):
+            return poly, rejected
+        rejected += 1
+
+
+@pytest.mark.parametrize("w,m,seed", [(2, 2, 9), (3, 2, 3), (4, 2, 0)])
+def test_seeded_search_past_a_rejected_modulus(w, m, seed):
+    # each rejected draw here splits into distinct linear factors, so x^q = x
+    # mod it: product tables of x left over from that draw would be wrong for
+    # the next one, whose Frobenius tables start from x * x
+    base = _base(w)
+    poly, rejected = _first_irreducible(base, m, seed)
+    assert rejected >= 1
+    t = FieldTower(base, m, seed=seed)
+    assert list(t.ext_modulus) == poly
+    elems = range(base.q ** m)
+    for a, b in itertools.product(elems, repeat=2):
+        assert t.mul(a, b) == _horner_mul(t, a, b)
+    for a in elems:
+        assert t.frobenius(a, 1) == _pow(t, a, base.q)
 
 
 def test_find_irreducible_degree_one_trivial():
@@ -264,6 +322,43 @@ def test_mul_matches_horner_and_polynomial_oracles(w, a_bits, b_bits, same):
         f = t.base
         assert f.unpack(prod, m) == _poly_mod(
             f, _poly_mul(f, f.unpack(a, m), f.unpack(b, m)), t.ext_modulus)
+
+
+@pytest.mark.parametrize("w,m", [(1, 7), (2, 3), (4, 5), (8, 3)])
+def test_mul_memo_across_operand_changes_and_towers(w, m):
+    # mul keeps the last left operand's tables: reuse a, then switch a; hold
+    # b while a switches; a == b and zero operands; two towers interleaved
+    t1, t2 = FieldTower(_base(w), m, seed=1), FieldTower(_base(w), m, seed=2)
+    assert t1.ext_modulus != t2.ext_modulus
+    rng = random.Random(40 + w)
+    elems = [t1.zero, t1.one] + [t1.rand(rng) for _ in range(4)]
+    pairs = list(itertools.product(elems, repeat=2))
+    for a, b in pairs + [(a, b) for b, a in pairs]:
+        for t in (t1, t2):
+            assert t.mul(a, b) == _horner_mul(t, a, b)
+
+
+def test_shared_tower_products_under_thread_switches():
+    # threads that share a tower and its memo, switching every microsecond,
+    # each run the same products in their own order against the Horner oracle
+    t = _tower(4, 5)
+    rng = random.Random(50)
+    ops = [t.rand(rng) for _ in range(8)]
+    pairs = [(a, b) for a in ops for b in ops for _ in range(4)]
+    expected = {(a, b): _horner_mul(t, a, b) for a, b in pairs}
+    orders = [random.Random(i).sample(pairs, len(pairs)) for i in range(8)]
+
+    def wrong(order):
+        return [(a, b) for a, b in order if t.mul(a, b) != expected[a, b]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            found = list(pool.map(wrong, orders, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert found == [[]] * len(orders)
 
 
 @pytest.mark.parametrize("w", range(1, 17))
