@@ -20,18 +20,16 @@ from .shortening import enumerate_local_checks
 
 
 def min_distance(code: LinearCode, max_enumeration: int = 2**22) -> int:
-    """Exact minimum Hamming weight by exhaustive codeword enumeration."""
+    """Exact minimum Hamming weight by exhaustive codeword enumeration.
+
+    One XOR (the Gray walk) and one weight test per word.
+    """
     if code.k == 0:
         raise ValueError("the zero code has no minimum distance")
     if code.field.q**code.k > max_enumeration:
         raise ValueError("codeword enumeration exceeds the budget")
-    weight = code.field.weight
-    best = None
-    for cw in code.codewords():
-        w = weight(cw)
-        if w and (best is None or w < best):
-            best = w
-    return best
+    weight = int.bit_count if code.field.w == 1 else code.field.weight
+    return min(filter(None, map(weight, code.codewords())))
 
 
 @dataclass

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -48,17 +48,12 @@ class LinearCode:
         return cls(f, parity.cols, generator.rows, parity, generator, claimed_r, claimed_t)
 
     def codewords(self):
-        """All q^k codewords, packed, messages in lexicographic order.
+        """All q^k codewords, packed, in Gray order over the generator rows.
 
-        Exhaustive; the caller owns the budget.
+        One XOR per word (``BaseField.span``).  Exhaustive; the caller
+        owns the budget.
         """
-        rows, scalar_mul = self.generator.data, self.field.scalar_mul
-        for msg in product(range(self.field.q), repeat=self.k):
-            cw = 0
-            for c, row in zip(msg, rows):
-                if c:
-                    cw ^= scalar_mul(c, row)
-            yield cw
+        return self.field.span(self.generator.data)
 
 
 def build_wzl(r: int, t: int, size_cap: int = 10**5) -> LinearCode:

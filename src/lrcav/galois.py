@@ -133,6 +133,22 @@ class BaseField:
             lam >>= 1
         return out
 
+    def span(self, vectors: Sequence[int]):
+        """Every GF(q)-combination of the packed vectors, in Gray order.
+
+        The walk runs over the GF(2) image of the vectors (alpha^s times
+        each, 0 <= s < w) in binary-reflected Gray order: 0 first, then
+        one XOR of an image vector per word.  Independent vectors give
+        each of their q^len(vectors) combinations exactly once.
+        """
+        images = [image for v in vectors
+                  for image in self.alpha_multiples(v, self.lane_ones(v), self.w)]
+        word = 0
+        yield word
+        for i in range(1, 1 << len(images)):
+            word ^= images[(i & -i).bit_length() - 1]
+            yield word
+
 
 def is_irreducible(tower: FieldTower) -> bool:
     """Is the tower's modulus f irreducible?  Decided in packed arithmetic.

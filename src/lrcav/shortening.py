@@ -44,18 +44,76 @@ def _projective_points(q: int, d: int):
 
 def enumerate_local_checks(code: LinearCode, r: int,
                            budget: int = 10**8) -> LocalCheckSet:
-    """All dual codewords of weight <= r+1, via per-support nullspaces.
+    """All dual codewords of weight <= r+1, by the cheaper of two exact walks.
 
-    The dual words supported inside an (r+1)-support are the span of its
-    nullspace; one word per projective point of that span is walked, so
-    every check appears up to scaling.  The budget bounds the nullspace
-    work up front and the span words walked as they are counted.
+    The span walk visits each of the dual code's q^(n-k) words once; the
+    per-support walk costs about C(n, r+1) * (r+1)^3 for its nullspaces,
+    plus one word per projective point of each support's dual words.
+    The walk with the smaller up-front cost runs, and the budget bounds
+    that cost (and, on the per-support walk, the points as they are
+    counted).  Both list the checks in the same order: by the first
+    (r+1)-support in ``combinations`` order that holds the check, then
+    by its projective point on that support's nullspace basis.
     """
-    n, f = code.n, code.field
+    n, q = code.n, code.field.q
     w = min(r + 1, n)
-    cost = comb(n, w) * (r + 1) ** 3
+    walk, per_support = q ** (n - code.k), comb(n, w) * (r + 1) ** 3
+    cost = min(walk, per_support)
     if cost > budget:
         raise ValueError(f"local-check enumeration cost {cost} exceeds budget {budget}")
+    if walk <= per_support:
+        checks = _span_checks(code, w)
+    else:
+        checks = _support_checks(code, w, cost, budget)
+    return LocalCheckSet(code.field, n, r, checks)
+
+
+def _span_checks(code: LinearCode, w: int) -> List[int]:
+    """The checks of weight <= w from one Gray walk over the dual code.
+
+    The kept words are those whose lowest nonzero coordinate is 1, sorted
+    into the per-support walk's order: a check first appears on the first
+    w-support S that holds it (its support plus the lowest coordinates
+    outside it), as the projective point given by its coordinates on the
+    free columns of S (the columns of the generator on S in the span of
+    the earlier ones), compared by lead index, then by the tail.
+    """
+    f, n = code.field, code.n
+    fw, mask = f.w, f.q - 1
+    weight = int.bit_count if fw == 1 else f.weight
+    checks = [h for h in f.span(nullspace(code.generator))
+              if h and weight(h) <= w
+              and h >> ((h & -h).bit_length() - 1) // fw * fw & mask == 1]
+    columns = code.generator.transpose().data
+    free_columns = {}
+
+    def order(h):
+        values = [h >> (j * fw) & mask for j in range(n)]
+        outside = [j for j, x in enumerate(values) if not x]
+        support = tuple(sorted([j for j, x in enumerate(values) if x]
+                               + outside[:w - (n - len(outside))]))
+        if support not in free_columns:
+            tracker = RankTracker(f)
+            free_columns[support] = [i for i, j in enumerate(support)
+                                     if not tracker.add(columns[j])]
+        point = [values[support[i]] for i in free_columns[support]]
+        lead = next(i for i, x in enumerate(point) if x)
+        scale = f.inv(point[lead])
+        return support, lead, [f.mul(scale, x) for x in point[lead + 1:]]
+
+    checks.sort(key=order)
+    return checks
+
+
+def _support_checks(code: LinearCode, w: int, cost: int, budget: int) -> List[int]:
+    """The checks of weight <= w from one nullspace per w-support.
+
+    The dual words supported inside a w-support are the span of its
+    nullspace; one word per projective point of that span is walked, so
+    every check appears up to scaling.  cost, the work charged so far,
+    grows by each span's point count and may not pass the budget.
+    """
+    n, f = code.n, code.field
     rows = code.generator.data
     fw, mask = f.w, f.q - 1
     seen = set()
@@ -80,7 +138,7 @@ def enumerate_local_checks(code: LinearCode, r: int,
             if h not in seen:
                 seen.add(h)
                 checks.append(h)
-    return LocalCheckSet(f, n, r, checks)
+    return checks
 
 
 def closure(code: LinearCode, I: Sequence[int]) -> Set[int]:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lrcav import cli
+from lrcav import cli, shortening
 from lrcav.constructions import CompositeCode, LinearCode
 
 
@@ -163,6 +163,37 @@ def test_verify_wzl_distance_and_availability(tmp_path, capsys):
     assert report["distance"] == 3
     assert report["availability"]["pass"] is True
     assert len(report["availability"]["witness_sets"]) == 6
+
+
+def test_verify_wzl62_distance_and_availability(tmp_path, capsys):
+    # n = 28, k = 21: the dual walk has 2^7 words, where one nullspace per
+    # 7-support would cost C(28, 7) * 7^3 = 406,125,720, past the budget
+    path = tmp_path / "wzl62.json"
+    run(capsys, "construct", "wzl", "--r", "6", "--t", "2", "--out", str(path))
+    code, out, _ = run(capsys, "verify", "--code", str(path),
+                       "--distance", "--availability")
+    assert code == 0
+    report = json.loads(out)
+    assert report["distance"] == 3
+    assert report["availability"]["pass"] is True
+    assert len(report["availability"]["witness_sets"]) == 28
+
+
+def test_verify_availability_past_the_budget_is_input_error(tmp_path, capsys,
+                                                            monkeypatch):
+    # WZL(4, 4): n = 70, k = 35; the dual walk would cost 2^35 words, one
+    # nullspace per 5-support C(70, 5) * 5^3; refused before either starts
+    path = tmp_path / "wzl44.json"
+    run(capsys, "construct", "wzl", "--r", "4", "--t", "4", "--out", str(path))
+
+    def no_walk(M):
+        raise AssertionError("local-check walk started")
+
+    monkeypatch.setattr(shortening, "nullspace", no_walk)
+    code, out, err = run(capsys, "verify", "--code", str(path), "--availability")
+    assert (code, out) == (2, "")
+    assert err == ("error: local-check enumeration cost 1512876750 "
+                   "exceeds budget 100000000\n")
 
 
 def test_verify_availability_uses_every_local_check(tmp_path, capsys):

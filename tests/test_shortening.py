@@ -1,15 +1,17 @@
 import random
 from itertools import product
+from math import comb, inf
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listalg import ListMatrix, rref
+from lrcav import shortening
 from lrcav.analysis import verify_availability
 from lrcav.constructions import LinearCode, build_wzl
 from lrcav.galois import BaseField
-from lrcav.linalg import Matrix
+from lrcav.linalg import Matrix, nullspace
 from lrcav.shortening import (LocalCheckSet, ShorteningResult,
                               availability_shortening_bounds,
                               build_shortening_set, closure,
@@ -47,15 +49,55 @@ def test_local_checks_budget():
         enumerate_local_checks(code, 4, budget=10)
 
 
-def test_local_checks_budget_bounds_the_span_walk():
-    # k = 0: every 5-support's nullspace is all of GF(2)^5, 31 words each;
-    # the up-front estimate is C(6, 5) * 5^3 = 750, the walk adds 6 * 31
-    f = BaseField(1)
-    code = LinearCode.from_parity(f, Matrix.from_rows(
-        f, [[int(i == j) for j in range(6)] for i in range(6)]))
-    assert len(enumerate_local_checks(code, 4, budget=750 + 6 * 31).checks) == 62
+def _count_nullspaces(monkeypatch):
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return nullspace(M)
+
+    monkeypatch.setattr(shortening, "nullspace", counted)
+    return calls
+
+
+def _identity_parity(f, n):
+    """The k = 0 code of length n: every word of GF(q)^n is a dual word."""
+    return LinearCode.from_parity(f, Matrix.from_rows(
+        f, [[int(i == j) for j in range(n)] for i in range(n)]))
+
+
+def test_local_checks_budget_bounds_the_cheaper_walk(monkeypatch):
+    # n = 6, r = 4: the span walk costs 2^6 = 64 words against the
+    # per-support estimate C(6, 5) * 5^3 = 750, so one nullspace serves
+    code = _identity_parity(BaseField(1), 6)
+    calls = _count_nullspaces(monkeypatch)
+    assert len(enumerate_local_checks(code, 4, budget=64).checks) == 62
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="cost 64 exceeds budget 63"):
+        enumerate_local_checks(code, 4, budget=63)
+    assert len(calls) == 1
+
+
+def test_local_checks_budget_bounds_the_support_walk(monkeypatch):
+    # GF(4), n = 4, r = 2: the span walk would cost 4^4 = 256, the
+    # per-support estimate is C(4, 3) * 3^3 = 108, and each 3-support's
+    # nullspace (all of GF(4)^3) adds its 21 projective points
+    code = _identity_parity(BaseField(2), 4)
+    calls = _count_nullspaces(monkeypatch)
+    assert len(enumerate_local_checks(code, 2, budget=108 + 4 * 21).checks) == 58
+    assert len(calls) == 4
     with pytest.raises(ValueError, match="exceeds budget"):
-        enumerate_local_checks(code, 4, budget=750 + 6 * 31 - 1)
+        enumerate_local_checks(code, 2, budget=108 + 4 * 21 - 1)
+
+
+def test_high_redundancy_code_takes_the_support_walk(monkeypatch):
+    # WZL(2, 6): n = 28, k = 7, so the span walk would cost 2^21 words
+    # against C(28, 3) * 3^3 = 88,452 for one nullspace per 3-support
+    code = build_wzl(2, 6)
+    calls = _count_nullspaces(monkeypatch)
+    checks = enumerate_local_checks(code, 2).checks
+    assert len(calls) == comb(28, 3)
+    assert set(code.parity.data) <= set(checks)
 
 
 # parity rows 110001, 110110, 011010: the check 000111 is the sum of two
@@ -102,6 +144,31 @@ def test_local_checks_match_brute_force_dual_words(data):
     checks = enumerate_local_checks(code, r).checks
     assert len(set(checks)) == len(checks)
     assert set(checks) == {f.pack(h) for h in _dual_words(f, parity, n, r)}
+
+
+def _assert_walks_agree(code, r):
+    w = min(r + 1, code.n)
+    assert shortening._span_checks(code, w) == shortening._support_checks(code, w, 0, inf)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_span_walk_lists_the_support_walk_checks_in_order(data):
+    w = data.draw(st.sampled_from([1, 2]), label="w")
+    f = BaseField(w)
+    n = data.draw(st.integers(1, 7), label="n")
+    rows = data.draw(st.integers(0, 5 if w == 1 else 4), label="rows")
+    parity = data.draw(st.lists(st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n),
+                                min_size=rows, max_size=rows), label="parity")
+    r = data.draw(st.integers(1, n), label="r")
+    _assert_walks_agree(LinearCode.from_parity(f, Matrix.from_rows(f, parity, n)), r)
+
+
+@pytest.mark.parametrize("r,t", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
+def test_span_walk_lists_the_support_walk_checks_in_order_wzl(r, t):
+    code = build_wzl(r, t)
+    for rr in (r - 1, r, r + 1):
+        _assert_walks_agree(code, rr)
 
 
 def test_supports_match_checks():
