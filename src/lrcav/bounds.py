@@ -109,12 +109,37 @@ def binary_entropy(x: float) -> float:
     return -x * log2(x) - (1.0 - x) * log2(1.0 - x)
 
 
+def _residual_in_gamma(delta: float, t: int, r: int) -> Callable[[float], float]:
+    """The expansion residual at fixed delta, as a function of gamma:
+
+        (t-1)/t H(delta) - H(min(delta c, 1))/(r+1) - delta c H(min(1/c, 1))
+
+    with c = gamma (r+1).  The delta-only terms are computed once; the two
+    gamma-dependent entropies are inlined, since the gamma bisection
+    evaluates this some 55 times per point.  Their arguments lie in [0, 1]
+    for every admissible gamma > 0, and min(x, 1.0) is written as a
+    conditional (the same value, without a builtin call)."""
+    fixed = (t - 1) / t * binary_entropy(delta)
+    r1 = r + 1
+    inv_r1 = 1.0 / r1
+
+    def residual(gamma: float) -> float:
+        c = gamma * r1
+        dc = delta * c
+        x = 1.0 if dc > 1.0 else dc
+        h_dc = 0.0 if x == 0.0 or x == 1.0 else \
+            -x * log2(x) - (1.0 - x) * log2(1.0 - x)
+        x = 1.0 / c
+        x = 1.0 if x > 1.0 else x
+        h_c = 0.0 if x == 0.0 or x == 1.0 else \
+            -x * log2(x) - (1.0 - x) * log2(1.0 - x)
+        return fixed - inv_r1 * h_dc - dc * h_c
+
+    return residual
+
+
 def _expansion_residual(delta: float, gamma: float, t: int, r: int) -> float:
-    c = gamma * (r + 1)
-    arg = min(delta * c, 1.0)
-    return ((t - 1) / t * binary_entropy(delta)
-            - 1.0 / (r + 1) * binary_entropy(arg)
-            - delta * c * binary_entropy(min(1.0 / c, 1.0)))
+    return _residual_in_gamma(delta, t, r)(gamma)
 
 
 ROOT_TOL = 1e-12  # largest |residual| accepted at an expansion root
@@ -177,7 +202,8 @@ def gamma_for_delta(delta: float, t: int, r: int) -> float:
         raise ValueError("delta must lie in (0, 1)")
     lo = 1.0 / (r + 1)
     hi = (1.0 - 1.0 / t) - 1e-12
-    ok = lambda g: _expansion_residual(delta, g, t, r) >= 0.0
+    residual = _residual_in_gamma(delta, t, r)
+    ok = lambda g: residual(g) >= 0.0
     if not ok(lo):
         return lo
     if ok(hi):

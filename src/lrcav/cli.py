@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -67,9 +68,12 @@ def artifact_from_composite(code: constructions.CompositeCode, kind: str,
 
 
 def save_artifact(doc: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write artifact: {exc}")
 
 
 def _count(obj, key: str) -> int:
@@ -316,6 +320,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_shorten(args) -> int:
+    if args.r < 1:
+        raise InputError("need r >= 1")
     if args.s < 1:
         raise InputError("need s >= 1")
     doc, code = load_artifact(args.code)
@@ -349,7 +355,10 @@ def cmd_shorten(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The lrcav parser, built on first use and shared by every later call
+    (parse_args leaves it unchanged and returns a fresh namespace)."""
     p = argparse.ArgumentParser(prog="lrcav",
                                 description="locally recoverable codes with availability")
     sub = p.add_subparsers(dest="command", required=True)

@@ -162,6 +162,61 @@ def test_gamma_for_delta_inverts_expansion():
                 assert abs(expansion_delta(g, t, r) - delta) <= 1e-9, (t, r, i)
 
 
+def _oracle_residual(delta, gamma, t, r):
+    # reference: the whole formula, each term through the range-checked
+    # binary_entropy
+    c = gamma * (r + 1)
+    arg = min(delta * c, 1.0)
+    return ((t - 1) / t * binary_entropy(delta)
+            - 1.0 / (r + 1) * binary_entropy(arg)
+            - delta * c * binary_entropy(min(1.0 / c, 1.0)))
+
+
+def _oracle_gamma_for_delta(delta, t, r):
+    # reference: the gamma bisection on the reference residual, with its
+    # own halving loop
+    lo = 1.0 / (r + 1)
+    hi = (1.0 - 1.0 / t) - 1e-12
+    ok = lambda g: _oracle_residual(delta, g, t, r) >= 0.0
+    if not ok(lo):
+        return lo
+    if ok(hi):
+        return hi
+    while True:
+        mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            return lo
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_gamma_for_delta_is_float_equal_to_the_oracle_on_curve_grids():
+    # every interior grid point of the tabulated curves, and the expander
+    # column of the rows built from it
+    for r in range(2, 9):
+        for t in range(2, 6):
+            base = 1.0 - t / (r + 1)
+            for grid in (10, 20, 45, 200):
+                rows = rate_curves(r, t, grid)
+                for row in rows[1:-1]:
+                    gamma = _oracle_gamma_for_delta(row.delta, t, r)
+                    assert gamma_for_delta(row.delta, t, r) == gamma, (r, t, row.delta)
+                    rate = base - max(row.delta * (1.0 - t * gamma), 0.0)
+                    assert row.lower_expander == min(max(rate, 0.0), 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(2, 8), st.integers(2, 5), st.floats(0.0, 1.0))
+def test_gamma_for_delta_is_float_equal_to_the_oracle(delta, r, t, u):
+    assert gamma_for_delta(delta, t, r) == _oracle_gamma_for_delta(delta, t, r)
+    gamma = 1.0 / (r + 1) + u * ((1.0 - 1.0 / t) - 1.0 / (r + 1))
+    assert _expansion_residual(delta, gamma, t, r) == \
+        _oracle_residual(delta, gamma, t, r)
+
+
 def test_expander_rate_endpoints():
     assert isclose(expander_rate(0.0, 3, 6), 1.0 - 3.0 / 7.0)
     # at delta = 1 the only sustainable gamma is 1/(r+1)

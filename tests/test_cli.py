@@ -118,6 +118,17 @@ def test_construct_concat_without_blocks_is_input_error(tmp_path, capsys, blocks
     assert not path.exists()
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_construct_unwritable_artifact_is_input_error(tmp_path, capsys, where):
+    path = tmp_path / "nonexist" / "x.json" if where == "missing-directory" \
+        else tmp_path
+    code, out, err = run(capsys, "construct", "wzl", "--r", "3", "--t", "2",
+                         "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write artifact: ")
+    assert not (tmp_path / "nonexist").exists()
+
+
 def test_construct_expander_roundtrip(tmp_path, capsys):
     path = tmp_path / "exp.json"
     code, out, _ = run(capsys, "construct", "expander", "--n", "14",
@@ -235,7 +246,9 @@ def test_verify_erasures_requires_seed(tmp_path, capsys):
     (["verify", "--distance", "--availability", "--erasures", "2"],
      "--erasures requires --seed"),
     (["shorten", "--r", "3", "--s", "0"], "need s >= 1"),
-], ids=["verify-seed", "shorten-s"])
+    (["shorten", "--r", "-3", "--s", "2"], "need r >= 1"),
+    (["shorten", "--r", "0", "--s", "2"], "need r >= 1"),
+], ids=["verify-seed", "shorten-s", "shorten-r=-3", "shorten-r=0"])
 def test_argument_errors_come_before_loading_the_artifact(tmp_path, capsys, argv,
                                                           message):
     # a bad argument is reported without reading (or enumerating) the code
@@ -507,3 +520,47 @@ def test_no_command_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+# (argv, file written or None); mixes subcommands, a seeded construct
+# before an unseeded one, a usage error and an input error
+MIXED_RUNS = [
+    ("bounds --n 24 --k 12 --r 3 --t 2", None),
+    ("curves --r 5 --t 2 --grid 30 --out curves.csv", "curves.csv"),
+    ("construct expander --n 14 --r 6 --t 3 --w 4 --k 4 --min-girth 4 "
+     "--seed 7 --out expander.json", "expander.json"),
+    ("construct wzl --r 3 --t 2 --out wzl.json", "wzl.json"),
+    ("bounds --n 24 --k 12 --r 3", None),
+    ("shorten --code wzl.json --r 3 --s 0", None),
+    ("curves --r 6 --t 3 --grid 20 --out curves.csv", "curves.csv"),
+]
+
+
+def _mixed_session(capsys, monkeypatch, workdir):
+    """Run MIXED_RUNS in order in workdir; (exit code, stdout, stderr, file) each."""
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    results = []
+    for argv, written in MIXED_RUNS:
+        try:
+            code = cli.main(argv.split())
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        data = (workdir / written).read_bytes() if written else None
+        results.append((code, out.out, out.err, data))
+    return results
+
+
+def test_shared_parser_keeps_calls_independent(tmp_path, capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    shared = _mixed_session(capsys, monkeypatch, tmp_path / "shared")
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(MIXED_RUNS) - 1)
+    # the same calls, each through a parser of its own
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _mixed_session(capsys, monkeypatch, tmp_path / "fresh")
+    assert shared == fresh
+    assert [res[0] for res in shared] == [0, 0, 0, 0, ("exit", 2), 2, 0]
+    assert json.loads(shared[2][3])["provenance"]["seed"] == 7
+    assert json.loads(shared[3][3])["provenance"]["seed"] is None
