@@ -10,7 +10,7 @@ import argparse
 from lrcav.analysis import erasure_monte_carlo
 from lrcav.constructions import (assemble_concatenated, assemble_expander_code,
                                  build_expander_parity, sample_biregular)
-from lrcav.galois import BaseField, build_tower
+from lrcav.galois import BaseField, FieldTower
 from lrcav.linalg import rref
 
 
@@ -31,7 +31,7 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
 
-    tower = build_tower(1, 18, seed=0)
+    tower = FieldTower(BaseField(1), 18, seed=0)
     concat = assemble_concatenated(tower, 3, 2, blocks=3, k=9)
     sweep("concatenated (r=3, t=2, 3 blocks)", concat,
           [10, 12, 14, 16, 18, 20], args.trials, args.seed)
@@ -40,7 +40,7 @@ def main() -> None:
     base = BaseField(4)
     parity = build_expander_parity(g, base, seed=7)
     n_g = 14 - rref(parity)[1]
-    exp_code = assemble_expander_code(build_tower(4, n_g, seed=1), parity, k=4)
+    exp_code = assemble_expander_code(FieldTower(BaseField(4), n_g, seed=1), parity, k=4)
     sweep("expander (n=14, t=3, r+1=7, q=16)", exp_code,
           [4, 6, 8, 9, 10], args.trials, args.seed)
 

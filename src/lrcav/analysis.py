@@ -28,8 +28,7 @@ def min_distance(code: LinearCode, max_enumeration: int = 2**22) -> int:
         raise ValueError("the zero code has no minimum distance")
     if code.field.q**code.k > max_enumeration:
         raise ValueError("codeword enumeration exceeds the budget")
-    weight = int.bit_count if code.field.w == 1 else code.field.weight
-    return min(filter(None, map(weight, code.codewords())))
+    return min(filter(None, map(code.field.weight, code.codewords())))
 
 
 @dataclass
@@ -129,16 +128,6 @@ class ErasureTrialStats:
         return self.successes / self.trials if self.trials else 1.0
 
 
-def whole_block_pattern(code: CompositeCode, e: int) -> List[int]:
-    """Adversarial pattern covering whole inner blocks first.
-
-    Block b holds coordinates [b*n_I, (b+1)*n_I), so that is the first e.
-    """
-    if code.inner_n is None:
-        raise ValueError("not a concatenated code")
-    return list(range(e))
-
-
 def _trial(code: CompositeCode, erased: Sequence[int], rng: random.Random,
            full_decode: bool) -> Tuple[bool, int]:
     erased = set(erased)
@@ -170,7 +159,9 @@ def erasure_monte_carlo(code: CompositeCode, e: int, trials: int, seed: int,
     stats = ErasureTrialStats(trials, successes, min_rank if min_rank is not None else code.n,
                               seed)
     if code.kind == "concatenated":
-        ok, rank = _trial(code, whole_block_pattern(code, e), rng, full_decode=True)
+        # block b holds coordinates [b*n_I, (b+1)*n_I), so the first e
+        # coordinates cover whole inner blocks first
+        ok, rank = _trial(code, list(range(e)), rng, full_decode=True)
         stats.adversarial_success = ok
         stats.min_survivor_rank = min(stats.min_survivor_rank, rank)
     return stats

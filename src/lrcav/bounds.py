@@ -1,10 +1,12 @@
 """Distance and rate bounds for (r, t)-availability codes.
 
-Includes the Wang-Rawat and Tamo-Barg-Frolov distance bounds, the
-Yaakobi alphabet-dependent bound, the Singleton-instantiated shortening
-bound, the product-form rate cap, the transcendental expansion solver
-for random biregular graphs, and the asymptotic rate-vs-distance curves
-for all four families.
+Includes the Singleton and Griesmer k*/d* oracles, the Wang-Rawat and
+Tamo-Barg-Frolov distance bounds, the Yaakobi alphabet-dependent bound,
+the shortening bound (in closed Singleton form and as oracle sweeps on
+dimension and distance), the product-form rate cap, the transcendental
+expansion solver for random biregular graphs, and the asymptotic
+rate-vs-distance curves for all four families.  Pure arithmetic: this
+module imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log2
 from typing import Callable, List, Optional
-
-from .shortening import singleton_d
 
 
 def rate_cap(r: int, t: int) -> Fraction:
@@ -25,6 +25,40 @@ def rate_cap(r: int, t: int) -> Fraction:
     for i in range(1, t + 1):
         out *= Fraction(i * r, i * r + 1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# k*(q, n, d) and d*(q, n, k) oracles
+# ---------------------------------------------------------------------------
+
+def singleton_k(q: int, n: int, d: int) -> int:
+    return n - d + 1
+
+
+def singleton_d(q: int, n: int, k: int) -> int:
+    return n - k + 1
+
+
+def griesmer_d(q: int, n: int, k: int) -> int:
+    """Largest d with sum_{i<k} ceil(d/q^i) <= n."""
+    if k < 1:
+        raise ValueError("need k >= 1")
+    d = 0
+    while sum(-(-(d + 1) // q**i) for i in range(k)) <= n:
+        d += 1
+    return d
+
+
+def griesmer_k(q: int, n: int, d: int) -> int:
+    """Largest k with sum_{i<k} ceil(d/q^i) <= n."""
+    k = 0
+    total = 0
+    while True:
+        term = -(-d // q**k)
+        if total + term > n:
+            return k
+        total += term
+        k += 1
 
 
 def wang_rawat_distance(n: int, k: int, r: int, t: int) -> int:
@@ -75,26 +109,47 @@ def shortening_singleton_distance(n: int, k: int, r: int) -> int:
     return n - (k - 1) - min((k - 2) // (r - 1), n - k)
 
 
-def griesmer_d(q: int, n: int, k: int) -> int:
-    """Largest d with sum_{i<k} ceil(d/q^i) <= n."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    d = 0
-    while sum(-(-(d + 1) // q**i) for i in range(k)) <= n:
-        d += 1
-    return d
+def shortening_k_bound(n: int, d: int, r: int, q: int = 2,
+                       k_oracle: Callable = singleton_k) -> int:
+    """Dimension bound for availability t >= 2: the minimum over feasible
+    s >= 1 of 1 + (r-1)s + k*(q, n-1-rs, d), or k*(q, n, d) when no s is
+    feasible.  Requires r >= 2 (for r = 1 the bound degenerates)."""
+    if r < 2:
+        raise ValueError("need r >= 2")
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be positive")
+    best = None
+    s = 1
+    while s * r + 1 <= n - d:
+        np = n - 1 - s * r
+        if np >= 1 and np >= d - 1:
+            val = 1 + (r - 1) * s + k_oracle(q, np, d)
+            if best is None or val < best:
+                best = val
+        s += 1
+    return k_oracle(q, n, d) if best is None else best
 
 
-def griesmer_k(q: int, n: int, d: int) -> int:
-    """Largest k with sum_{i<k} ceil(d/q^i) <= n."""
-    k = 0
-    total = 0
-    while True:
-        term = -(-d // q**k)
-        if total + term > n:
-            return k
-        total += term
-        k += 1
+def shortening_d_bound(n: int, k: int, r: int, q: int = 2,
+                       d_oracle: Callable = singleton_d) -> int:
+    """Distance bound for availability t >= 2: the minimum over feasible
+    s >= 1 of d*(q, n-1-rs, k-1-(r-1)s), or d*(q, n, k) when no s is
+    feasible.  Requires r >= 2 (for r = 1 the bound degenerates)."""
+    if r < 2:
+        raise ValueError("need r >= 2")
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
+    best = None
+    s = 1
+    while 1 + (r - 1) * s < k:
+        np = n - 1 - s * r
+        kp = k - 1 - (r - 1) * s
+        if np >= kp >= 1:
+            val = d_oracle(q, np, kp)
+            if best is None or val < best:
+                best = val
+        s += 1
+    return d_oracle(q, n, k) if best is None else best
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,14 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 
 def artifact_from_linear(code: constructions.LinearCode, kind: str,
-                         provenance: dict) -> dict:
+                         r, t, provenance: dict) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "field": {"w": code.field.w, "m": 1,
                   "modulus": code.field.modulus, "ext_modulus": None},
         "n": code.n, "k": code.k,
-        "r": code.claimed_r, "t": code.claimed_t,
+        "r": r, "t": t,
         "matrices": {"parity": code.parity.to_lists()},
         "provenance": provenance,
     }
@@ -131,7 +131,7 @@ def load_artifact(path: str):
         _base_rows(rows, base.q)
     if kind in ("wzl", "raw"):
         parity = Matrix.from_rows(base, mats["parity"], doc["n"])
-        code = constructions.LinearCode.from_parity(base, parity, doc["r"], doc["t"])
+        code = constructions.LinearCode.from_parity(base, parity)
         _check_rebuild({"k": doc["k"]}, {"k": code.k})
         return doc, code
     tower = FieldTower(base, _count(f, "m"), _base_rows([f.get("ext_modulus")], base.q)[0])
@@ -172,7 +172,7 @@ def cmd_bounds(args) -> int:
         # the shortening bound holds for codes with availability t >= 2 only
         if t >= 2:
             singleton = bounds.shortening_singleton_distance(n, k, r)
-            sweep = shortening.availability_shortening_bounds(n, k, 1, r, q).d_upper
+            sweep = bounds.shortening_d_bound(n, k, r, q)
         else:
             singleton = sweep = "n/a (needs t >= 2)"
         rows.append(("shortening_singleton", "shortening bound, Singleton form",
@@ -220,7 +220,7 @@ def cmd_construct(args) -> int:
     if args.subkind == "wzl":
         code = constructions.build_wzl(args.r, args.t)
         prov["parameters"] = {"r": args.r, "t": args.t}
-        doc = artifact_from_linear(code, "wzl", prov)
+        doc = artifact_from_linear(code, "wzl", args.r, args.t, prov)
     elif args.subkind == "concat":
         if args.blocks < 1:  # before the default m = blocks * k_I builds a tower
             raise InputError("need at least one block")
@@ -339,15 +339,14 @@ def cmd_shorten(args) -> int:
               "k_bound_cap": 1 + (args.r - 1) * res.s,
               "cl_floor": 1 + args.r * res.s}
              for res, cl in zip(per_s, closures)]
-    sb = shortening.availability_shortening_bounds(code.n, code.k, d, args.r,
-                                                   code.field.q) \
-        if args.r >= 2 else None
+    q = code.field.q
     out = {
         "I": result.I, "Cl_I": sorted(closures[args.s - 1]), "s": result.s,
         "s1": result.s1, "j": result.j,
         "per_s": table,
-        "bounds": None if sb is None else
-            {"k_upper": sb.k_upper, "d_upper": sb.d_upper},
+        "bounds": None if args.r < 2 else
+            {"k_upper": bounds.shortening_k_bound(code.n, d, args.r, q),
+             "d_upper": bounds.shortening_d_bound(code.n, code.k, args.r, q)},
     }
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0

@@ -37,15 +37,13 @@ class LinearCode:
     k: int
     parity: Matrix
     generator: Matrix
-    claimed_r: Optional[int] = None
-    claimed_t: Optional[int] = None
 
     @classmethod
-    def from_parity(cls, f: BaseField, parity: Matrix, claimed_r=None, claimed_t=None):
+    def from_parity(cls, f: BaseField, parity: Matrix):
         """The code with this parity; k is the nullspace's dimension."""
         basis = nullspace(parity)
         generator = rref(Matrix(f, len(basis), parity.cols, basis))[0]
-        return cls(f, parity.cols, generator.rows, parity, generator, claimed_r, claimed_t)
+        return cls(f, parity.cols, generator.rows, parity, generator)
 
     def codewords(self):
         """All q^k codewords, packed, in Gray order over the generator rows.
@@ -56,20 +54,24 @@ class LinearCode:
         return self.field.span(self.generator.data)
 
 
-def build_wzl(r: int, t: int, size_cap: int = 10**5) -> LinearCode:
+WZL_SIZE_CAP = 10**5  # largest WZL length n = C(r+t, t) that build_wzl builds
+EXPANSION_SUBSET_BUDGET = 24  # largest subset size check_expansion enumerates
+
+
+def build_wzl(r: int, t: int) -> LinearCode:
     """Binary code with availability t and locality r via subset incidence."""
     if r < 1 or t < 1:
         raise ValueError("need r >= 1 and t >= 1")
     n = comb(r + t, t)
-    if n > size_cap:
-        raise ValueError(f"n = C(r+t, t) = {n} exceeds the size cap {size_cap}")
+    if n > WZL_SIZE_CAP:
+        raise ValueError(f"n = C(r+t, t) = {n} exceeds the size cap {WZL_SIZE_CAP}")
     universe = list(range(r + t))
     coords = list(combinations(universe, t))
     index = {c: i for i, c in enumerate(coords)}
     f2 = BaseField(1)
     rows = [sum(1 << index[tuple(sorted(s + (v,)))] for v in universe if v not in s)
             for s in combinations(universe, t - 1)]
-    return LinearCode.from_parity(f2, Matrix(f2, len(rows), n, rows), claimed_r=r, claimed_t=t)
+    return LinearCode.from_parity(f2, Matrix(f2, len(rows), n, rows))
 
 
 @dataclass
@@ -140,11 +142,10 @@ def sample_biregular(n: int, t: int, rp1: int, seed: int,
                      "parameters too dense")
 
 
-def check_expansion(g: BipartiteGraph, alpha, gamma,
-                    subset_budget: int = 24) -> bool:
+def check_expansion(g: BipartiteGraph, alpha, gamma) -> bool:
     """Exhaustively test |Gamma(V')| > t*gamma*|V'| for all |V'| <= alpha*n."""
     max_size = int(alpha * g.n_left)
-    if max_size > subset_budget:
+    if max_size > EXPANSION_SUBSET_BUDGET:
         raise ValueError("subset size exceeds the exhaustive-check budget")
     t = len(g.adj[0]) if g.adj else 0
     for size in range(1, max_size + 1):

@@ -60,6 +60,9 @@ class BaseField:
         self.modulus = PRIMITIVE_POLY[w]
         self.zero = 0
         self.one = 1
+        if w == 1:
+            # every coordinate is one bit: the weight is the popcount
+            self.weight = int.bit_count
 
         self.exp: List[int] = [0] * self.q
         self.log: List[int] = [0] * self.q
@@ -339,8 +342,3 @@ def _subset_tables(images: List[int]) -> List[tuple]:
         tables.append((0, a0, a1, a01, a2, a2 ^ a0, a2 ^ a1, a2 ^ a01,
                        a3, a3 ^ a0, a3 ^ a1, a3 ^ a01, a23, a23 ^ a0, a23 ^ a1, a23 ^ a01))
     return tables
-
-
-def build_tower(w: int, m: int, ext_modulus: Sequence[int] | None = None,
-                seed: int = 0) -> FieldTower:
-    return FieldTower(BaseField(w), m, ext_modulus, seed)

@@ -5,9 +5,8 @@ minus any one coordinate is a recovering set for that coordinate.  The
 greedy set builder accumulates linearly independent local checks,
 preferring checks that overlap the already-covered coordinates, and
 derives for each count s of them a coordinate set I whose closure
-contains every covered coordinate.  Plugging |I| and |Cl(I)| into
-generic k*/d* oracles yields the shortening bounds on dimension and
-distance.
+contains every covered coordinate.  The bounds this construction
+proves are evaluated in ``bounds``.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from .constructions import LinearCode
 from .linalg import Matrix, RankTracker, nullspace
@@ -80,9 +79,8 @@ def _span_checks(code: LinearCode, w: int) -> List[int]:
     """
     f, n = code.field, code.n
     fw, mask = f.w, f.q - 1
-    weight = int.bit_count if fw == 1 else f.weight
     checks = [h for h in f.span(nullspace(code.generator))
-              if h and weight(h) <= w
+              if h and f.weight(h) <= w
               and h >> ((h & -h).bit_length() - 1) // fw * fw & mask == 1]
     columns = code.generator.transpose().data
     free_columns = {}
@@ -210,73 +208,3 @@ def build_shortening_set(checks: LocalCheckSet) -> List[ShorteningResult]:
         results.append(ShorteningResult(X=list(X), I=I, J=sorted(J), s=s,
                                         s1=s1, j=j_rec, l=len(X)))
     return results
-
-
-# -- oracles -----------------------------------------------------------------
-
-def singleton_k(q: int, n: int, d: int) -> int:
-    return n - d + 1
-
-
-def singleton_d(q: int, n: int, k: int) -> int:
-    return n - k + 1
-
-
-def shortened_k_bound(size_i: int, size_cl: int, n: int, d: int,
-                      q: int = 2, k_oracle: Callable = singleton_k) -> int:
-    """Dimension bound |I| + k*(q, n - |Cl(I)|, d)."""
-    if size_cl > n - d:
-        raise ValueError("need |Cl(I)| <= n - d")
-    if size_i > size_cl:
-        raise ValueError("need |I| <= |Cl(I)|")
-    return size_i + k_oracle(q, n - size_cl, d)
-
-
-@dataclass
-class ShorteningBounds:
-    k_upper: Optional[int]
-    d_upper: Optional[int]
-    k_s: Optional[int]   # minimizing s, None when no feasible s exists
-    d_s: Optional[int]
-
-
-def availability_shortening_bounds(n: int, k: int, d: int, r: int, q: int = 2,
-                                   k_oracle: Callable = singleton_k,
-                                   d_oracle: Callable = singleton_d) -> ShorteningBounds:
-    """Minimize the per-s shortening bounds over all feasible s >= 1.
-
-    Requires r >= 2 (for r = 1 the bound degenerates) and availability
-    t >= 2 of the underlying code.  When no s is feasible the plain
-    oracle values at (n, k, d) are returned and the minimizers are None.
-    """
-    if r < 2:
-        raise ValueError("need r >= 2")
-    if n < 1 or k < 1 or d < 1:
-        raise ValueError("n, k, d must be positive")
-
-    k_upper, k_s = None, None
-    s = 1
-    while s * r + 1 <= n - d:
-        np = n - 1 - s * r
-        if np >= 1 and np >= d - 1:
-            val = 1 + (r - 1) * s + k_oracle(q, np, d)
-            if k_upper is None or val < k_upper:
-                k_upper, k_s = val, s
-        s += 1
-
-    d_upper, d_s = None, None
-    s = 1
-    while 1 + (r - 1) * s < k:
-        np = n - 1 - s * r
-        kp = k - 1 - (r - 1) * s
-        if np >= kp >= 1:
-            val = d_oracle(q, np, kp)
-            if d_upper is None or val < d_upper:
-                d_upper, d_s = val, s
-        s += 1
-
-    if k_upper is None:
-        k_upper = k_oracle(q, n, d)
-    if d_upper is None:
-        d_upper = d_oracle(q, n, k)
-    return ShorteningBounds(k_upper, d_upper, k_s, d_s)

@@ -22,7 +22,7 @@ from lrcav.constructions import (assemble_concatenated, assemble_expander_code,
                                  build_expander_parity, build_wzl,
                                  check_expansion, sample_biregular)
 from lrcav.gabidulin import default_spec, gab_encode, moore_interpolate
-from lrcav.galois import BaseField, build_tower
+from lrcav.galois import BaseField, FieldTower
 from lrcav.linalg import Matrix, rank_over_base, rref
 from lrcav.shortening import (build_shortening_set, closure,
                               enumerate_local_checks)
@@ -93,7 +93,7 @@ def test_criterion_03_tightness_witnesses(report):
 
 def test_criterion_04_gabidulin_mrd_exhaustive(report):
     start = time.perf_counter()
-    tower = build_tower(1, 4)
+    tower = FieldTower(BaseField(1), 4)
     spec = default_spec(tower, 4, 2)
     best = None
     count = 0
@@ -111,7 +111,7 @@ def test_criterion_04_gabidulin_mrd_exhaustive(report):
 
 
 def test_criterion_05_interpolation_roundtrip(report):
-    tower = build_tower(2, 8, seed=1)
+    tower = FieldTower(BaseField(2), 8, seed=1)
     rng = random.Random(2024)
     n = 8
     points = [tower.basis_element(i) for i in range(n)]
@@ -132,7 +132,7 @@ def test_criterion_05_interpolation_roundtrip(report):
 def test_criterion_06_concatenated_construction(report):
     k = concatenated_dimension(30, 15, 3, 2)
     ok = k == 9
-    tower = build_tower(1, 18, seed=0)
+    tower = FieldTower(BaseField(1), 18, seed=0)
     code = assemble_concatenated(tower, 3, 2, blocks=3, k=9)
     stats = erasure_monte_carlo(code, 14, trials=1000, seed=20240)
     ok &= stats.successes == stats.trials == 1000
@@ -154,7 +154,7 @@ def test_criterion_07_expander_pipeline(report):
     base = BaseField(4)
     parity = build_expander_parity(g, base, seed=7)
     n_g = 14 - rref(parity)[1]
-    tower = build_tower(4, n_g, seed=1)
+    tower = FieldTower(BaseField(4), n_g, seed=1)
     code = assemble_expander_code(tower, parity, k=4)
     stats = erasure_monte_carlo(code, 8, trials=500, seed=4242)
     ok &= stats.successes == stats.trials == 500

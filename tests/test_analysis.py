@@ -4,11 +4,10 @@ import pytest
 
 from lrcav.analysis import (concatenated_dimension, erasure_correctable,
                             erasure_monte_carlo, min_distance,
-                            partial_block_rank_bound, verify_availability,
-                            whole_block_pattern)
+                            partial_block_rank_bound, verify_availability)
 from lrcav.constructions import (LinearCode, assemble_concatenated, build_wzl,
                                  survivor_rank)
-from lrcav.galois import BaseField, build_tower
+from lrcav.galois import BaseField, FieldTower
 from lrcav.linalg import Matrix
 
 
@@ -113,14 +112,8 @@ def test_concatenated_dimension_guards():
 
 
 def concat_code():
-    tower = build_tower(1, 18, seed=0)
+    tower = FieldTower(BaseField(1), 18, seed=0)
     return assemble_concatenated(tower, 3, 2, blocks=3, k=9)
-
-
-def test_whole_block_pattern():
-    code = concat_code()
-    assert whole_block_pattern(code, 14) == list(range(14))
-    assert whole_block_pattern(code, 10) == list(range(10))
 
 
 def test_monte_carlo_within_distance_always_succeeds():

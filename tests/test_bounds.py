@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from lrcav.bounds import (CurveRow, binary_entropy, concat_expander_crossover,
                           expander_rate, expansion_delta, gamma_for_delta,
                           griesmer_d, griesmer_k, rate_cap, rate_curves,
-                          shortening_singleton_distance, tbf_distance,
-                          wang_rawat_distance, yaakobi_distance,
-                          _expansion_residual)
-from lrcav.shortening import singleton_d
+                          shortening_d_bound, shortening_k_bound,
+                          shortening_singleton_distance, singleton_d,
+                          singleton_k, tbf_distance, wang_rawat_distance,
+                          yaakobi_distance, _expansion_residual)
 
 
 def test_rate_cap_values():
@@ -47,8 +47,44 @@ def test_yaakobi_values():
 def test_shortening_values():
     assert shortening_singleton_distance(24, 12, 3) == 8
     assert shortening_singleton_distance(10, 6, 3) == 3
-    # matches the availability sweep with Singleton oracles (see
-    # tests/test_shortening.py for the grid identity)
+    # matches the oracle sweep with the Singleton oracle (see
+    # test_shortening_d_bound_closed_form for the grid identity)
+
+
+def test_singleton_oracles():
+    assert singleton_k(2, 10, 4) == 7
+    assert singleton_d(2, 10, 7) == 4
+
+
+def test_shortening_d_bound_known_value():
+    # Singleton-instantiated distance bound at (n, k, r) = (24, 12, 3)
+    assert shortening_d_bound(24, 12, 3) == 8
+    assert shortening_d_bound(10, 6, 3) == 3
+
+
+def test_shortening_d_bound_closed_form():
+    # with the Singleton oracle the minimum over s has the closed form
+    # n - (k-1) - floor((k-2)/(r-1))
+    for n in range(6, 30):
+        for r in range(2, 6):
+            for k in range(3, n):
+                assert shortening_d_bound(n, k, r) == shortening_singleton_distance(n, k, r)
+
+
+def test_shortening_k_bound_k_direction():
+    # best s = 1: 1 + (r-1) + k*(2, n-1-r, d) = 2 + singleton_k(2, 3, 3) = 3
+    assert shortening_k_bound(6, 3, 2) == 3
+
+
+def test_shortening_k_bound_infeasible_falls_back():
+    assert shortening_k_bound(5, 4, 2) == singleton_k(2, 5, 4)
+
+
+def test_shortening_bounds_reject_r1():
+    with pytest.raises(ValueError):
+        shortening_k_bound(10, 3, 1)
+    with pytest.raises(ValueError):
+        shortening_d_bound(10, 5, 1)
 
 
 def test_shortening_never_looser_than_others():

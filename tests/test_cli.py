@@ -47,6 +47,16 @@ def test_bounds_shortening_rows_need_availability_two(capsys):
     assert "infeasible" not in out
 
 
+def test_bounds_at_huge_n_returns_at_once(capsys):
+    # the oracle sweep runs over s < (k-1)/(r-1) only, so n = 10^9 costs
+    # nothing, and with the Singleton oracle it equals the closed form
+    code, out, _ = run(capsys, "bounds", "--n", "1000000000", "--k", "12",
+                       "--r", "3", "--t", "2")
+    assert code == 0
+    rows = {line.split()[0]: line.split()[-1] for line in out.splitlines()[1:]}
+    assert rows["shortening_sweep"] == rows["shortening_singleton"] == "999999984"
+
+
 def test_bounds_rejects_bad_t(capsys):
     code, _, err = run(capsys, "bounds", "--n", "10", "--k", "5",
                        "--r", "2", "--t", "0")
@@ -115,6 +125,15 @@ def test_construct_concat_without_blocks_is_input_error(tmp_path, capsys, blocks
     code, out, err = run(capsys, "construct", "concat", "--r", "3", "--t", "2",
                          "--blocks", blocks, "--k", "2", "--out", str(path))
     assert (code, out, err) == (2, "", "error: need at least one block\n")
+    assert not path.exists()
+
+
+def test_construct_wzl_above_the_size_cap_is_input_error(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    code, out, err = run(capsys, "construct", "wzl", "--r", "20", "--t", "20",
+                         "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: n = C(r+t, t) = 137846528820 exceeds the size cap 100000\n"
     assert not path.exists()
 
 

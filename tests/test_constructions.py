@@ -15,7 +15,7 @@ from lrcav.constructions import (BipartiteGraph, LinearCode, assemble_concatenat
                                  composite_erasure_decode, encode_composite,
                                  sample_biregular, select_independent_survivors,
                                  survivor_rank)
-from lrcav.galois import BaseField, build_tower
+from lrcav.galois import BaseField, FieldTower
 from lrcav.linalg import Matrix, rref
 
 
@@ -134,7 +134,7 @@ def expander_code(seed=7):
     base = __import__("lrcav.galois", fromlist=["BaseField"]).BaseField(4)
     parity = build_expander_parity(g, base, seed=seed)
     n_g = 14 - rref(parity)[1]
-    tower = build_tower(4, n_g, seed=1)
+    tower = FieldTower(BaseField(4), n_g, seed=1)
     return assemble_expander_code(tower, parity, k=4), parity
 
 
@@ -238,7 +238,7 @@ def test_from_parity_matches_list_oracle(data):
 
 
 def concat_code():
-    tower = build_tower(1, 18, seed=0)
+    tower = FieldTower(BaseField(1), 18, seed=0)
     return assemble_concatenated(tower, 3, 2, blocks=3, k=9)
 
 
@@ -279,7 +279,7 @@ def test_concatenated_erasure_roundtrip():
 
 
 def test_concatenated_rejects_nonbinary_base():
-    tower = build_tower(2, 9, seed=0)
+    tower = FieldTower(BaseField(2), 9, seed=0)
     with pytest.raises(ValueError):
         assemble_concatenated(tower, 3, 2, blocks=1, k=3)
 
@@ -288,15 +288,15 @@ def test_assemble_expander_guards():
     _, parity = expander_code()  # 6 x 14 of full rank: n_G = 8
     repeated = Matrix(parity.field, 7, 14, parity.data + parity.data[:1])
     with pytest.raises(ValueError, match="rank deficient"):
-        assemble_expander_code(build_tower(4, 8, seed=1), repeated, k=4)
+        assemble_expander_code(FieldTower(BaseField(4), 8, seed=1), repeated, k=4)
     with pytest.raises(ValueError, match="n_G exceeds the extension degree m"):
-        assemble_expander_code(build_tower(4, 7, seed=1), parity, k=4)
+        assemble_expander_code(FieldTower(BaseField(4), 7, seed=1), parity, k=4)
     with pytest.raises(ValueError, match="k exceeds n_G"):
-        assemble_expander_code(build_tower(4, 8, seed=1), parity, k=9)
+        assemble_expander_code(FieldTower(BaseField(4), 8, seed=1), parity, k=9)
 
 
 def test_assemble_guards():
-    tower = build_tower(1, 18, seed=0)
+    tower = FieldTower(BaseField(1), 18, seed=0)
     with pytest.raises(ValueError):
         assemble_concatenated(tower, 3, 2, blocks=4, k=9)  # n_G = 24 > m
     with pytest.raises(ValueError):

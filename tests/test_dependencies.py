@@ -21,3 +21,15 @@ def test_package_imports_only_the_standard_library():
             outside += [f"{path.name}: {m}" for m in modules
                         if m.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_bounds_imports_only_the_standard_library():
+    # bounds is pure arithmetic, a leaf: no relative or lrcav import loads
+    # the field stack when it is imported
+    tree = ast.parse((PACKAGE / "bounds.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert imported
+    assert [m for m in imported if m.split(".")[0] not in sys.stdlib_module_names] == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcav.galois import BaseField, FieldTower, build_tower, is_irreducible
+from lrcav.galois import BaseField, FieldTower, is_irreducible
 
 
 # dense coefficient-list polynomials over a BaseField (low to high): the
@@ -146,7 +146,7 @@ def test_inversion_of_zero_rejected():
     f = BaseField(4)
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
-    t = build_tower(2, 3)
+    t = FieldTower(BaseField(2), 3)
     with pytest.raises(ZeroDivisionError):
         t.inv(t.zero)
 
@@ -266,7 +266,7 @@ def test_reducible_modulus_rejected():
 
 @pytest.fixture(scope="module")
 def tower():
-    return build_tower(2, 3, seed=1)
+    return FieldTower(BaseField(2), 3, seed=1)
 
 
 def test_ext_mul_identity_and_char2(tower):
@@ -284,7 +284,7 @@ def test_ext_inverse_roundtrip(tower):
 
 
 def test_ext_inverse_roundtrip_gf2_base():
-    t = build_tower(1, 18)
+    t = FieldTower(BaseField(1), 18)
     rng = random.Random(2)
     for _ in range(100):
         a = rng.randrange(1, t.base.q ** t.m)
@@ -294,7 +294,7 @@ def test_ext_inverse_roundtrip_gf2_base():
 def test_mul_matches_polynomial_product_mod_modulus():
     # independent oracle: multiply coordinate polynomials, reduce mod ext_modulus
     for w, m in [(1, 6), (2, 3), (4, 5), (8, 3)]:
-        t = build_tower(w, m, seed=w)
+        t = FieldTower(BaseField(w), m, seed=w)
         rng = random.Random(9)
         for _ in range(200):
             a, b = t.rand(rng), t.rand(rng)
@@ -381,7 +381,7 @@ def test_lane_operations_match_per_coordinate_oracles(w, data):
 @pytest.mark.parametrize("w,m", [(1, 18), (4, 5), (8, 3)])
 def test_rand_draws_coordinates_in_order(w, m):
     # seeded messages and trials depend on this draw order
-    t = build_tower(w, m)
+    t = FieldTower(BaseField(w), m)
     for s in range(20):
         rng = random.Random(s)
         expected = [rng.randrange(t.base.q) for _ in range(m)]
@@ -397,7 +397,7 @@ def test_frobenius_identity_and_power(tower):
 
 
 def test_frobenius_is_squaring_over_gf2_base():
-    t = build_tower(1, 5)
+    t = FieldTower(BaseField(1), 5)
     rng = random.Random(4)
     for _ in range(50):
         a = t.rand(rng)
@@ -407,7 +407,7 @@ def test_frobenius_is_squaring_over_gf2_base():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 3), st.data())
 def test_frobenius_base_linearity(i, data):
-    t = build_tower(2, 3, seed=1)
+    t = FieldTower(BaseField(2), 3, seed=1)
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     a, b = t.rand(rng), t.rand(rng)
     lam, mu = rng.randrange(t.base.q), rng.randrange(t.base.q)
@@ -426,7 +426,7 @@ ORACLE_TOWERS = [(1, 6), (2, 3), (4, 5), (8, 3), (3, 1)]
 
 @pytest.mark.parametrize("w,m", ORACLE_TOWERS)
 def test_frobenius_table_matches_power(w, m):
-    t = build_tower(w, m, seed=w)
+    t = FieldTower(BaseField(w), m, seed=w)
     q = t.base.q
     rng = random.Random(10 + w)
     for a in [t.zero, t.one] + [t.rand(rng) for _ in range(20)]:
@@ -436,7 +436,7 @@ def test_frobenius_table_matches_power(w, m):
 
 @pytest.mark.parametrize("w,m", ORACLE_TOWERS)
 def test_inverse_matches_power(w, m):
-    t = build_tower(w, m, seed=w)
+    t = FieldTower(BaseField(w), m, seed=w)
     e = t.base.q**m - 2
     rng = random.Random(20 + w)
     randoms = [rng.randrange(1, t.base.q ** t.m) for _ in range(20)]

@@ -13,10 +13,8 @@ from lrcav.constructions import LinearCode, build_wzl
 from lrcav.galois import BaseField
 from lrcav.linalg import Matrix, nullspace
 from lrcav.shortening import (LocalCheckSet, ShorteningResult,
-                              availability_shortening_bounds,
                               build_shortening_set, closure,
-                              enumerate_local_checks, shortened_k_bound,
-                              singleton_d, singleton_k)
+                              enumerate_local_checks)
 
 
 def test_local_checks_are_dual_words():
@@ -335,52 +333,3 @@ def test_shortening_set_matches_greedy_rref_oracle_random(w):
                   for _ in range(rng.randrange(1, min(n, 6 if w == 1 else 5)))]
         code = LinearCode.from_parity(f, Matrix.from_rows(f, parity, n))
         _assert_matches_greedy_oracle(code, rng.randrange(1, n))
-
-
-def test_singleton_oracles():
-    assert singleton_k(2, 10, 4) == 7
-    assert singleton_d(2, 10, 7) == 4
-
-
-def test_shortened_k_bound():
-    assert shortened_k_bound(3, 5, 10, 4) == 3 + singleton_k(2, 5, 4)
-    with pytest.raises(ValueError):
-        shortened_k_bound(3, 8, 10, 4)  # |Cl(I)| > n - d
-    with pytest.raises(ValueError):
-        shortened_k_bound(6, 5, 10, 4)  # |I| > |Cl(I)|
-
-
-def test_availability_bounds_known_value():
-    # Singleton-instantiated distance bound at (n, k, r) = (24, 12, 3)
-    b = availability_shortening_bounds(24, 12, 9, 3)
-    assert b.d_upper == 8
-    b2 = availability_shortening_bounds(10, 6, 4, 3)
-    assert b2.d_upper == 3
-
-
-def test_availability_bounds_closed_form():
-    # with Singleton oracles the minimum over s has the closed form
-    # n - (k-1) - floor((k-2)/(r-1))
-    from lrcav.bounds import shortening_singleton_distance
-    for n in range(6, 30):
-        for r in range(2, 6):
-            for k in range(3, n):
-                b = availability_shortening_bounds(n, k, n - k + 1, r)
-                assert b.d_upper == shortening_singleton_distance(n, k, r)
-
-
-def test_availability_bounds_k_direction():
-    b = availability_shortening_bounds(6, 3, 3, 2)
-    # best s = 1: 1 + (r-1) + k*(2, n-1-r, d) = 2 + singleton_k(2, 3, 3) = 3
-    assert b.k_upper == 3 and b.k_s == 1
-
-
-def test_availability_bounds_infeasible_falls_back():
-    b = availability_shortening_bounds(5, 2, 4, 2)
-    assert b.k_s is None
-    assert b.k_upper == singleton_k(2, 5, 4)
-
-
-def test_availability_bounds_rejects_r1():
-    with pytest.raises(ValueError):
-        availability_shortening_bounds(10, 5, 3, 1)
