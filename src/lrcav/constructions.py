@@ -276,6 +276,8 @@ def composite_erasure_decode(code: CompositeCode,
     """
     seen = set()
     for j, _ in received:
+        if not 0 <= j < code.n:
+            raise ValueError(f"surviving index {j} must lie in [0, n) with n = {code.n}")
         if j in seen:
             raise ValueError(f"duplicate surviving index {j}")
         seen.add(j)

@@ -60,40 +60,62 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
                       values: Sequence[ExtElement]) -> List[ExtElement]:
     """The unique f of q-degree < k through k independent (point, value) pairs.
 
-    Newton interpolation in O(k^2) tower operations: A is the monic
-    annihilator of the points so far and f interpolates them.  At each new
-    point p, c = A(p) is zero exactly when p lies in their span (the
-    points are then dependent, a ValueError); otherwise
-    f += ((y - f(p)) / c) * A keeps the old values and takes y at p, and
-    A <- A^q - c^(q-1) * A also vanishes at p.  Solving the Moore system
-    (entry (i, j) = points[i]^(q^j)) gives the same f in O(k^3); the
-    tests keep that solve as the oracle.  f is returned as its
-    coefficients, low q-degree first.
+    Newton interpolation in two passes of O(k^2) products and one
+    inversion.  Pass 1 builds the monic annihilators without division:
+    A_0 = x and A_(s+1) = A_s^q - c_s^(q-1) * A_s with c_s = A_s(p_s),
+    which vanishes at p_0..p_s.  It tracks A_s's values at the points
+    still pending and its coefficients; c_s is zero exactly when p_s lies
+    in the span of the earlier points (they are then dependent, a
+    ValueError).  One inversion of c_0 * ... * c_(k-1), walked back
+    through the prefix products, gives every c_s^-1.  Pass 2 takes the
+    Newton coefficients by forward substitution,
+    d_s = (y_s - sum(d_u * A_u(p_s) for u < s)) / c_s, and sums
+    f = sum(d_s * A_s).  Every product of a round leads with the operand
+    the round shares (c_s, then c_s^(q-1); c^-1, then d_s), so the tower
+    builds O(k) product tables.  Solving the Moore system (entry (i, j) =
+    points[i]^(q^j)) gives the same f in O(k^3); the tests keep that
+    solve as the oracle.  f is returned as its coefficients, low q-degree
+    first.
     """
     k = len(points)
     if len(values) != k:
         raise ValueError("points and values differ in length")
+    if not k:
+        return []
     mul, frob = tower.mul, tower.frobenius
-    f = [tower.zero] * k
-    ann = [tower.one]
-    for p, y in zip(points, values):
-        c = fp = tower.zero
-        x = p
-        for i, a in enumerate(ann):
-            if i:
-                x = frob(x, 1)
-            c ^= mul(x, a)  # x leads both products: one table build serves them
-            if f[i]:
-                fp ^= mul(x, f[i])
+    # pass 1: row s holds A_s at p_s..p_(k-1), so rows[s][0] = c_s
+    rows, anns, prefix = [], [], []
+    pending, ann = list(points), [tower.one]
+    for s in range(k):
+        c = pending[0]
         if not c:
             raise ValueError("interpolation points are linearly dependent over the base field")
-        c_inv = tower.inv(c)
-        scale = mul(c_inv, y ^ fp)
-        ratio = mul(c_inv, frob(c, 1))  # c^(q-1)
-        if scale:
-            for i, a in enumerate(ann):
-                f[i] ^= mul(scale, a)
-        ann = ([mul(ratio, ann[0])]
-               + [frob(a, 1) ^ mul(ratio, b) for a, b in zip(ann, ann[1:])]
-               + [tower.one])
+        prefix.append(mul(c, prefix[-1]) if s else c)
+        rows.append(pending)
+        anns.append(ann)
+        if s == k - 1:
+            break
+        ratio = tower.frobenius_ratio(c)  # leads each product below
+        pending = [frob(v, 1) ^ mul(ratio, v) for v in pending[1:]]
+        scaled = [mul(ratio, a) for a in ann[:-1]] + [ratio]  # ann is monic
+        ann = scaled[:1] + [x ^ frob(a, 1) for x, a in zip(scaled[1:], ann)] + [tower.one]
+    # one inversion; the walk back leads with the running inverse
+    inv = tower.inv(prefix[-1])
+    c_invs = [tower.zero] * k
+    for s in range(k - 1, 0, -1):
+        c_invs[s] = mul(inv, prefix[s - 1])
+        inv = mul(inv, rows[s][0])
+    c_invs[0] = inv
+    # pass 2: at round s, residual[j] = y_j - sum(d_u * A_u(p_j) for u < s), j >= s
+    residual = list(values)
+    f = [tower.zero] * k
+    for s, (row, ann) in enumerate(zip(rows, anns)):
+        d = mul(c_invs[s], residual[s])
+        if not d:
+            continue
+        for j, v in enumerate(row[1:], s + 1):
+            residual[j] ^= mul(d, v)
+        for i, a in enumerate(ann[:-1]):
+            f[i] ^= mul(d, a)
+        f[s] ^= d
     return f

@@ -205,6 +205,8 @@ class FieldTower:
                 break
             if ext_modulus is not None:
                 raise ValueError("extension modulus is reducible")
+        if base.w > 1:  # at w = 1 squaring is the Frobenius map and c^(q-1) = c
+            self._square_tables = self._build_square_tables()
 
     def _set_modulus(self, poly: Sequence[int]) -> None:
         """Arithmetic and Frobenius tables modulo a monic degree-m poly."""
@@ -222,21 +224,29 @@ class FieldTower:
         self._frob_tables = self._build_frobenius_tables()
 
     def _build_frobenius_tables(self) -> List[List[ExtElement]]:
+        """Byte tables of a -> a^q: it fixes GF(q) and takes x^i to (x^q)^i."""
+        xq = self.x
+        for _ in range(self.base.w):
+            xq = self.mul(xq, xq)
+        return self._linear_byte_tables(xq, 1)
+
+    def _build_square_tables(self) -> List[List[ExtElement]]:
+        """Byte tables of a -> a^2: alpha^s -> alpha^(2s) and x^i -> (x^2)^i."""
+        return self._linear_byte_tables(self.mul(self.x, self.x), 2)
+
+    def _linear_byte_tables(self, step: ExtElement, stride: int) -> List[List[ExtElement]]:
         """One table per byte of a packed element: byte value -> its image.
 
-        a -> a^q is GF(q)-linear, so the image of the bit for base value
-        2^s in coordinate i is 2^s * (x^q)^i, and a byte's image is the XOR
-        of its bits' images.
+        The map is GF(2)-linear and takes the bit for base value 2^s in
+        coordinate i to alpha^(stride*s) * step^i, so a byte's image is
+        the XOR of its bits' images.
         """
         m, w = self.m, self.base.w
-        xq = self.x
-        for _ in range(w):
-            xq = self.mul(xq, xq)
         bit_images = []
         col = self.one
         for _ in range(m):
-            bit_images += self.base.alpha_multiples(col, self._ones, w)
-            col = self.mul(xq, col)
+            bit_images += self.base.alpha_multiples(col, self._ones, stride * w)[::stride]
+            col = self.mul(step, col)
         nibbles = _subset_tables(bit_images + [0] * 4)  # padded: they pair up, one pair a byte
         return [[hi ^ lo for hi in high for lo in low]
                 for low, high in zip(nibbles[::2], nibbles[1::2])]
@@ -322,16 +332,36 @@ class FieldTower:
         """a^(q^i) by i passes of byte-table lookups; i = m is the identity."""
         if i < 0:
             raise ValueError("Frobenius power must be nonnegative")
-        tables = self._frob_tables
-        for _ in range(i % self.m):
-            out = 0
-            for table in tables:
-                if not a:
-                    break
-                out ^= table[a & 255]
-                a >>= 8
-            a = out
-        return a
+        return _apply_byte_tables(self._frob_tables, a, i % self.m)
+
+    def frobenius_ratio(self, c: ExtElement) -> ExtElement:
+        """c^(q-1), which is frob(c)/c for nonzero c, without an inversion.
+
+        Itoh-Tsujii over squaring: b_k = c^(2^k - 1) follows an addition
+        chain on w by b_2k = b_k * b_k^(2^k) and b_(k+1) = c * b_k^2, the
+        squarings by byte tables.  At w = 1 the chain is empty: c itself.
+        """
+        b, k = c, 1
+        for bit in bin(self.base.w)[3:]:
+            b = self.mul(b, _apply_byte_tables(self._square_tables, b, k))
+            k *= 2
+            if bit == "1":
+                b = self.mul(c, _apply_byte_tables(self._square_tables, b, 1))
+                k += 1
+        return b
+
+
+def _apply_byte_tables(tables: List[List[ExtElement]], a: ExtElement, passes: int) -> ExtElement:
+    """passes applications of the linear map whose byte tables these are."""
+    for _ in range(passes):
+        out = 0
+        for table in tables:
+            if not a:
+                break
+            out ^= table[a & 255]
+            a >>= 8
+        a = out
+    return a
 
 
 def _subset_tables(images: List[int]) -> List[tuple]:

@@ -1,9 +1,10 @@
-"""The benchmark's tracing hooks still find every function they wrap.
+"""The benchmark's hooks still find every function they wrap, and its ops stay correct.
 
 ``perfbench/tracing.py`` wraps lrcav functions by name, and a traced
 run (``perfbench/run.py --trace 1``) raises ``TraceTargetMissing`` for
-any that was renamed or moved.  This guard catches that in the tier-1
-suite instead of in a benchmark run.
+any that was renamed or moved.  A wrong decode would only show as the
+run's error rate.  These guards catch both in the tier-1 suite instead
+of in a benchmark run.
 """
 
 import sys
@@ -14,6 +15,7 @@ if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
 
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_tracer_installs_and_uninstalls():
@@ -25,3 +27,14 @@ def test_tracer_installs_and_uninstalls():
 def test_bindings_read_by_the_benchmark_tests_exist():
     from lrcav import analysis, shortening
     assert callable(analysis.rref) and callable(shortening.nullspace)
+
+
+def test_one_decode_block_passes_its_checks(tmp_path):
+    # every op class of the decode workload, through the bench's own call
+    # and check
+    decode = workloads.Decode()
+    decode.setup(str(tmp_path))
+    ops = decode.block(seed=1, b=0)
+    assert {op.cls for op in ops} == {cls for cls, _, _ in decode.CLASSES}
+    failures = [(op.cls, reason) for op in ops if (reason := op.check(op.call()))]
+    assert failures == []

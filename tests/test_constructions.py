@@ -197,6 +197,25 @@ def test_decode_rejects_duplicates():
         composite_erasure_decode(code, [(0, tower.zero), (0, tower.zero)])
 
 
+def test_decode_rejects_indices_outside_the_code():
+    # a negative index would alias coordinate n + j; one at n or above
+    # used to pass unless the greedy reached it
+    code = concat_code()
+    tower = code.tower
+    msg = [tower.rand(random.Random(14)) for _ in range(code.k)]
+    cw = encode_composite(code, msg)
+    received = [(j, cw[j]) for j in range(code.n)]
+    relabelled = received[:-1] + [(-1, cw[-1])]
+    shifted = [(j - code.n, y) for j, y in received]
+    for bad in (relabelled, shifted):
+        with pytest.raises(ValueError, match=r"must lie in \[0, n\)"):
+            composite_erasure_decode(code, bad)
+    for j in (code.n, code.n + 5):
+        with pytest.raises(ValueError, match=r"must lie in \[0, n\)"):
+            composite_erasure_decode(code, received + [(j, tower.zero)])
+    assert composite_erasure_decode(code, received) == msg
+
+
 def test_select_independent_survivors_matches_rank():
     code, _ = expander_code()
     rng = random.Random(9)

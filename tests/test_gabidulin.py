@@ -96,13 +96,8 @@ def test_encode_matches_per_point_evaluation(w, m):
             assert gab_encode(spec, msg) == [lin_eval(t, msg, x) for x in spec.eval_points]
 
 
-def test_encode_builds_tables_once_per_nonzero_symbol(monkeypatch):
-    # every product is one FieldTower.mul call, and a symbol's n products
-    # share the product tables of its first one
-    t = FieldTower(BaseField(4), 6, seed=2)
-    spec = GabidulinSpec(t, 6, 5, _independent_points(t, 6, random.Random(11)))
-    msg = [t.basis_element(2) ^ 7, t.zero, t.basis_element(5) ^ 1, t.zero, t.basis_element(1)]
-    expected = [lin_eval(t, msg, x) for x in spec.eval_points]
+def _count_tower_calls(monkeypatch, *names):
+    """A Counter of calls to these FieldTower methods, for the test's duration."""
     calls = Counter()
 
     def counted(name, fn):
@@ -111,11 +106,21 @@ def test_encode_builds_tables_once_per_nonzero_symbol(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(FieldTower, "mul", counted("mul", FieldTower.mul))
-    monkeypatch.setattr(FieldTower, "_nibble_tables",
-                        counted("tables", FieldTower._nibble_tables))
+    for name in names:
+        monkeypatch.setattr(FieldTower, name, counted(name, getattr(FieldTower, name)))
+    return calls
+
+
+def test_encode_builds_tables_once_per_nonzero_symbol(monkeypatch):
+    # every product is one FieldTower.mul call, and a symbol's n products
+    # share the product tables of its first one
+    t = FieldTower(BaseField(4), 6, seed=2)
+    spec = GabidulinSpec(t, 6, 5, _independent_points(t, 6, random.Random(11)))
+    msg = [t.basis_element(2) ^ 7, t.zero, t.basis_element(5) ^ 1, t.zero, t.basis_element(1)]
+    expected = [lin_eval(t, msg, x) for x in spec.eval_points]
+    calls = _count_tower_calls(monkeypatch, "mul", "_nibble_tables")
     assert gab_encode(spec, msg) == expected
-    assert calls == {"mul": 6 * 3, "tables": 3}
+    assert calls == {"mul": 6 * 3, "_nibble_tables": 3}
 
 
 def test_encode_length_mismatch():
@@ -222,7 +227,7 @@ def test_interpolate_rejects_dependent_points():
         moore_interpolate(t, [p1, p2, p1 ^ p2], [t.rand(rng) for _ in range(3)])
 
 
-@pytest.mark.parametrize("w,m", [(1, 8), (2, 4), (4, 5), (8, 3)])
+@pytest.mark.parametrize("w,m", [(1, 8), (2, 4), (3, 4), (4, 5), (8, 3), (8, 6)])
 def test_interpolate_matches_moore_solve(w, m):
     # oracle: the O(k^3) Moore-matrix solve by list elimination over the
     # tower, at random independent points
@@ -235,3 +240,48 @@ def test_interpolate_matches_moore_solve(w, m):
             f = moore_interpolate(t, pts, vals)
             assert f == solve(moore_matrix(t, pts, k), vals)
             assert [lin_eval(t, f, p) for p in pts] == vals
+
+
+@pytest.mark.parametrize("w,m,k", [(1, 36, 24), (8, 12, 6), (4, 8, 4)])
+def test_interpolate_roundtrip_at_decode_scale(w, m, k):
+    # the (w, m, k) of the benchmark's concatenated n = 60 and expander codes
+    t = FieldTower(BaseField(w), m, seed=w)
+    rng = random.Random(40 + w)
+    for _ in range(3):
+        coeffs = [t.rand(rng) for _ in range(k)]
+        pts = _independent_points(t, k, rng)
+        assert moore_interpolate(t, pts, [lin_eval(t, coeffs, p) for p in pts]) == coeffs
+
+
+@pytest.mark.parametrize("w,m,inv_products", [(1, 12, 6), (8, 6, 4)])
+def test_interpolate_inverts_once_and_builds_linear_tables(monkeypatch, w, m, inv_products):
+    # one inversion per interpolation.  With k points and chain = the
+    # products of c^(q-1) (0 at w = 1, 3 at w = 8) the products are
+    #   pass 1: k-1 prefix, (k-1)*chain, (k-1)^2 led by c^(q-1);
+    #   inv_products inside the inversion; 2(k-1) in the walk back;
+    #   pass 2: k per point, d_s then k-1 led by d_s.
+    # Tables: one per round for c (its prefix product and chain or ratio
+    # share it), one per later chain product, one per ratio at w > 1; one
+    # per inversion product; one per walk-back step; two per pass-2 round.
+    t = FieldTower(BaseField(w), m, seed=1)
+    rng = random.Random(3)
+    k = 6
+    pts = _independent_points(t, k, rng)
+    vals = [t.rand(rng) for _ in range(k)]
+    expected = solve(moore_matrix(t, pts, k), vals)
+    calls = _count_tower_calls(monkeypatch, "mul", "_nibble_tables", "inv")
+    assert moore_interpolate(t, pts, vals) == expected
+    chain = 0 if w == 1 else 3
+    products = (k - 1) * (1 + chain) + (k - 1) ** 2 + inv_products + 2 * (k - 1) + k * k
+    pass1_tables = k if w == 1 else 4 * (k - 1) + 1
+    tables = pass1_tables + inv_products + (k - 1) + 2 * k
+    assert calls == {"inv": 1, "mul": products, "_nibble_tables": tables}
+    assert (products, tables) == ((82, 29) if w == 1 else (95, 42))
+    for j in range(1, m + 1):
+        calls.clear()
+        pts = _independent_points(t, j, rng)
+        moore_interpolate(t, pts, [t.rand(rng) for _ in range(j)])
+        assert calls["inv"] == 1
+    calls.clear()
+    assert moore_interpolate(t, [], []) == []
+    assert not calls

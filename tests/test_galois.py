@@ -445,6 +445,31 @@ def test_inverse_matches_power(w, m):
         assert t.inv(a) == _pow(t, a, e)
 
 
+@pytest.mark.parametrize("w,m", ORACLE_TOWERS)
+def test_frobenius_ratio_matches_power(w, m):
+    # c^(q-1) by the squaring chain; zero maps to zero
+    t = FieldTower(BaseField(w), m, seed=w)
+    e = t.base.q - 1
+    rng = random.Random(30 + w)
+    for c in [t.zero, t.one, t.x] + [t.rand(rng) for _ in range(20)]:
+        assert t.frobenius_ratio(c) == _pow(t, c, e)
+
+
+@pytest.mark.parametrize("w,m,seed", [(1, 6, 1), (2, 2, 9), (3, 2, 3), (4, 2, 0)])
+def test_square_tables_built_once_per_tower_and_not_at_w1(monkeypatch, w, m, seed):
+    # at w > 1 the squaring tables wait for the accepted modulus (the
+    # seeds above reject a draw first); at w = 1, c^(q-1) = c needs none
+    built = []
+    original = FieldTower._build_square_tables
+    monkeypatch.setattr(FieldTower, "_build_square_tables",
+                        lambda self: built.append(self.ext_modulus) or original(self))
+    t = FieldTower(_base(w), m, seed=seed)
+    assert built == ([] if w == 1 else [t.ext_modulus])
+    if w > 1:
+        for a in range(min(t.base.q ** m, 256)):
+            assert t.frobenius_ratio(a) == _pow(t, a, t.base.q - 1)
+
+
 def test_degree_one_tower_is_the_base_field():
     # m = 1: any monic x + c is irreducible, Frobenius is the identity and
     # inversion is base-field inversion (an empty Itoh-Tsujii chain)
