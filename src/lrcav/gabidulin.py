@@ -44,15 +44,13 @@ def default_spec(tower: FieldTower, n: int, k: int) -> GabidulinSpec:
 
 
 def gab_encode(spec: GabidulinSpec, message: Sequence[ExtElement]) -> List[ExtElement]:
-    """Message-major: each nonzero symbol a_i leads its n products a_i * x_j^(q^i)."""
+    """Message-major: each nonzero symbol a_i times its row x_j^(q^i), one ``mul_row``."""
     if len(message) != spec.k:
         raise ValueError(f"message must have {spec.k} symbols")
-    mul = spec.tower.mul
     out = [spec.tower.zero] * spec.n
     for a, powers in zip(message, spec.powers):
         if a:
-            for j, x in enumerate(powers):
-                out[j] ^= mul(a, x)
+            out = [y ^ p for y, p in zip(out, spec.tower.mul_row(a, powers))]
     return out
 
 
@@ -70,9 +68,9 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
     through the prefix products, gives every c_s^-1.  Pass 2 takes the
     Newton coefficients by forward substitution,
     d_s = (y_s - sum(d_u * A_u(p_s) for u < s)) / c_s, and sums
-    f = sum(d_s * A_s).  Every product of a round leads with the operand
-    the round shares (c_s, then c_s^(q-1); c^-1, then d_s), so the tower
-    builds O(k) product tables.  Solving the Moore system (entry (i, j) =
+    f = sum(d_s * A_s).  The products of a round that share an operand
+    (c_s^(q-1), the running inverse, d_s) form one ``mul_row``, so the
+    tower builds O(k) product tables.  Solving the Moore system (entry (i, j) =
     points[i]^(q^j)) gives the same f in O(k^3); the tests keep that
     solve as the oracle.  f is returned as its coefficients, low q-degree
     first.
@@ -82,7 +80,7 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
         raise ValueError("points and values differ in length")
     if not k:
         return []
-    mul, frob = tower.mul, tower.frobenius
+    mul, mul_row, frob = tower.mul, tower.mul_row, tower.frobenius
     # pass 1: row s holds A_s at p_s..p_(k-1), so rows[s][0] = c_s
     rows, anns, prefix = [], [], []
     pending, ann = list(points), [tower.one]
@@ -95,16 +93,16 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
         anns.append(ann)
         if s == k - 1:
             break
-        ratio = tower.frobenius_ratio(c)  # leads each product below
-        pending = [frob(v, 1) ^ mul(ratio, v) for v in pending[1:]]
-        scaled = [mul(ratio, a) for a in ann[:-1]] + [ratio]  # ann is monic
+        ratio = tower.frobenius_ratio(c)
+        scaled = mul_row(ratio, pending[1:] + ann[:-1]) + [ratio]  # ann is monic
+        pending = [frob(v, 1) ^ x for v, x in zip(pending[1:], scaled)]
+        scaled = scaled[len(pending):]
         ann = scaled[:1] + [x ^ frob(a, 1) for x, a in zip(scaled[1:], ann)] + [tower.one]
-    # one inversion; the walk back leads with the running inverse
+    # one inversion, walked back through the prefix products
     inv = tower.inv(prefix[-1])
     c_invs = [tower.zero] * k
     for s in range(k - 1, 0, -1):
-        c_invs[s] = mul(inv, prefix[s - 1])
-        inv = mul(inv, rows[s][0])
+        c_invs[s], inv = mul_row(inv, (prefix[s - 1], rows[s][0]))
     c_invs[0] = inv
     # pass 2: at round s, residual[j] = y_j - sum(d_u * A_u(p_j) for u < s), j >= s
     residual = list(values)
@@ -113,9 +111,8 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
         d = mul(c_invs[s], residual[s])
         if not d:
             continue
-        for j, v in enumerate(row[1:], s + 1):
-            residual[j] ^= mul(d, v)
-        for i, a in enumerate(ann[:-1]):
-            f[i] ^= mul(d, a)
+        products = mul_row(d, row[1:] + ann[:-1])
+        residual[s + 1:] = [y ^ p for y, p in zip(residual[s + 1:], products)]
+        f[:s] = [x ^ p for x, p in zip(f, products[k - s - 1:])]
         f[s] ^= d
     return f

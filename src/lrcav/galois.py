@@ -178,9 +178,9 @@ class FieldTower:
 
     Extension elements are packed integers (see the module docstring), so
     zero is 0, one is 1, addition is XOR and an element is nonzero iff it
-    is truthy.  Beyond its fixed tables, ``mul`` keeps a one-slot memo swapped
-    in as one tuple: a caller on another thread sees a matching pair or
-    misses, so a shared tower costs at most a table rebuild.
+    is truthy.  A tower holds only tables fixed by its modulus; products
+    that share an operand go through ``mul_row``, which builds that
+    operand's tables once per row.
     """
 
     def __init__(self, base: BaseField, m: int, ext_modulus: Sequence[int] | None = None,
@@ -217,10 +217,9 @@ class FieldTower:
         # x^m = sum of the lower modulus terms (characteristic 2), packed
         self._reduce = self.base.pack(poly[:-1])
         images = self.base.alpha_multiples(self._reduce, self._ones, self.base.w)
-        self._fold_tables = _subset_tables(images)  # right for one overflowing coordinate
-        self._fold_tables = self._nibble_tables(self._reduce)  # c * x^m mod f
+        one_coordinate = _subset_tables(images)[0]  # folds one overflowing coordinate
+        self._fold_tables = self._nibble_tables(self._reduce, one_coordinate)  # c * x^m mod f
         self.x = self.basis_element(1) if self.m > 1 else self._reduce  # x mod f
-        self._memo = (None, [])  # stale mod the last candidate; each candidate starts at x*x
         self._frob_tables = self._build_frobenius_tables()
 
     def _build_frobenius_tables(self) -> List[List[ExtElement]]:
@@ -243,22 +242,22 @@ class FieldTower:
         """
         m, w = self.m, self.base.w
         bit_images = []
-        col = self.one
-        for _ in range(m):
+        col, tables = self.one, self._nibble_tables(step, self._fold_tables[0])
+        for _ in range(m):  # a chain, not a row: step's tables serve every link
             bit_images += self.base.alpha_multiples(col, self._ones, stride * w)[::stride]
-            col = self.mul(step, col)
+            (col,) = self._horner_row(tables, (col,))
         nibbles = _subset_tables(bit_images + [0] * 4)  # padded: they pair up, one pair a byte
         return [[hi ^ lo for hi in high for lo in low]
                 for low, high in zip(nibbles[::2], nibbles[1::2])]
 
-    def _nibble_tables(self, a: ExtElement) -> List[tuple]:
-        """Tables of c*a, one per nibble of a Horner window of mul.
+    def _nibble_tables(self, a: ExtElement, fold: tuple) -> List[tuple]:
+        """Tables of c*a, one per nibble of a Horner window of mul_row.
 
         Bit p of a window stands for alpha^(p mod w) * x^(p div w): lane
         doubling gives alpha^s * a, and at w < 4 a shift by one coordinate
-        is reduced mod f through the first fold table.
+        is reduced mod f through fold, a table of c * x^m for one coordinate c.
         """
-        w, top, fold = self.base.w, self._top, self._fold_tables[0]
+        w, top = self.base.w, self._top
         images = self.base.alpha_multiples(a, self._ones, w)
         for _ in range(self._window - w):
             y = images[-w] << w
@@ -276,35 +275,46 @@ class FieldTower:
     # -- arithmetic -----------------------------------------------------------
 
     def mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        """Windowed Horner over b, top window first: acc = acc*x^c + (window of b)*a.
+        """a*b, as the one-element row ``mul_row(a, [b])``."""
+        return self.mul_row(a, (b,))[0]
 
-        A window is c coordinates of b: as many as fit in 4 bits, at least one.
-        Its nibbles index tables of multiples of a, kept for the next call
-        with the same a (put a shared operand first); what the shift pushes
-        past the top coordinate folds back through the tower's tables.
+    def mul_row(self, a: ExtElement, bs: Sequence[ExtElement]) -> List[ExtElement]:
+        """[a*b for b in bs], with a's product tables built once for the row."""
+        return self._horner_row(self._nibble_tables(a, self._fold_tables[0]), bs)
+
+    def _horner_row(self, nibbles: List[tuple], bs: Sequence[ExtElement]) -> List[ExtElement]:
+        """[a*b for b in bs], a given by its nibble tables: windowed Horner
+        over each b, top window first, acc = acc*x^c + (window of b)*a.
+
+        A window is c coordinates of b: as many as fit in 4 bits, at least
+        one.  Its nibbles index a's tables; what the shift pushes past the
+        top coordinate folds back through the tower's tables.
         """
-        key, tables = self._memo
-        if key != a:
-            tables = list(zip(self._nibble_tables(a), self._fold_tables))
-            self._memo = (a, tables)
+        tables = list(zip(nibbles, self._fold_tables))
         window, full = self._window, self._full
         below, window_mask = max(self._top - window, 0), (1 << window) - 1
-        shifts = range((b.bit_length() - 1) // window * window, -1, -window)
-        acc = 0
+        shifts = range((self._top - 1) // window * window, -1, -window)
+        out = []
         if len(tables) == 1:  # w <= 4: the loop below with its one table unrolled
             ((table, fold),) = tables
+            for b in bs:
+                acc = 0
+                for shift in shifts:
+                    acc = (acc << window & full) ^ table[b >> shift & window_mask] ^ fold[acc >> below]
+                out.append(acc)
+            return out
+        for b in bs:
+            acc = 0
             for shift in shifts:
-                acc = (acc << window & full) ^ table[b >> shift & window_mask] ^ fold[acc >> below]
-            return acc
-        for shift in shifts:
-            hi = acc >> below
-            acc = acc << window & full
-            chunk = b >> shift & window_mask
-            for table, fold in tables:
-                acc ^= table[chunk & 15] ^ fold[hi & 15]
-                chunk >>= 4
-                hi >>= 4
-        return acc
+                hi = acc >> below
+                acc = acc << window & full
+                chunk = b >> shift & window_mask
+                for table, fold in tables:
+                    acc ^= table[chunk & 15] ^ fold[hi & 15]
+                    chunk >>= 4
+                    hi >>= 4
+            out.append(acc)
+        return out
 
     def inv(self, a: ExtElement) -> ExtElement:
         """Itoh-Tsujii: a^-1 = a^(r-1) / N(a) with r = (q^m-1)/(q-1).

@@ -97,12 +97,18 @@ def test_encode_matches_per_point_evaluation(w, m):
 
 
 def _count_tower_calls(monkeypatch, *names):
-    """A Counter of calls to these FieldTower methods, for the test's duration."""
+    """A Counter of calls to these FieldTower methods, for the test's duration.
+
+    With "mul_row" among them, "products" sums the rows' lengths: every
+    product is an entry of one row (a ``mul`` is a row of one).
+    """
     calls = Counter()
 
     def counted(name, fn):
         def wrapper(*args):
             calls[name] += 1
+            if name == "mul_row":
+                calls["products"] += len(args[2])
             return fn(*args)
         return wrapper
 
@@ -112,15 +118,15 @@ def _count_tower_calls(monkeypatch, *names):
 
 
 def test_encode_builds_tables_once_per_nonzero_symbol(monkeypatch):
-    # every product is one FieldTower.mul call, and a symbol's n products
-    # share the product tables of its first one
+    # a nonzero symbol's n products are one row: one table build, and no
+    # product outside a row
     t = FieldTower(BaseField(4), 6, seed=2)
     spec = GabidulinSpec(t, 6, 5, _independent_points(t, 6, random.Random(11)))
     msg = [t.basis_element(2) ^ 7, t.zero, t.basis_element(5) ^ 1, t.zero, t.basis_element(1)]
     expected = [lin_eval(t, msg, x) for x in spec.eval_points]
-    calls = _count_tower_calls(monkeypatch, "mul", "_nibble_tables")
+    calls = _count_tower_calls(monkeypatch, "mul", "mul_row", "_nibble_tables")
     assert gab_encode(spec, msg) == expected
-    assert calls == {"mul": 6 * 3, "_nibble_tables": 3}
+    assert calls == {"mul_row": 3, "products": 6 * 3, "_nibble_tables": 3}
 
 
 def test_encode_length_mismatch():
@@ -256,27 +262,29 @@ def test_interpolate_roundtrip_at_decode_scale(w, m, k):
 @pytest.mark.parametrize("w,m,inv_products", [(1, 12, 6), (8, 6, 4)])
 def test_interpolate_inverts_once_and_builds_linear_tables(monkeypatch, w, m, inv_products):
     # one inversion per interpolation.  With k points and chain = the
-    # products of c^(q-1) (0 at w = 1, 3 at w = 8) the products are
-    #   pass 1: k-1 prefix, (k-1)*chain, (k-1)^2 led by c^(q-1);
-    #   inv_products inside the inversion; 2(k-1) in the walk back;
-    #   pass 2: k per point, d_s then k-1 led by d_s.
-    # Tables: one per round for c (its prefix product and chain or ratio
-    # share it), one per later chain product, one per ratio at w > 1; one
-    # per inversion product; one per walk-back step; two per pass-2 round.
+    # products of c^(q-1) (0 at w = 1, 3 at w = 8) the single products are
+    #   pass 1: k-1 prefix, (k-1)*chain; inv_products inside the inversion;
+    #   pass 2: d_s, one per point;
+    # and the rows are those singles (a row of one each) plus
+    #   pass 1: one of k-1 products per round, led by c^(q-1);
+    #   the walk back: one pair per step, led by the running inverse;
+    #   pass 2: one of k-1 products per point, led by d_s.
+    # Every row, single or not, builds its product tables once.
     t = FieldTower(BaseField(w), m, seed=1)
     rng = random.Random(3)
     k = 6
     pts = _independent_points(t, k, rng)
     vals = [t.rand(rng) for _ in range(k)]
     expected = solve(moore_matrix(t, pts, k), vals)
-    calls = _count_tower_calls(monkeypatch, "mul", "_nibble_tables", "inv")
+    calls = _count_tower_calls(monkeypatch, "mul", "mul_row", "_nibble_tables", "inv")
     assert moore_interpolate(t, pts, vals) == expected
     chain = 0 if w == 1 else 3
     products = (k - 1) * (1 + chain) + (k - 1) ** 2 + inv_products + 2 * (k - 1) + k * k
-    pass1_tables = k if w == 1 else 4 * (k - 1) + 1
-    tables = pass1_tables + inv_products + (k - 1) + 2 * k
-    assert calls == {"inv": 1, "mul": products, "_nibble_tables": tables}
-    assert (products, tables) == ((82, 29) if w == 1 else (95, 42))
+    singles = (k - 1) * (1 + chain) + inv_products + k
+    rows = singles + (k - 1) + (k - 1) + k
+    assert calls == {"inv": 1, "mul": singles, "mul_row": rows, "products": products,
+                     "_nibble_tables": rows}
+    assert (products, rows) == ((82, 33) if w == 1 else (95, 46))
     for j in range(1, m + 1):
         calls.clear()
         pts = _independent_points(t, j, rng)

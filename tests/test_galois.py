@@ -324,10 +324,30 @@ def test_mul_matches_horner_and_polynomial_oracles(w, a_bits, b_bits, same):
             f, _poly_mul(f, f.unpack(a, m), f.unpack(b, m)), t.ext_modulus)
 
 
-@pytest.mark.parametrize("w,m", [(1, 7), (2, 3), (4, 5), (8, 3)])
+MUL_ROW_GRID = [(1, 7), (2, 3), (4, 5), (8, 3)]
+
+
+@pytest.mark.parametrize("w,m", MUL_ROW_GRID + [(5, 4), (8, 5), (16, 3)])
+def test_mul_row_matches_horner_oracle(w, m):
+    # entry by entry: w <= 4 takes the one-table loop, w = 5, 8 and 16
+    # the loop over two or four nibble tables; empty rows, zero and one on
+    # either side, repeated entries
+    t = _tower(w, m)
+    rng = random.Random(60 + w)
+    elems = [t.zero, t.one] + [t.rand(rng) for _ in range(5)]
+    rows = [[], [t.zero], [t.one], elems, elems + elems[::-1], [elems[-1]] * 3]
+    for a in elems:
+        for row in rows:
+            assert t.mul_row(a, row) == [_horner_mul(t, a, b) for b in row]
+        for b in elems:
+            assert t.mul(a, b) == t.mul_row(a, [b])[0] == t.mul(b, a)
+
+
+@pytest.mark.parametrize("w,m", MUL_ROW_GRID)
 def test_mul_memo_across_operand_changes_and_towers(w, m):
-    # mul keeps the last left operand's tables: reuse a, then switch a; hold
-    # b while a switches; a == b and zero operands; two towers interleaved
+    # a tower keeps no tables between products: reuse a, then switch a;
+    # hold b while a switches; a == b and zero operands; two towers
+    # interleaved, each product against the oracle of its own tower
     t1, t2 = FieldTower(_base(w), m, seed=1), FieldTower(_base(w), m, seed=2)
     assert t1.ext_modulus != t2.ext_modulus
     rng = random.Random(40 + w)
@@ -339,8 +359,9 @@ def test_mul_memo_across_operand_changes_and_towers(w, m):
 
 
 def test_shared_tower_products_under_thread_switches():
-    # threads that share a tower and its memo, switching every microsecond,
-    # each run the same products in their own order against the Horner oracle
+    # threads that share a tower, switching every microsecond, each run the
+    # same products in their own order against the Horner oracle: the tower
+    # holds only its fixed tables, so no thread sees another's operand
     t = _tower(4, 5)
     rng = random.Random(50)
     ops = [t.rand(rng) for _ in range(8)]
