@@ -267,9 +267,12 @@ def cmd_verify(args) -> int:
     if args.erasures is not None and args.seed is None:
         raise InputError("--erasures requires --seed")
     doc, code = load_artifact(args.code)
-    if (isinstance(code, constructions.LinearCode) and args.erasures is not None
-            and not 0 <= args.erasures <= code.n):
-        raise InputError("need 0 <= e <= n")
+    if args.erasures is not None:
+        if isinstance(code, constructions.LinearCode):
+            if not 0 <= args.erasures <= code.n:
+                raise InputError("need 0 <= e <= n")
+        elif not 0 <= args.erasures < code.n:
+            raise InputError("need 0 <= e < n")
     report = {"artifact": args.code, "kind": doc["kind"]}
     failed = False
     if args.distance:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,6 +45,16 @@ class LinearCode:
         basis = nullspace(parity)
         generator = rref(Matrix(f, len(basis), parity.cols, basis))[0]
         return cls(f, parity.cols, generator.rows, parity, generator)
+
+    @cached_property
+    def parity_columns(self) -> List[int]:
+        """The parity's columns as packed vectors, transposed once per code."""
+        return self.parity.transpose().data
+
+    @cached_property
+    def generator_columns(self) -> List[int]:
+        """The generator's columns as packed vectors, transposed once per code."""
+        return self.generator.transpose().data
 
     def codewords(self):
         """All q^k codewords, packed, in Gray order over the generator rows.

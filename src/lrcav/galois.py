@@ -97,7 +97,8 @@ class BaseField:
     def normalize(self, a: int) -> int:
         """The nonzero packed vector a scaled so its lowest nonzero coordinate is 1."""
         low = ((a & -a).bit_length() - 1) // self.w
-        return self.scalar_mul(self.inv(a >> (low * self.w) & (self.q - 1)), a)
+        lead = a >> (low * self.w) & (self.q - 1)
+        return a if lead == 1 else self.scalar_mul(self.inv(lead), a)
 
     def weight(self, a: int) -> int:
         """Number of nonzero coordinates of the packed vector a."""
@@ -126,15 +127,20 @@ class BaseField:
         return out
 
     def scalar_mul(self, lam: int, a: int) -> int:
-        """lam times each w-bit coordinate of the packed vector a."""
+        """lam times each w-bit coordinate of the packed vector a: the sum of
+        alpha^s * a over lam's set bits s, lane doubling a up to the top one."""
         if lam <= 1:
             return a if lam else 0
+        w, low, ones = self.w, self.modulus ^ self.q, self.lane_ones(a)
         out = 0
-        for image in self.alpha_multiples(a, self.lane_ones(a), lam.bit_length()):
+        while True:
             if lam & 1:
-                out ^= image
+                out ^= a
             lam >>= 1
-        return out
+            if not lam:
+                return out
+            over = a >> (w - 1) & ones
+            a = (a ^ over << (w - 1)) << 1 ^ over * low
 
     def span(self, vectors: Sequence[int]):
         """Every GF(q)-combination of the packed vectors, in Gray order.

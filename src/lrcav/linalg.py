@@ -113,13 +113,15 @@ class RankTracker:
 
     def reduce(self, row: int) -> int:
         """Row minus its projection on the basis: 0 iff row is in the span."""
-        base, w = self.base, self.base.w
+        base, w, mask = self.base, self.base.w, self.base.q - 1
         while row:
             low = ((row & -row).bit_length() - 1) // w
             pivot = self.basis.get(low)
             if pivot is None:
                 return row
-            row ^= base.scalar_mul(row >> (low * w) & (base.q - 1), pivot)
+            c = row >> (low * w) & mask
+            # c = 1, every coefficient at w = 1, needs no scalar product
+            row ^= pivot if c == 1 else base.scalar_mul(c, pivot)
         return 0
 
     def add(self, row: int) -> bool:

@@ -82,7 +82,7 @@ def _span_checks(code: LinearCode, w: int) -> List[int]:
     checks = [h for h in f.span(nullspace(code.generator))
               if h and f.weight(h) <= w
               and h >> ((h & -h).bit_length() - 1) // fw * fw & mask == 1]
-    columns = code.generator.transpose().data
+    columns = code.generator_columns
     free_columns = {}
 
     def order(h):
@@ -145,7 +145,7 @@ def closure(code: LinearCode, I: Sequence[int]) -> Set[int]:
     Coordinate j is determined iff the generator's column j lies in the
     span of its columns on I.
     """
-    columns = code.generator.transpose().data
+    columns = code.generator_columns
     tracker = RankTracker(code.field)
     for i in I:
         tracker.add(columns[i])

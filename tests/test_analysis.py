@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -5,10 +6,11 @@ import pytest
 from lrcav.analysis import (concatenated_dimension, erasure_correctable,
                             erasure_monte_carlo, min_distance,
                             partial_block_rank_bound, verify_availability)
-from lrcav.constructions import (LinearCode, assemble_concatenated, build_wzl,
-                                 survivor_rank)
+from lrcav.constructions import (LinearCode, assemble_concatenated,
+                                 assemble_expander_code, build_expander_parity,
+                                 build_wzl, sample_biregular, survivor_rank)
 from lrcav.galois import BaseField, FieldTower
-from lrcav.linalg import Matrix
+from lrcav.linalg import Matrix, rref
 
 
 def repetition_code(n):
@@ -90,6 +92,41 @@ def test_erasure_correctable_matches_distance():
                    for p in combinations(range(code.n), d))
 
 
+def _masked_parity_rank_correctable(code, erased):
+    """The rref rank of the parity masked to the erased coordinates is |E|."""
+    f, H, erased = code.field, code.parity, set(erased)
+    mask = sum((f.q - 1) << (j * f.w) for j in erased)
+    return rref(Matrix(f, H.rows, H.cols, [row & mask for row in H.data]))[1] == len(erased)
+
+
+def test_erasure_correctable_matches_the_masked_parity_rank():
+    # exhaustively up to d + 1 erasures, where both verdicts occur
+    for r, t in [(2, 2), (3, 2)]:
+        code = build_wzl(r, t)
+        for e in range(t + 3):
+            for erased in combinations(range(code.n), e):
+                assert erasure_correctable(code, erased) == \
+                    _masked_parity_rank_correctable(code, erased)
+    # seeded patterns over GF(16) (an expander parity) and GF(4) (a raw parity),
+    # with repeated indices, which count once
+    g = sample_biregular(14, 3, 7, seed=7, min_girth=4)
+    f4, rng = BaseField(2), random.Random(5)
+    raw = [[rng.randrange(f4.q) for _ in range(9)] for _ in range(4)]
+    for code in (LinearCode.from_parity(BaseField(4),
+                                        build_expander_parity(g, BaseField(4), seed=7)),
+                 LinearCode.from_parity(f4, Matrix.from_rows(f4, raw, 9))):
+        verdicts = set()
+        for _ in range(300):
+            erased = [rng.randrange(code.n) for _ in range(rng.randrange(code.n - code.k + 3))]
+            ok = erasure_correctable(code, erased)
+            assert ok == _masked_parity_rank_correctable(code, erased)
+            assert ok == erasure_correctable(code, sorted(set(erased)))
+            verdicts.add(ok)
+        assert verdicts == {True, False}
+        assert erasure_correctable(code, [])
+        assert erasure_correctable(code, [0, 0, 0]) == erasure_correctable(code, [0])
+
+
 def test_partial_block_rank_bound():
     assert partial_block_rank_bound(0, 3, 2) == 0
     assert partial_block_rank_bound(2, 3, 2) == 2
@@ -149,3 +186,11 @@ def test_monte_carlo_guards():
     code = concat_code()
     with pytest.raises(ValueError):
         erasure_monte_carlo(code, code.n, trials=5, seed=0)
+    # with no trial there is no measured survivor rank to report
+    g = sample_biregular(14, 3, 7, seed=7, min_girth=4)
+    parity = build_expander_parity(g, BaseField(4), seed=8)
+    expander = assemble_expander_code(FieldTower(BaseField(4), 8), parity, k=4)
+    for composite in (code, expander):
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match="need trials >= 1"):
+                erasure_monte_carlo(composite, 2, trials=trials, seed=0)

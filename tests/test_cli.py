@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from lrcav import cli, shortening
 from lrcav.constructions import CompositeCode, LinearCode
+from lrcav.galois import BaseField
+from lrcav.linalg import Matrix
 
 
 def run(capsys, *argv):
@@ -297,6 +300,24 @@ def test_verify_erasures_outside_the_length_is_input_error(tmp_path, capsys, e):
     assert (code, out, err) == (2, "", "error: need 0 <= e <= n\n")
 
 
+@pytest.mark.parametrize("kind,n", [("concat", 30), ("expander", 14)])
+def test_verify_erasures_outside_a_composite_is_input_error(tmp_path, capsys,
+                                                           monkeypatch, kind, n):
+    # a composite keeps one survivor at least: e lies in [0, n), checked
+    # before any trial runs
+    path = tmp_path / f"{kind}.json"
+    run(capsys, "construct", *COMPOSITE_ARTIFACTS[kind], "--out", str(path))
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr(cli.analysis, "erasure_monte_carlo", no_trials)
+    for e in (-1, n, n + 1):
+        code, out, err = run(capsys, "verify", "--code", str(path),
+                             "--erasures", str(e), "--trials", "5", "--seed", "1")
+        assert (code, out, err) == (2, "", "error: need 0 <= e < n\n")
+
+
 def test_verify_erasing_every_coordinate_is_a_failure(tmp_path, capsys):
     path = tmp_path / "wzl.json"
     run(capsys, "construct", "wzl", "--r", "2", "--t", "2", "--out", str(path))
@@ -503,6 +524,54 @@ def test_verify_mutated_artifact_keeps_the_exit_contract(valid_artifacts, capsys
     artifact.write_text(json.dumps(doc))
     assert cli.main(["verify", "--code", str(artifact), *flags]) in (0, 1, 2)
     capsys.readouterr()
+
+
+def _raw_gf4_artifact(path):
+    f, rng = BaseField(2), random.Random(4)
+    rows = [[rng.randrange(f.q) for _ in range(9)] for _ in range(4)]
+    code = LinearCode.from_parity(f, Matrix.from_rows(f, rows, 9))
+    path.write_text(json.dumps(cli.artifact_from_linear(code, "raw", 2, 1, {})))
+
+
+@pytest.mark.parametrize("kind", ["wzl", "raw", "expander"])
+def test_column_views_are_the_transposes(tmp_path, capsys, kind):
+    path = tmp_path / f"{kind}.json"
+    if kind == "wzl":
+        run(capsys, "construct", "wzl", "--r", "3", "--t", "2", "--out", str(path))
+    elif kind == "raw":
+        _raw_gf4_artifact(path)
+    else:
+        run(capsys, "construct", *COMPOSITE_ARTIFACTS[kind], "--out", str(path))
+    doc, code = cli.load_artifact(str(path))
+    if kind == "expander":  # the linear code of the stored expander parity
+        parity = Matrix.from_rows(code.tower.base, doc["matrices"]["parity"], doc["n"])
+        code = LinearCode.from_parity(code.tower.base, parity)
+    assert code.parity_columns == code.parity.transpose().data
+    assert code.generator_columns == code.generator.transpose().data
+    assert code.parity_columns is code.parity_columns
+    assert code.generator_columns is code.generator_columns
+
+
+@pytest.mark.parametrize("argv", [
+    ["shorten", "--r", "3", "--s", "2"],
+    ["verify", "--erasures", "2", "--trials", "50", "--seed", "1"],
+], ids=["shorten", "verify-erasures"])
+def test_one_run_transposes_each_matrix_of_the_code_once(tmp_path, capsys,
+                                                         monkeypatch, argv):
+    path = tmp_path / "wzl.json"
+    run(capsys, "construct", "wzl", "--r", "3", "--t", "2", "--out", str(path))
+    transposed = []
+    transpose = Matrix.transpose
+
+    def counted(self):
+        transposed.append(self)
+        return transpose(self)
+
+    monkeypatch.setattr(Matrix, "transpose", counted)
+    code, _, _ = run(capsys, argv[0], "--code", str(path), *argv[1:])
+    assert code == 0
+    assert transposed and len(transposed) <= 2
+    assert len({id(M) for M in transposed}) == len(transposed)
 
 
 def test_shorten_reports_sets_and_bounds(tmp_path, capsys):

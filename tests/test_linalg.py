@@ -174,6 +174,27 @@ def test_rank_tracker_keys_are_rref_pivots_and_reduce_tests_the_span(w):
             assert (tracker.reduce(pack(v)) == 0) == in_span
 
 
+def test_w1_tracker_fills_without_inv_or_scalar_mul(monkeypatch):
+    # at w = 1 every coefficient and every leading entry is 1: elimination
+    # is bare XORs, and normalizing a new basis row leaves it as it is
+    f, rng = BaseField(1), random.Random(3)
+    rows = build_wzl(3, 3).parity.data + [rng.getrandbits(20) for _ in range(40)]
+    expected = RankTracker(f)
+    for row in rows:
+        expected.add(row)
+
+    def forbidden(*args):
+        raise AssertionError("called at w = 1")
+
+    monkeypatch.setattr(BaseField, "inv", forbidden)
+    monkeypatch.setattr(BaseField, "scalar_mul", forbidden)
+    tracker = RankTracker(f)
+    for row in rows:
+        tracker.add(row)
+    assert tracker.basis == expected.basis and tracker.rank == 20
+    assert all(tracker.reduce(row) == 0 for row in rows)
+
+
 def test_from_rows_rejects_entries_outside_the_field():
     # an entry >= q would spill into the next packed coordinate
     with pytest.raises(ValueError):
