@@ -56,14 +56,14 @@ def artifact_from_composite(code: constructions.CompositeCode, kind: str,
                   "ext_modulus": list(tower.ext_modulus)},
         "n": code.n, "k": code.k,
         "r": r, "t": t,
-        "matrices": {"outer_map": code.outer_map.to_lists()},
+        "matrices": {"outer_map": code.outer.generator.to_lists()},
         "params": {"n_G": code.n_g},
         "provenance": provenance,
     }
     if kind == "concat":
         doc["params"].update(blocks=code.blocks, n_I=code.inner_n, k_I=code.inner_k)
     if kind == "expander":
-        doc["matrices"]["parity"] = provenance.get("parity")
+        doc["matrices"]["parity"] = code.outer.parity.to_lists()
     return doc
 
 
@@ -144,7 +144,7 @@ def load_artifact(path: str):
     else:
         parity = Matrix.from_rows(base, mats["parity"], doc["n"])
         code = constructions.assemble_expander_code(tower, parity, doc["k"])
-    _check_rebuild(stored, {"outer_map": code.outer_map.to_lists(), "n": code.n,
+    _check_rebuild(stored, {"outer_map": code.outer.generator.to_lists(), "n": code.n,
                             "n_G": code.n_g, "n_I": code.inner_n, "k_I": code.inner_k})
     return doc, code
 

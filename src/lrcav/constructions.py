@@ -6,9 +6,9 @@ check covering the t-subsets that contain it.  This gives n = C(r+t, t),
 dimension n*r/(r+t), distance t+1, and explicit disjoint recovering sets
 for every coordinate.
 
-Composite codes layer a Gabidulin code over a base-field linear map:
+Composite codes layer a Gabidulin code over a base-field outer code:
 a message is Gabidulin-encoded to n_G extension symbols, then expanded
-to n coordinates by a full-row-rank generator over the base field.  By
+to n coordinates by the outer code's generator (full row rank).  By
 linearity every coordinate is the evaluation of the message polynomial
 at a base-field combination of the original evaluation points, so
 erasure decoding reduces to picking k independent surviving points and
@@ -18,7 +18,7 @@ interpolating.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -180,20 +180,26 @@ def build_expander_parity(g: BipartiteGraph, base: BaseField, seed: int) -> Matr
 
 @dataclass
 class CompositeCode:
-    """Gabidulin outer code pushed through a base-field generator map."""
+    """Gabidulin code pushed through the generator of a base-field outer code."""
 
     kind: str  # "expander" | "concatenated"
     tower: FieldTower
     gab: GabidulinSpec
-    outer_map: Matrix          # n_G x n over the base field, full row rank
-    beta: List[ExtElement]     # per coordinate: combination of eval points
+    outer: LinearCode          # its generator G is n_G x n, full row rank
     inner_n: Optional[int] = None
     inner_k: Optional[int] = None
     blocks: Optional[int] = None
+    beta: List[ExtElement] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # the evaluation points are 1, x, ..., x^(n_G-1) (default_spec), so
+        # coordinate j evaluates at sum_i G[i][j] x^i, column j of G; bound
+        # once, as the decoder reads it per survivor
+        self.beta = self.outer.generator_columns
 
     @property
     def n(self) -> int:
-        return self.outer_map.cols
+        return self.outer.n
 
     @property
     def k(self) -> int:
@@ -204,33 +210,16 @@ class CompositeCode:
         return self.gab.n
 
 
-def _apply_outer_map(tower: FieldTower, outer_map: Matrix,
-                     symbols: Sequence[ExtElement]) -> List[ExtElement]:
-    """Coordinate j is sum_i outer_map[i][j] * symbols[i] (base scalars)."""
-    scalar_mul, w, mask = tower.base.scalar_mul, tower.base.w, tower.base.q - 1
-    out = [tower.zero] * outer_map.cols
-    for row, symbol in zip(outer_map.data, symbols):
-        while row:  # the row's nonzero coordinates, lowest first
-            j = ((row & -row).bit_length() - 1) // w
-            lam = row >> (j * w) & mask
-            out[j] ^= scalar_mul(lam, symbol)
-            row ^= lam << (j * w)
-    return out
-
-
 def assemble_expander_code(tower: FieldTower, parity: Matrix, k: int) -> CompositeCode:
     """Composite of a Gabidulin code with the code defined by an expander parity."""
-    base_code = LinearCode.from_parity(tower.base, parity)
-    n_g, outer_map = base_code.k, base_code.generator
-    if n_g != parity.cols - parity.rows:
+    outer = LinearCode.from_parity(tower.base, parity)
+    if outer.k != parity.cols - parity.rows:
         raise ValueError("expander parity matrix is rank deficient")
-    if n_g > tower.m:
+    if outer.k > tower.m:
         raise ValueError("n_G exceeds the extension degree m")
-    if k > n_g:
+    if k > outer.k:
         raise ValueError("k exceeds n_G")
-    gab = default_spec(tower, n_g, k)
-    beta = _apply_outer_map(tower, outer_map, gab.eval_points)
-    return CompositeCode("expander", tower, gab, outer_map, beta)
+    return CompositeCode("expander", tower, default_spec(tower, outer.k, k), outer)
 
 
 def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
@@ -241,24 +230,34 @@ def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
     if blocks < 1:
         raise ValueError("need at least one block")
     inner = build_wzl(r, t)
-    g_inner, n_i, k_i = inner.generator, inner.n, inner.k
+    n_i, k_i = inner.n, inner.k
     n_g = blocks * k_i
     if n_g > tower.m:
         raise ValueError("n_G = blocks*k_I exceeds the extension degree m")
     if k > n_g:
         raise ValueError("k exceeds n_G")
-    # block b holds the inner generator on coordinates [b*n_I, (b+1)*n_I); w = 1
-    outer = Matrix(tower.base, n_g, blocks * n_i,
-                   [row << (b * n_i) for b in range(blocks) for row in g_inner.data])
-    gab = default_spec(tower, n_g, k)
-    beta = _apply_outer_map(tower, outer, gab.eval_points)
-    return CompositeCode("concatenated", tower, gab, outer, beta,
+    # block b holds the inner code on coordinates [b*n_I, (b+1)*n_I), w = 1;
+    # the block-diagonal of an rref generator is in rref: no elimination
+    parity, generator = (Matrix(tower.base, blocks * mat.rows, blocks * n_i,
+                                [row << (b * n_i) for b in range(blocks) for row in mat.data])
+                         for mat in (inner.parity, inner.generator))
+    outer = LinearCode(tower.base, blocks * n_i, n_g, parity, generator)
+    return CompositeCode("concatenated", tower, default_spec(tower, n_g, k), outer,
                          inner_n=n_i, inner_k=k_i, blocks=blocks)
 
 
 def encode_composite(code: CompositeCode, message: Sequence[ExtElement]) -> List[ExtElement]:
-    """Gabidulin-encode, then apply the outer map coefficient-wise."""
-    return _apply_outer_map(code.tower, code.outer_map, gab_encode(code.gab, message))
+    """Gabidulin-encode, then apply the outer generator: y_j = sum_i G[i][j] c_i."""
+    tower = code.tower
+    scalar_mul, w, mask = tower.base.scalar_mul, tower.base.w, tower.base.q - 1
+    out = [tower.zero] * code.n
+    for row, symbol in zip(code.outer.generator.data, gab_encode(code.gab, message)):
+        while row:  # the row's nonzero coordinates, lowest first
+            j = ((row & -row).bit_length() - 1) // w
+            lam = row >> (j * w) & mask
+            out[j] ^= scalar_mul(lam, symbol)
+            row ^= lam << (j * w)
+    return out
 
 
 def select_independent_survivors(code: CompositeCode,

@@ -2,13 +2,15 @@
 
 ``perfbench/tracing.py`` wraps lrcav functions by name, and a traced
 run (``perfbench/run.py --trace 1``) raises ``TraceTargetMissing`` for
-any that was renamed or moved.  A wrong decode would only show as the
-run's error rate.  These guards catch both in the tier-1 suite instead
-of in a benchmark run.
+any that was renamed or moved.  A wrong decode, verify or curves op
+would only show as the run's error rate.  These guards catch both in
+the tier-1 suite instead of in a benchmark run.
 """
 
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(BENCH) not in sys.path:
@@ -29,12 +31,19 @@ def test_bindings_read_by_the_benchmark_tests_exist():
     assert callable(analysis.rref) and callable(shortening.nullspace)
 
 
-def test_one_decode_block_passes_its_checks(tmp_path):
-    # every op class of the decode workload, through the bench's own call
-    # and check
-    decode = workloads.Decode()
-    decode.setup(str(tmp_path))
-    ops = decode.block(seed=1, b=0)
-    assert {op.cls for op in ops} == {cls for cls, _, _ in decode.CLASSES}
+@pytest.mark.parametrize("workload,classes", [
+    (workloads.Decode, {cls for cls, *_ in workloads.Decode.CLASSES}),
+    (workloads.Verify, {cls for cls, *_ in workloads.Verify.CLASSES}),
+    (workloads.Curves, {"bounds", "curves_g10", "curves_g20", "curves_g30",
+                        "curves_g45", "curves_g200"}),
+], ids=["decode", "verify", "curves"])
+def test_one_block_passes_its_checks(tmp_path, workload, classes):
+    # every op class of one seeded block, through the bench's own call and
+    # check: composite round trips, in-process verify and shorten on
+    # stored artifacts, curves and bounds tables
+    bench = workload()
+    bench.setup(str(tmp_path))
+    ops = bench.block(seed=1, b=0)
+    assert {op.cls for op in ops} == classes
     failures = [(op.cls, reason) for op in ops if (reason := op.check(op.call()))]
     assert failures == []

@@ -6,8 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lrcav import cli, shortening
-from lrcav.constructions import CompositeCode, LinearCode
-from lrcav.galois import BaseField
+from lrcav.constructions import (CompositeCode, LinearCode, assemble_expander_code,
+                                 build_expander_parity, sample_biregular)
+from lrcav.galois import BaseField, FieldTower
 from lrcav.linalg import Matrix
 
 
@@ -160,6 +161,22 @@ def test_construct_expander_roundtrip(tmp_path, capsys):
     doc, loaded = cli.load_artifact(str(path))
     assert isinstance(loaded, CompositeCode)
     assert loaded.n == 14 and loaded.k == 4
+
+
+def test_expander_artifact_takes_its_parity_from_the_code(tmp_path, capsys):
+    # the stored parity is the outer code's, so an artifact saved from a
+    # provenance without one still verifies
+    g = sample_biregular(14, 3, 7, seed=7, min_girth=4)
+    parity = build_expander_parity(g, BaseField(4), seed=8)
+    composite = assemble_expander_code(FieldTower(BaseField(4), 8), parity, 4)
+    doc = cli.artifact_from_composite(composite, "expander", 6, 3, {"seed": 7})
+    assert doc["matrices"]["parity"] == parity.to_lists()
+    path = tmp_path / "exp.json"
+    cli.save_artifact(doc, str(path))
+    code, out, err = run(capsys, "verify", "--code", str(path), "--erasures", "2",
+                         "--trials", "3", "--seed", "1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["erasures"]["successes"] == 3
 
 
 def test_construct_expander_too_dense_for_girth6(tmp_path, capsys):
@@ -543,9 +560,8 @@ def test_column_views_are_the_transposes(tmp_path, capsys, kind):
     else:
         run(capsys, "construct", *COMPOSITE_ARTIFACTS[kind], "--out", str(path))
     doc, code = cli.load_artifact(str(path))
-    if kind == "expander":  # the linear code of the stored expander parity
-        parity = Matrix.from_rows(code.tower.base, doc["matrices"]["parity"], doc["n"])
-        code = LinearCode.from_parity(code.tower.base, parity)
+    if kind == "expander":  # the code of the stored expander parity
+        code = code.outer
     assert code.parity_columns == code.parity.transpose().data
     assert code.generator_columns == code.generator.transpose().data
     assert code.parity_columns is code.parity_columns

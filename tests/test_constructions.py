@@ -320,3 +320,66 @@ def test_assemble_guards():
         assemble_concatenated(tower, 3, 2, blocks=4, k=9)  # n_G = 24 > m
     with pytest.raises(ValueError):
         assemble_concatenated(tower, 3, 2, blocks=3, k=19)  # k > n_G
+
+
+@pytest.fixture(scope="module")
+def outer_code_cases():
+    """name -> (code, expander parity or None): the four decode bench
+    codes, a GF(4) expander and a one-block concat."""
+    def expander(n, t, rp1, w, graph_seed, min_girth, k):
+        g = sample_biregular(n, t, rp1, seed=graph_seed, min_girth=min_girth)
+        parity = build_expander_parity(g, BaseField(w), seed=graph_seed + 1)
+        tower = FieldTower(BaseField(w), n - rref(parity)[1])
+        return assemble_expander_code(tower, parity, k), parity
+
+    def concat(m, blocks, k):
+        return assemble_concatenated(FieldTower(BaseField(1), m), 3, 2, blocks, k), None
+
+    return {
+        "concat_n30": concat(18, 3, 9),
+        "concat_n60": concat(36, 6, 24),
+        "expander_n14": expander(14, 3, 7, 4, 7, 4, 4),
+        "expander_n20": expander(20, 2, 5, 8, 3, 6, 6),
+        "expander_gf4": expander(12, 2, 4, 2, 1, 6, 3),
+        "concat_one_block": concat(6, 1, 3),
+    }
+
+
+@pytest.mark.parametrize("name", ["concat_n30", "concat_n60", "expander_n14",
+                                  "expander_n20", "expander_gf4", "concat_one_block"])
+def test_beta_is_the_outer_map_applied_to_the_evaluation_points(outer_code_cases, name):
+    # the outer map applied to the evaluation points, in tower products:
+    # beta_j = sum_i G[i][j] * eval_points[i]
+    code, _ = outer_code_cases[name]
+    tower, G = code.tower, code.outer.generator.to_lists()
+    assert len(code.beta) == code.n == code.outer.n
+    for j in range(code.n):
+        expected = tower.zero
+        for row, point in zip(G, code.gab.eval_points):
+            expected ^= tower.mul(row[j], point)
+        assert code.beta[j] == expected
+
+
+@pytest.mark.parametrize("name", ["expander_n14", "expander_n20", "expander_gf4"])
+def test_expander_outer_code_is_the_code_of_its_parity(outer_code_cases, name):
+    code, parity = outer_code_cases[name]
+    assert code.outer.parity.to_lists() == parity.to_lists()
+    assert code.outer.k == code.n_g
+
+
+@pytest.mark.parametrize("r,t,blocks", [(3, 2, 3), (3, 2, 6), (2, 2, 4), (2, 3, 2),
+                                        (4, 2, 1)])
+def test_concatenated_outer_code_is_the_code_of_its_parity(r, t, blocks):
+    # the block-diagonal inner generator, in rref without an elimination,
+    # is the generator from_parity derives from the block-diagonal parity
+    k_i = build_wzl(r, t).k
+    code = assemble_concatenated(FieldTower(BaseField(1), blocks * k_i), r, t,
+                                 blocks, k=1)
+    outer = code.outer
+    assert (outer.n, outer.k) == (code.n, code.n_g) == (blocks * code.inner_n,
+                                                        blocks * k_i)
+    rebuilt = LinearCode.from_parity(outer.field, outer.parity)
+    assert rebuilt.generator.to_lists() == outer.generator.to_lists()
+    H = ListMatrix.from_rows(outer.field, outer.parity.to_lists(), outer.n)
+    for g in outer.generator.to_lists():
+        assert H.mul_vec(g) == [0] * outer.parity.rows
