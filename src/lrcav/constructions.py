@@ -17,6 +17,7 @@ interpolating.
 
 from __future__ import annotations
 
+import logging
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,6 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .galois import BaseField, ExtElement, FieldTower
 from .gabidulin import GabidulinSpec, default_spec, gab_encode, moore_interpolate
 from .linalg import Matrix, RankTracker, nullspace, rank_over_base, rref
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -107,14 +110,29 @@ class BipartiteGraph:
         return out
 
     def is_simple(self) -> bool:
-        return all(len(set(nbrs)) == len(nbrs) for nbrs in self.adj)
+        return _has_girth(self.adj, 4)
 
     def is_simple_girth_gt4(self) -> bool:
         """No repeated edges and no two left vertices sharing >= 2 rights."""
-        if not self.is_simple():
-            return False
-        sets = [set(nbrs) for nbrs in self.adj]
-        return all(len(a & b) < 2 for a, b in combinations(sets, 2))
+        return _has_girth(self.adj, 6)
+
+
+def _has_girth(adj, min_girth: int) -> bool:
+    """Is the graph with these left adjacencies simple and, at min_girth 6,
+    free of 4-cycles?  Stops at the first offending left vertex.
+
+    Walks the left vertices in order: a pair of equal rights is a repeated
+    edge, and a right pair already met at an earlier left vertex closes a
+    4-cycle.
+    """
+    seen = set()
+    for nbrs in adj:
+        for pair in combinations(sorted(nbrs), 2):
+            if pair[0] == pair[1] or pair in seen:
+                return False
+            if min_girth == 6:
+                seen.add(pair)
+    return True
 
 
 def sample_biregular(n: int, t: int, rp1: int, seed: int,
@@ -125,9 +143,13 @@ def sample_biregular(n: int, t: int, rp1: int, seed: int,
     rejects parallel edges.  Some dense parameter sets admit no 4-cycle
     free graph at all (n * C(t,2) left pair slots vs C(n_right, 2)
     distinct right pairs), which is what the relaxed setting is for.
-    Raises ValueError, as for any other unusable parameters, when no
-    sample in max_tries passes.
+    Left vertex v takes the t right stubs at [v*t, (v+1)*t) of each
+    shuffle, and a shuffle is rejected at its first offending vertex,
+    before any graph is built.  Raises ValueError, as for any other
+    unusable parameters, when no sample in max_tries passes.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if t < 1 or rp1 < 2:
         raise ValueError("need t >= 1 and r+1 >= 2")
     if (n * t) % rp1 != 0:
@@ -136,19 +158,15 @@ def sample_biregular(n: int, t: int, rp1: int, seed: int,
         raise ValueError("min_girth must be 4 or 6")
     n_right = n * t // rp1
     rng = random.Random(seed)
-    left_stubs = [v for v in range(n) for _ in range(t)]
     right_stubs = [c for c in range(n_right) for _ in range(rp1)]
-    for _ in range(max_tries):
+    for tries in range(max_tries):
         rng.shuffle(right_stubs)
-        adj: List[List[int]] = [[] for _ in range(n)]
-        for v, c in zip(left_stubs, right_stubs):
-            adj[v].append(c)
-        g = BipartiteGraph(n, n_right, [sorted(a) for a in adj])
-        if min_girth == 6:
-            if g.is_simple_girth_gt4():
-                return g
-        elif g.is_simple():
-            return g
+        # left vertex v takes the stubs at [v*t, (v+1)*t): t-tuples in order
+        if _has_girth(zip(*[iter(right_stubs)] * t), min_girth):
+            log.debug("sample_biregular(n=%d, t=%d, r+1=%d): rejected %d samples",
+                      n, t, rp1, tries)
+            return BipartiteGraph(n, n_right, [sorted(right_stubs[v * t:(v + 1) * t])
+                                               for v in range(n)])
     raise ValueError(f"no girth>={min_girth} simple sample in {max_tries} tries; "
                      "parameters too dense")
 

@@ -19,12 +19,15 @@ Primitive polynomials used for the base fields (one per width w):
 
 from __future__ import annotations
 
+import logging
 import random
 from typing import List, Sequence
 
 from .linalg import RankTracker
 
 ExtElement = int
+
+log = logging.getLogger(__name__)
 
 # Primitive polynomials over GF(2), keyed by degree w; bit i is the
 # coefficient of x^i.  With these moduli the element x (integer 2) is a
@@ -202,20 +205,32 @@ class FieldTower:
         self._ones = self._full // (base.q - 1)
         self._window = max(1, 4 // base.w) * base.w
         # without a modulus, seeded draws of monic candidates until one is
-        # irreducible (a degree-1 candidate always is)
+        # irreducible (a degree-1 candidate always is); the root test of
+        # _set_modulus rejects most of them before any byte table is built
         rng = random.Random(seed)
+        rejected = by_root = 0
         while True:
-            self._set_modulus(ext_modulus if ext_modulus is not None else
-                              [rng.randrange(base.q) for _ in range(m)] + [1])
-            if is_irreducible(self):
+            rootless = self._set_modulus(ext_modulus if ext_modulus is not None else
+                                         [rng.randrange(base.q) for _ in range(m)] + [1])
+            if rootless and is_irreducible(self):
                 break
             if ext_modulus is not None:
                 raise ValueError("extension modulus is reducible")
+            rejected += 1
+            by_root += not rootless
+        log.debug("modulus search (w=%d, m=%d): rejected %d candidates, %d by the root test",
+                  base.w, m, rejected, by_root)
         if base.w > 1:  # at w = 1 squaring is the Frobenius map and c^(q-1) = c
             self._square_tables = self._build_square_tables()
 
-    def _set_modulus(self, poly: Sequence[int]) -> None:
-        """Arithmetic and Frobenius tables modulo a monic degree-m poly."""
+    def _set_modulus(self, poly: Sequence[int]) -> bool:
+        """Arithmetic and Frobenius tables modulo a monic degree-m poly.
+
+        At m > 1 a poly with a root in GF(q) is reducible: that is
+        gcd(poly, x^q - x) != 1, found from x^q before any byte table is
+        built.  Returns False for such a poly (its Frobenius tables left
+        unbuilt), True otherwise.
+        """
         poly = tuple(poly)
         if len(poly) != self.m + 1 or poly[-1] != 1:
             raise ValueError("extension modulus must be monic of degree m")
@@ -226,14 +241,16 @@ class FieldTower:
         one_coordinate = _subset_tables(images)[0]  # folds one overflowing coordinate
         self._fold_tables = self._nibble_tables(self._reduce, one_coordinate)  # c * x^m mod f
         self.x = self.basis_element(1) if self.m > 1 else self._reduce  # x mod f
-        self._frob_tables = self._build_frobenius_tables()
-
-    def _build_frobenius_tables(self) -> List[List[ExtElement]]:
-        """Byte tables of a -> a^q: it fixes GF(q) and takes x^i to (x^q)^i."""
-        xq = self.x
-        for _ in range(self.base.w):
+        # x^q by squarings, from the highest x^(2^s) below x^m: a basis element
+        s = min(self.base.w, max(self.m - 1, 1).bit_length() - 1)
+        xq = self.basis_element(1 << s) if s else self.x
+        for _ in range(self.base.w - s):
             xq = self.mul(xq, xq)
-        return self._linear_byte_tables(xq, 1)
+        if self.m > 1 and _poly_gcd(self.base, self.base.pack(poly), xq ^ self.x) != 1:
+            return False
+        # a -> a^q fixes GF(q) and takes x^i to (x^q)^i
+        self._frob_tables = self._linear_byte_tables(xq, 1)
+        return True
 
     def _build_square_tables(self) -> List[List[ExtElement]]:
         """Byte tables of a -> a^2: alpha^s -> alpha^(2s) and x^i -> (x^2)^i."""
@@ -388,3 +405,22 @@ def _subset_tables(images: List[int]) -> List[tuple]:
         tables.append((0, a0, a1, a01, a2, a2 ^ a0, a2 ^ a1, a2 ^ a01,
                        a3, a3 ^ a0, a3 ^ a1, a3 ^ a01, a23, a23 ^ a0, a23 ^ a1, a23 ^ a01))
     return tables
+
+
+def _poly_gcd(base: BaseField, a: int, b: int) -> int:
+    """The monic gcd of two packed polynomials over GF(q), not both zero.
+
+    Coefficient i sits in bits [i*w, (i+1)*w), as in an extension element,
+    so the top coordinate is the leading coefficient.  Euclid: a mod b
+    cancels a's leading term with a shifted multiple of b until a's degree
+    drops below b's.
+    """
+    w = base.w
+    while b:
+        top = (b.bit_length() - 1) // w
+        inv_lead = base.inv(b >> top * w)
+        while a.bit_length() > top * w:
+            shift = (a.bit_length() - 1) // w
+            a ^= base.scalar_mul(base.mul(a >> shift * w, inv_lead), b << (shift - top) * w)
+        a, b = b, a
+    return base.scalar_mul(base.inv(a >> (a.bit_length() - 1) // w * w), a)

@@ -11,7 +11,7 @@ operations are pure and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -113,21 +113,27 @@ class RankTracker:
 
     def reduce(self, row: int) -> int:
         """Row minus its projection on the basis: 0 iff row is in the span."""
+        return self._reduce(row)[0]
+
+    def _reduce(self, row: int) -> Tuple[int, int, int]:
+        """(the reduced row, its lowest nonzero coordinate, that coordinate's
+        value); (0, 0, 0) iff row is in the span."""
         base, w, mask = self.base, self.base.w, self.base.q - 1
         while row:
             low = ((row & -row).bit_length() - 1) // w
+            c = row >> (low * w) & mask
             pivot = self.basis.get(low)
             if pivot is None:
-                return row
-            c = row >> (low * w) & mask
+                return row, low, c
             # c = 1, every coefficient at w = 1, needs no scalar product
             row ^= pivot if c == 1 else base.scalar_mul(c, pivot)
-        return 0
+        return 0, 0, 0
 
     def add(self, row: int) -> bool:
         """Add a row; True iff it increased the rank."""
-        row = self.reduce(row)
+        row, low, lead = self._reduce(row)
         if not row:
             return False
-        self.basis[((row & -row).bit_length() - 1) // self.base.w] = self.base.normalize(row)
+        # keyed by the pivot reduce found, scaled so it is 1 (it is at w = 1)
+        self.basis[low] = row if lead == 1 else self.base.scalar_mul(self.base.inv(lead), row)
         return True

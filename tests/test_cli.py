@@ -203,6 +203,17 @@ def test_construct_expander_rejects_r_or_t_below_one(tmp_path, capsys, r, t):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_construct_expander_rejects_n_below_one(tmp_path, capsys, n):
+    # the guard names n itself, not the extension degree n_G = 0 it led to
+    path = tmp_path / "x.json"
+    code, out, err = run(capsys, "construct", "expander", "--n", n, "--r", "4",
+                         "--t", "2", "--w", "8", "--seed", "3", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: need n >= 1\n"
+    assert not path.exists()
+
+
 def test_verify_wzl_distance_and_availability(tmp_path, capsys):
     path = tmp_path / "wzl.json"
     run(capsys, "construct", "wzl", "--r", "2", "--t", "2", "--out", str(path))

@@ -1,3 +1,5 @@
+import hashlib
+import logging
 import random
 from itertools import combinations
 from math import comb
@@ -113,6 +115,64 @@ def test_sample_biregular_deterministic():
     a = sample_biregular(12, 2, 3, seed=5)
     b = sample_biregular(12, 2, 3, seed=5)
     assert a.adj == b.adj
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_sample_biregular_rejects_n_below_one(n):
+    with pytest.raises(ValueError, match=r"^need n >= 1$"):
+        sample_biregular(n, 2, 5, seed=1)
+
+
+# Samples recorded from the sampler that built and checked the whole graph
+# for every try: rejecting a try at its first offending vertex must leave
+# every draw, and so every accepted graph, as it was.
+PINNED_GRAPHS = {
+    # decode bench, girth 6: n = 20, t = 2, r+1 = 5 over GF(256)
+    (20, 2, 5, 3, 6): [[2, 5], [5, 6], [3, 7], [1, 5], [3, 4], [1, 3], [0, 2], [1, 6],
+                       [2, 3], [0, 4], [2, 4], [4, 6], [5, 7], [6, 7], [0, 1], [2, 6],
+                       [4, 5], [0, 7], [1, 7], [0, 3]],
+    # decode bench and the verify bench's expander artifact: n = 14, t = 3, r+1 = 7
+    (14, 3, 7, 7, 4): [[1, 2, 4], [0, 1, 3], [0, 4, 5], [0, 3, 5], [2, 3, 4], [2, 3, 5],
+                       [2, 3, 4], [0, 1, 3], [1, 3, 5], [0, 1, 4], [1, 2, 4], [2, 4, 5],
+                       [0, 1, 5], [0, 2, 5]],
+}
+
+# sha256 of repr([adjacency for seed in range(20)]) per (n, t, r+1, min_girth)
+PINNED_SWEEPS = {
+    (12, 2, 3, 6): "d8768681d989c2879514ec36abb0423ac99370f902149d0fcd1d4e42e51e20f0",
+    (12, 2, 4, 6): "c4bf2a6ec1b5ec5a9e42790279c898d7a56fc43c3969442b59838b5a2a1e9d3d",
+    (16, 3, 6, 4): "56f2a1c97333834a029773f3ccae6ac66b5d18a53095340227462f52d92731bf",
+}
+
+
+@pytest.mark.parametrize("n,t,rp1,seed,girth", sorted(PINNED_GRAPHS))
+def test_sample_biregular_keeps_the_bench_graphs(n, t, rp1, seed, girth):
+    g = sample_biregular(n, t, rp1, seed=seed, min_girth=girth)
+    assert g.adj == PINNED_GRAPHS[n, t, rp1, seed, girth]
+
+
+@pytest.mark.parametrize("n,t,rp1,girth", sorted(PINNED_SWEEPS))
+def test_sample_biregular_keeps_its_draws_over_a_seed_sweep(n, t, rp1, girth):
+    adjs = [sample_biregular(n, t, rp1, seed=seed, min_girth=girth).adj
+            for seed in range(20)]
+    assert hashlib.sha256(repr(adjs).encode()).hexdigest() == PINNED_SWEEPS[n, t, rp1, girth]
+
+
+@pytest.mark.parametrize("seed,max_tries", [(0, 10**4), (1, 10**4), (2, 7)])
+def test_sample_biregular_failure_message(seed, max_tries):
+    # 18 left vertices need 18 distinct right pairs, and 6 rights have 15:
+    # no try can pass
+    with pytest.raises(ValueError) as exc:
+        sample_biregular(18, 2, 6, seed=seed, max_tries=max_tries, min_girth=6)
+    assert str(exc.value) == (f"no girth>=6 simple sample in {max_tries} tries; "
+                              "parameters too dense")
+
+
+def test_sample_biregular_logs_its_rejections(caplog):
+    with caplog.at_level(logging.DEBUG, logger="lrcav.constructions"):
+        sample_biregular(20, 2, 5, seed=3, min_girth=6)
+    assert [r.getMessage() for r in caplog.records] == [
+        "sample_biregular(n=20, t=2, r+1=5): rejected 3969 samples"]
 
 
 def test_check_expansion_complete_bipartite():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import logging
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcav.galois import BaseField, FieldTower, is_irreducible
+from lrcav.galois import BaseField, FieldTower, _poly_gcd, is_irreducible
 
 
 # dense coefficient-list polynomials over a BaseField (low to high): the
@@ -258,6 +259,109 @@ def test_reducible_modulus_rejected():
     # x^2 has the root 0
     with pytest.raises(ValueError):
         FieldTower(f, 2, [0, 0, 1])
+
+
+# Moduli the seeded search chose before it ran the root test, packed
+# (BaseField.pack of ext_modulus): the root test must only skip work,
+# never change which candidate wins.
+PINNED_MODULI = {
+    (1, 18, 0): 0x79a03, (1, 18, 1): 0x62af3, (1, 18, 2): 0x5047b,
+    (1, 18, 3): 0x64027, (1, 18, 4): 0x5402b, (1, 18, 5): 0x65589,
+    (1, 36, 0): 0x1f7c19a87f, (1, 36, 1): 0x10ebafd315,
+    (1, 36, 2): 0x1eff151af7, (1, 36, 3): 0x1b98f5ad0d,
+    (4, 8, 0): 0x162a7af0c, (4, 8, 1): 0x17fe70d6c, (4, 8, 2): 0x16895b221,
+    (4, 8, 3): 0x13b4ecdcf, (4, 8, 4): 0x113a6adb5, (4, 8, 5): 0x16073c7fb,
+    (8, 12, 0): 0x1089c53b08573e1af7fa1136a, (8, 12, 1): 0x1ba88297227c13aae404bc225,
+    (8, 12, 2): 0x1e8b5ff8efa7feccc52e4b9b5,
+    (1, 64, 0): 0x166c8d4ef1cb9816f, (1, 64, 1): 0x1355ec0bdab315893,
+    (8, 16, 0): 0x1c4d09b86fc21aa829a5d000a77c6f6d5,
+    (8, 16, 1): 0x177fde0710ed86ec3040d0b0fa2347588,
+    (3, 5, 0): 0xbbe6, (3, 5, 1): 0x8d87, (3, 5, 2): 0xcf76,
+    (3, 5, 3): 0x9f53, (3, 5, 4): 0xfc63, (3, 5, 5): 0xbe2c,
+    (5, 3, 0): 0xdbd3, (5, 3, 1): 0xf3e7, (5, 3, 2): 0xe76a,
+    (5, 3, 3): 0xdd0f, (5, 3, 4): 0xde53, (5, 3, 5): 0x86d0,
+    (3, 4, 0): 0x1f37, (3, 4, 1): 0x11cb, (3, 4, 2): 0x1fef,
+    (3, 4, 3): 0x1f53, (3, 4, 4): 0x1c63, (3, 4, 5): 0x1a62,
+    (7, 2, 0): 0x7d4d, (7, 2, 1): 0x4c35, (7, 2, 2): 0x6e15,
+    (7, 2, 3): 0x7cde, (7, 2, 4): 0x66bc, (7, 2, 5): 0x6dc1,
+}
+
+
+@pytest.mark.parametrize("w,m,seed", sorted(PINNED_MODULI))
+def test_seeded_search_keeps_its_moduli(w, m, seed):
+    t = FieldTower(_base(w), m, seed=seed)
+    assert t.base.pack(t.ext_modulus) == PINNED_MODULI[w, m, seed]
+
+
+def _trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _naive_gcd(f, a, b):
+    """Monic gcd of coefficient lists (low to high) by schoolbook Euclid."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        inv = f.inv(b[-1])
+        while len(a) >= len(b):
+            c, shift = f.mul(a[-1], inv), len(a) - len(b)
+            for i, bi in enumerate(b):
+                a[shift + i] ^= f.mul(c, bi)
+            _trim(a)
+        a, b = b, a
+    inv = f.inv(a[-1])
+    return [f.mul(inv, c) for c in a]
+
+
+def _monic_polys(f, max_degree):
+    return [list(low) + [1] for d in range(max_degree + 1)
+            for low in itertools.product(range(f.q), repeat=d)]
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_packed_gcd_matches_schoolbook_euclid(w):
+    # every monic f of degree <= 4 against x^q - x (the root test's pair),
+    # and over GF(2) against every other such polynomial and zero
+    f = _base(w)
+    polys = _monic_polys(f, 4)
+    x_q_minus_x = [0, 1] + [0] * (f.q - 2) + [1]
+    pairs = [(a, x_q_minus_x) for a in polys] + [(a, [0]) for a in polys]
+    if w == 1:
+        pairs += list(itertools.product(polys, repeat=2))
+    for a, b in pairs:
+        assert _poly_gcd(f, f.pack(a), f.pack(b)) == f.pack(_naive_gcd(f, a, b))
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_root_test_matches_evaluation_at_every_point(w):
+    # _set_modulus turns a degree-m > 1 poly away, before its tables, iff
+    # it has a root in GF(q); a degree-1 poly has one and is irreducible
+    f = _base(w)
+    for poly in _monic_polys(f, 4)[1:]:
+        m = len(poly) - 1
+        has_root = any(functools.reduce(lambda acc, c: f.mul(acc, a) ^ c, reversed(poly), 0) == 0
+                       for a in range(f.q))
+        assert FieldTower(f, m)._set_modulus(poly) == (m == 1 or not has_root)
+
+
+def test_frobenius_tables_only_for_rootless_candidates(monkeypatch):
+    # (8, 12), seed 0 draws 75 candidates; 60 have a root in GF(256), and
+    # only the other 15 get Frobenius tables (stride 1; stride 2 is squaring)
+    strides = []
+    original = FieldTower._linear_byte_tables
+    monkeypatch.setattr(FieldTower, "_linear_byte_tables",
+                        lambda self, step, stride: strides.append(stride)
+                        or original(self, step, stride))
+    FieldTower(_base(8), 12, seed=0)
+    assert strides.count(1) == 15 and strides.count(2) == 1
+
+
+def test_modulus_search_logs_its_rejections(caplog):
+    with caplog.at_level(logging.DEBUG, logger="lrcav.galois"):
+        FieldTower(_base(8), 12, seed=0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "modulus search (w=8, m=12): rejected 74 candidates, 60 by the root test"]
 
 
 # ---------------------------------------------------------------------------

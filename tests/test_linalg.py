@@ -195,6 +195,32 @@ def test_w1_tracker_fills_without_inv_or_scalar_mul(monkeypatch):
     assert all(tracker.reduce(row) == 0 for row in rows)
 
 
+@pytest.mark.parametrize("w", [1, 2, 4, 8])
+def test_tracker_basis_rows_are_the_normalized_residues(monkeypatch, w):
+    # add keys a new row by the pivot reduce found and scales it only when
+    # its lead is not 1: the same rows as normalizing the residue, and no
+    # third search for the pivot through BaseField.normalize
+    f, rng = BaseField(w), random.Random(w)
+    rows = [f.pack([rng.randrange(f.q) if rng.randrange(3) else 0 for _ in range(9)])
+            for _ in range(14)]
+    expected = {}
+    for row in rows:
+        reference = RankTracker(f)
+        reference.basis = dict(expected)
+        residue = reference.reduce(row)
+        if residue:
+            expected[((residue & -residue).bit_length() - 1) // w] = f.normalize(residue)
+
+    def forbidden(*args):
+        raise AssertionError("normalize called")
+
+    monkeypatch.setattr(BaseField, "normalize", forbidden)
+    tracker = RankTracker(f)
+    for row in rows:
+        tracker.add(row)
+    assert tracker.basis == expected
+
+
 def test_from_rows_rejects_entries_outside_the_field():
     # an entry >= q would spill into the next packed coordinate
     with pytest.raises(ValueError):
