@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log2
+from math import ceil, inf, log2
 from typing import Callable, List, Optional
 
 
@@ -170,8 +170,8 @@ def _residual_in_gamma(delta: float, t: int, r: int) -> Callable[[float], float]
         (t-1)/t H(delta) - H(min(delta c, 1))/(r+1) - delta c H(min(1/c, 1))
 
     with c = gamma (r+1).  The delta-only terms are computed once; the two
-    gamma-dependent entropies are inlined, since the gamma bisection
-    evaluates this some 55 times per point.  Their arguments lie in [0, 1]
+    gamma-dependent entropies are inlined, since `gamma_for_delta`
+    evaluates this some 25 times per point.  Their arguments lie in [0, 1]
     for every admissible gamma > 0, and min(x, 1.0) is written as a
     conditional (the same value, without a builtin call)."""
     fixed = (t - 1) / t * binary_entropy(delta)
@@ -200,14 +200,17 @@ def _expansion_residual(delta: float, gamma: float, t: int, r: int) -> float:
 ROOT_TOL = 1e-12  # largest |residual| accepted at an expansion root
 
 
-def _bisect(pred: Callable[[float], bool], lo: float, hi: float) -> float:
+def _bisect(pred: Callable[[float], bool], lo: float, hi: float,
+            true_upto: float = -inf, false_from: float = inf) -> float:
     """Halve [lo, hi], keeping pred(lo) true and pred(hi) false, until the
-    midpoint equals an endpoint (float resolution); return lo."""
+    midpoint equals an endpoint (float resolution); return lo.  A midpoint
+    at or left of true_upto counts as true, and one at or right of
+    false_from as false, without a call to pred."""
     while True:
         mid = (lo + hi) / 2.0
         if mid == lo or mid == hi:
             return lo
-        if pred(mid):
+        if mid <= true_upto or (mid < false_from and pred(mid)):
             lo = mid
         else:
             hi = mid
@@ -250,20 +253,105 @@ def expansion_delta(gamma: float, t: int, r: int) -> float:
     return root
 
 
+MARGIN = 1e-13  # a float residual this far from 0 has the sign of the exact one
+
+
+def _margin_point(residual: Callable[[float], float], root: float, step: float,
+                  limit: float) -> float:
+    """The first of root + step, root + 4 step, root + 16 step, ... whose
+    residual is at least MARGIN in size with the sign the residual has on
+    that side of the root (positive left of it, negative right of it), or
+    limit if the walk reaches limit first.  The sign of step is the side."""
+    sign = 1.0 if step < 0.0 else -1.0
+    while True:
+        g = root + step
+        if (limit - g) * sign >= 0.0:
+            return limit
+        if residual(g) * sign >= MARGIN:
+            return g
+        step *= 4.0
+
+
 def gamma_for_delta(delta: float, t: int, r: int) -> float:
     """Largest gamma in [1/(r+1), 1-1/t) sustaining relative distance delta,
-    that is, with a non-negative expansion residual at (delta, gamma)."""
+    that is, with a non-negative expansion residual at (delta, gamma).
+
+    Contract: the result is float-equal to bisecting [lo, hi] =
+    [1/(r+1), 1-1/t-1e-12] on `residual(gamma) >= 0` down to float
+    resolution (`_bisect`), after returning lo if the residual at lo is
+    negative and hi if the residual at hi is not.  Bisection costs some 55
+    residual evaluations per point; this costs about 25, in three steps:
+
+    1. Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971) on the same
+       residual, keeping residual(a) >= 0 > residual(b), stops at the first
+       iterate x with |residual(x)| < MARGIN.
+    2. Walking out from x (`_margin_point`) finds a point p left of x with
+       residual >= MARGIN and a point q right of x with residual <= -MARGIN.
+    3. The bisection's own midpoint walk is replayed from [lo, hi]: a
+       midpoint at or left of p is taken as true and one at or right of q
+       as false without evaluating; every other midpoint is evaluated, as
+       the bisection does.
+
+    Why a skipped midpoint gets the sign the bisection would compute.  Let
+    E bound the residual's float error; the argument needs E < MARGIN/4.
+    Against 50-digit decimal arithmetic E stays below MARGIN/50 at random
+    points, and below MARGIN/10 within a few ulps of lo or of the clamp,
+    where an entropy argument within ulps of 1 rounds away a term of about
+    1e-16 log2(1e16) (tests/test_bounds.py).  Left of the clamp delta gamma (r+1) = 1 the
+    residual is a constant minus two concave functions of gamma, H(delta c)
+    and delta c H(1/c) (the perspective of H), so it is convex there; at
+    the clamp it equals -H(delta)/t < 0, and past it only -delta c H(1/c)
+    varies, which falls.  So the exact residual has one sign change, at a
+    root between p and q, and falls all the way from lo to that root:
+    every midpoint left of p has a residual at least residual(p) >=
+    MARGIN - E.  A midpoint m right of q halves a bracket [a, b] with
+    a < q and a float residual at b below 0; m is at least as close to q
+    as to b, so convexity bounds its residual by (-MARGIN + 2E)/2, and past
+    the clamp the residual is below residual(q) or -H(delta)/t.  Both lie
+    far beyond E, except -H(delta)/t for delta within about 1e-15 of 1,
+    where the clamp sits within a few ulps of lo; the tests draw there too.
+    """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     lo = 1.0 / (r + 1)
     hi = (1.0 - 1.0 / t) - 1e-12
     residual = _residual_in_gamma(delta, t, r)
-    ok = lambda g: residual(g) >= 0.0
-    if not ok(lo):
+    f_lo = residual(lo)
+    if f_lo < 0.0:
         return lo
-    if ok(hi):
+    f_hi = residual(hi)
+    if f_hi >= 0.0:
         return hi
-    return _bisect(ok, lo, hi)
+    # Illinois: the secant through (a, wa) and (b, wb), where an end that
+    # is kept twice in a row has its weight halved
+    a, fa, wa, b, fb, wb = lo, f_lo, f_lo, hi, f_hi, f_hi
+    kept = 0  # +1: b was kept last time, -1: a was
+    slope = (f_hi - f_lo) / (hi - lo)
+    while True:
+        x = b - wb * (b - a) / (wb - wa)
+        if not a < x < b:
+            x = (a + b) / 2.0
+            if not a < x < b:
+                break
+        fx = residual(x)
+        if fx >= 0.0:
+            slope = (fb - fx) / (b - x)
+            a, fa, wa = x, fx, fx
+            if kept == 1:
+                wb /= 2.0
+            kept = 1
+        else:
+            slope = (fx - fa) / (x - a)
+            b, fb, wb = x, fx, fx
+            if kept == -1:
+                wa /= 2.0
+            kept = -1
+        if -MARGIN < fx < MARGIN:
+            break
+    step = 2.0 * MARGIN / -slope
+    return _bisect(lambda g: residual(g) >= 0.0, lo, hi,
+                   _margin_point(residual, x, -step, lo),
+                   _margin_point(residual, x, step, hi))
 
 
 # ---------------------------------------------------------------------------

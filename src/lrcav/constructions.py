@@ -17,7 +17,6 @@ interpolating.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -28,8 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .galois import BaseField, ExtElement, FieldTower
 from .gabidulin import GabidulinSpec, default_spec, gab_encode, moore_interpolate
 from .linalg import Matrix, RankTracker, nullspace, rank_over_base, rref
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -163,8 +160,9 @@ def sample_biregular(n: int, t: int, rp1: int, seed: int,
         rng.shuffle(right_stubs)
         # left vertex v takes the stubs at [v*t, (v+1)*t): t-tuples in order
         if _has_girth(zip(*[iter(right_stubs)] * t), min_girth):
-            log.debug("sample_biregular(n=%d, t=%d, r+1=%d): rejected %d samples",
-                      n, t, rp1, tries)
+            import logging  # here, as in FieldTower.__init__: off the import path
+            logging.getLogger(__name__).debug(
+                "sample_biregular(n=%d, t=%d, r+1=%d): rejected %d samples", n, t, rp1, tries)
             return BipartiteGraph(n, n_right, [sorted(right_stubs[v * t:(v + 1) * t])
                                                for v in range(n)])
     raise ValueError(f"no girth>={min_girth} simple sample in {max_tries} tries; "

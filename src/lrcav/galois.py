@@ -19,15 +19,12 @@ Primitive polynomials used for the base fields (one per width w):
 
 from __future__ import annotations
 
-import logging
 import random
 from typing import List, Sequence
 
 from .linalg import RankTracker
 
 ExtElement = int
-
-log = logging.getLogger(__name__)
 
 # Primitive polynomials over GF(2), keyed by degree w; bit i is the
 # coefficient of x^i.  With these moduli the element x (integer 2) is a
@@ -218,8 +215,12 @@ class FieldTower:
                 raise ValueError("extension modulus is reducible")
             rejected += 1
             by_root += not rootless
-        log.debug("modulus search (w=%d, m=%d): rejected %d candidates, %d by the root test",
-                  base.w, m, rejected, by_root)
+        # imported here: logging adds about 0.5 MB to a process, and
+        # `curves` and `bounds` build no tower
+        import logging
+        logging.getLogger(__name__).debug(
+            "modulus search (w=%d, m=%d): rejected %d candidates, %d by the root test",
+            base.w, m, rejected, by_root)
         if base.w > 1:  # at w = 1 squaring is the Frobenius map and c^(q-1) = c
             self._square_tables = self._build_square_tables()
 

@@ -1,11 +1,14 @@
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import isclose
+from math import isclose, nextafter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcav.bounds import (CurveRow, binary_entropy, concat_expander_crossover,
+from lrcav import bounds
+from lrcav.bounds import (MARGIN, CurveRow, binary_entropy, concat_expander_crossover,
                           expander_rate, expansion_delta, gamma_for_delta,
                           griesmer_d, griesmer_k, rate_cap, rate_curves,
                           shortening_d_bound, shortening_k_bound,
@@ -251,6 +254,106 @@ def test_gamma_for_delta_is_float_equal_to_the_oracle(delta, r, t, u):
     gamma = 1.0 / (r + 1) + u * ((1.0 - 1.0 / t) - 1.0 / (r + 1))
     assert _expansion_residual(delta, gamma, t, r) == \
         _oracle_residual(delta, gamma, t, r)
+
+
+def test_gamma_for_delta_is_float_equal_to_the_oracle_on_a_dense_grid():
+    for r in range(2, 9):
+        for t in range(2, 6):
+            for i in range(1, 998):
+                delta = i / 998
+                assert gamma_for_delta(delta, t, r) == \
+                    _oracle_gamma_for_delta(delta, t, r), (r, t, delta)
+
+
+def _ulps_from(x, steps):
+    for _ in range(abs(steps)):
+        x = nextafter(x, 2.0 if steps > 0 else 0.0)
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 8), st.integers(2, 5), st.floats(0.0, 1.0),
+       st.integers(-3, 3), st.booleans())
+def test_gamma_for_delta_is_float_equal_to_the_oracle_near_the_clamp(r, t, u, ulps,
+                                                                      near_one):
+    # delta puts the clamp delta gamma (r+1) = 1 within a few ulps of a
+    # drawn gamma, or lies within a few ulps of 1, where the clamp sits
+    # next to 1/(r+1) and the root next to it
+    gamma = 1.0 / (r + 1) + u * ((1.0 - 1.0 / t) - 1.0 / (r + 1))
+    delta = _ulps_from(1.0, -1 - abs(ulps)) if near_one else \
+        _ulps_from(1.0 / (gamma * (r + 1)), ulps)
+    if not 0.0 < delta < 1.0:
+        return
+    assert gamma_for_delta(delta, t, r) == _oracle_gamma_for_delta(delta, t, r)
+    assert _expansion_residual(delta, gamma, t, r) == \
+        _oracle_residual(delta, gamma, t, r)
+
+
+def _exact_residual(delta, gamma, t, r):
+    # the residual at the same float inputs in 50-digit decimal arithmetic
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ln2 = Decimal(2).ln()
+
+        def entropy(x):
+            if x <= 0 or x >= 1:
+                return Decimal(0)
+            return -(x * x.ln() + (1 - x) * (1 - x).ln()) / ln2
+
+        d = Decimal(delta)
+        c = Decimal(gamma) * (r + 1)
+        return (Decimal(t - 1) / t * entropy(d) - entropy(min(d * c, Decimal(1))) / (r + 1)
+                - d * c * entropy(min(1 / c, Decimal(1))))
+
+
+def _residual_error(delta, gamma, t, r):
+    return abs(Decimal(_expansion_residual(delta, gamma, t, r))
+               - _exact_residual(delta, gamma, t, r))
+
+
+def test_residual_float_error_is_far_below_the_margin():
+    # gamma_for_delta skips a midpoint only where the residual is about
+    # MARGIN/2 or more from 0; its soundness needs the float error below
+    # MARGIN/4
+    rng = random.Random(1)
+    worst = worst_edge = 0
+    for _ in range(1000):
+        r, t = rng.randint(2, 8), rng.randint(2, 5)
+        lo, hi = 1.0 / (r + 1), (1.0 - 1.0 / t) - 1e-12
+        delta, gamma = rng.random(), lo + rng.random() * (hi - lo)
+        worst = max(worst, _residual_error(delta, gamma, t, r))
+        # within ulps of 1/(r+1), and of the clamp, an entropy argument
+        # within ulps of 1 rounds away a term of about 1e-16 log2(1e16)
+        edges = [(delta, _ulps_from(lo, rng.randint(0, 3)))]
+        clamp = _ulps_from(1.0 / (gamma * (r + 1)), rng.randint(-3, 3))
+        if clamp < 1.0:
+            edges.append((clamp, gamma))
+        worst_edge = max([worst_edge] + [_residual_error(d, g, t, r) for d, g in edges])
+    assert worst < MARGIN / 50
+    assert worst_edge < MARGIN / 10
+
+
+def test_gamma_for_delta_halves_the_residual_evaluations(monkeypatch):
+    # the 12 (r, t) pairs of the curves benchmark at grid 200: some 55
+    # evaluations per point by bisection alone
+    calls = [0, 0]
+
+    def counting(delta, t, r):
+        calls[0] += 1
+        residual = original(delta, t, r)
+
+        def counted(gamma):
+            calls[1] += 1
+            return residual(gamma)
+        return counted
+
+    original = bounds._residual_in_gamma
+    monkeypatch.setattr(bounds, "_residual_in_gamma", counting)
+    for r, t in [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3), (5, 3),
+                 (6, 3), (4, 4), (5, 4), (6, 4)]:
+        rate_curves(r, t, 200)
+    assert calls[0] == 12 * 198
+    assert calls[1] / calls[0] <= 30
 
 
 def test_expander_rate_endpoints():

@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +35,12 @@ def test_bounds_imports_only_the_standard_library():
                  if isinstance(node, ast.ImportFrom)]
     assert imported
     assert [m for m in imported if m.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_importing_the_cli_does_not_load_logging():
+    # logging costs every process about 0.5 MB; only the samplers load it
+    src = str(PACKAGE.parent)
+    probe = "import sys, lrcav.cli; print('logging' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"
