@@ -1,13 +1,16 @@
 """Ground-truth verification tools.
 
-Everything here is an independent oracle: exhaustive minimum distance,
-backtracking availability certification, erasure-pattern rank checks,
-and seeded Monte-Carlo erasure trials against the composite decoder.
+Everything here is an independent oracle: the exact weight distribution
+and minimum distance (from a walk over the smaller of the code and its
+dual, with the MacWilliams transform for the dual), backtracking
+availability certification, erasure-pattern rank checks, and seeded
+Monte-Carlo erasure trials against the composite decoder.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from math import ceil, comb
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -20,16 +23,61 @@ from .linalg import RankTracker, rref  # noqa: F401
 from .shortening import enumerate_local_checks
 
 
-def min_distance(code: LinearCode, max_enumeration: int = 2**22) -> int:
-    """Exact minimum Hamming weight by exhaustive codeword enumeration.
+def weight_distribution(code: LinearCode, max_enumeration: int = 2**22) -> List[int]:
+    """[A_0, ..., A_n]: the number of codewords of each Hamming weight, exactly.
 
-    One XOR (the Gray walk) and one weight test per word.
+    One Gray walk (``LinearCode.codewords``) over the smaller of the code
+    and its dual: the q^k codewords when k <= n - k, ties included, else
+    the q^(n-k) dual words, whose weight counts ``macwilliams_transform``
+    turns into the code's.  max_enumeration bounds q^min(k, n-k), the
+    words walked.
     """
+    f, n, k = code.field, code.n, code.k
+    if f.q ** min(k, n - k) > max_enumeration:
+        raise ValueError("codeword enumeration exceeds the budget")
+    walked = code if k <= n - k else LinearCode.from_parity(f, code.generator)
+    counts = [0] * (n + 1)
+    for weight, count in Counter(map(f.weight, walked.codewords())).items():
+        counts[weight] = count
+    return counts if walked is code else macwilliams_transform(counts, f.q, n - k)
+
+
+def macwilliams_transform(counts: Sequence[int], q: int, dim: int) -> List[int]:
+    """The weight counts of the dual of a code over GF(q) of dimension dim
+    whose weight counts are counts[0..n].
+
+    The MacWilliams identity (MacWilliams 1963; MacWilliams-Sloane ch. 5):
+    sum_j A_j z^j = q^-dim sum_i B_i (1 + (q-1)z)^(n-i) (1 - z)^i, summed
+    homogeneously (S_i = S_(i-1) (1 + (q-1)z) + B_i (1 - z)^i) in Python
+    ints.  A count that q^dim does not divide, or a negative one, means
+    the input is no code's distribution: an internal fault, raised as
+    ArithmeticError so it never reads as an input error.
+    """
+    n = len(counts) - 1
+    poly, power = [0] * (n + 1), [1] + [0] * n  # S_i and (1 - z)^i
+    for i, b in enumerate(counts):
+        for j in range(i, 0, -1):
+            poly[j] += (q - 1) * poly[j - 1]
+            power[j] -= power[j - 1]
+        if b:
+            for j in range(i + 1):
+                poly[j] += b * power[j]
+    size, out = q**dim, []
+    for c in poly:
+        a, rem = divmod(c, size)
+        if rem or a < 0:
+            raise ArithmeticError(f"MacWilliams transform left {c} / {size}")
+        out.append(a)
+    return out
+
+
+def min_distance(code: LinearCode, max_enumeration: int = 2**22) -> int:
+    """Exact minimum distance: the least j > 0 with A_j > 0 in
+    ``weight_distribution`` (same budget, charged q^min(k, n-k))."""
     if code.k == 0:
         raise ValueError("the zero code has no minimum distance")
-    if code.field.q**code.k > max_enumeration:
-        raise ValueError("codeword enumeration exceeds the budget")
-    return min(filter(None, map(code.field.weight, code.codewords())))
+    counts = weight_distribution(code, max_enumeration)
+    return next(j for j in range(1, code.n + 1) if counts[j])
 
 
 @dataclass

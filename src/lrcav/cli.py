@@ -337,7 +337,6 @@ def cmd_shorten(args) -> int:
                          "input is not a valid (r,t)-LRC dual set at this r")
     closures = [shortening.closure(code, res.I) for res in per_s]
     result = per_s[args.s - 1]
-    d = analysis.min_distance(code)
     table = [{"s": res.s, "size_I": len(res.I), "size_Cl": len(cl),
               "k_bound_cap": 1 + (args.r - 1) * res.s,
               "cl_floor": 1 + args.r * res.s}
@@ -347,8 +346,10 @@ def cmd_shorten(args) -> int:
         "I": result.I, "Cl_I": sorted(closures[args.s - 1]), "s": result.s,
         "s1": result.s1, "j": result.j,
         "per_s": table,
+        # d is computed only where it is read, so r = 1 walks no codeword
         "bounds": None if args.r < 2 else
-            {"k_upper": bounds.shortening_k_bound(code.n, d, args.r, q),
+            {"k_upper": bounds.shortening_k_bound(code.n, analysis.min_distance(code),
+                                                  args.r, q),
              "d_upper": bounds.shortening_d_bound(code.n, code.k, args.r, q)},
     }
     print(json.dumps(out, indent=1, sort_keys=True))

@@ -42,7 +42,7 @@ def test_criterion_01_wzl_parameter_reproduction(report):
     start = time.perf_counter()
     details = []
     ok = True
-    for r, t in [(2, 2), (3, 2), (2, 3), (4, 2), (4, 3), (6, 2)]:
+    for r, t in [(2, 2), (3, 2), (2, 3), (4, 2), (4, 3), (6, 2), (7, 2)]:
         code = build_wzl(r, t)
         n = comb(r + t, t)
         d = min_distance(code)

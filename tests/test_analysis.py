@@ -1,11 +1,15 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrcav.analysis import (concatenated_dimension, erasure_correctable,
-                            erasure_monte_carlo, min_distance,
-                            partial_block_rank_bound, verify_availability)
+                            erasure_monte_carlo, macwilliams_transform,
+                            min_distance, partial_block_rank_bound,
+                            verify_availability, weight_distribution)
 from lrcav.constructions import (LinearCode, assemble_concatenated,
                                  assemble_expander_code, build_expander_parity,
                                  build_wzl, sample_biregular, survivor_rank)
@@ -30,13 +34,67 @@ def test_min_distance_wzl():
 
 
 def test_min_distance_budget_and_zero_code():
-    code = build_wzl(4, 2)  # k = 10
-    with pytest.raises(ValueError):
-        min_distance(code, max_enumeration=2**9)
+    # the budget is charged q^min(k, n-k), the words of the cheaper walk
+    dual_walk = build_wzl(4, 2)  # k = 10 > n - k = 5
+    code_walk = build_wzl(2, 4)  # k = 5 < n - k = 10
+    for code in (dual_walk, code_walk):
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            min_distance(code, max_enumeration=2**4)
+    assert min_distance(dual_walk, max_enumeration=2**5) == 3
+    assert min_distance(code_walk, max_enumeration=2**5) == 5
     f = BaseField(1)
-    full = LinearCode.from_parity(f, Matrix.from_rows(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    zero = LinearCode.from_parity(f, Matrix.from_rows(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     with pytest.raises(ValueError):
-        min_distance(full)
+        min_distance(zero)
+    whole = LinearCode.from_parity(f, Matrix(f, 0, 3, []))  # k = n
+    assert (whole.k, min_distance(whole, max_enumeration=1)) == (3, 1)
+
+
+def _walk_counts(code):
+    counts = Counter(map(code.field.weight, code.codewords()))
+    return [counts[j] for j in range(code.n + 1)]
+
+
+def _both_walks(code):
+    """(the code's own walk, the MacWilliams transform of its dual's walk)."""
+    dual = LinearCode.from_parity(code.field, code.generator)
+    return (_walk_counts(code),
+            macwilliams_transform(_walk_counts(dual), code.field.q, dual.k))
+
+
+@pytest.mark.parametrize("r,t", [(3, 2), (4, 2), (3, 3), (5, 2), (2, 4)])
+def test_both_walks_give_the_same_distribution_wzl(r, t):
+    code = build_wzl(r, t)
+    own, transformed = _both_walks(code)
+    assert own == transformed == weight_distribution(code)
+    assert sum(own) == 2**code.k
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_both_walks_give_the_same_distribution(data):
+    f = BaseField(data.draw(st.sampled_from([1, 2]), label="w"))
+    # both walks together cost q^k + q^(n-k) words
+    n = data.draw(st.integers(1, 12 if f.w == 1 else 8), label="n")
+    rows = data.draw(st.lists(st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n),
+                              max_size=n), label="parity")
+    code = LinearCode.from_parity(f, Matrix.from_rows(f, rows, n))
+    own, transformed = _both_walks(code)
+    assert own == transformed == weight_distribution(code)
+
+
+@pytest.mark.parametrize("r,t", [(3, 2), (3, 3), (2, 4)])
+def test_transform_of_the_code_is_the_dual(r, t):
+    code = build_wzl(r, t)
+    dual = LinearCode.from_parity(code.field, code.generator)
+    assert macwilliams_transform(_walk_counts(code), 2, code.k) == _walk_counts(dual)
+
+
+@pytest.mark.parametrize("r,t", [(6, 2), (7, 2), (4, 3), (5, 3)])
+def test_min_distance_is_t_plus_one_on_large_wzl(r, t):
+    code = build_wzl(r, t)
+    assert code.k > code.n - code.k  # walked through the dual
+    assert min_distance(code) == t + 1
 
 
 def test_verify_availability_wzl():

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lrcav import cli, shortening
+from lrcav.bounds import shortening_k_bound
 from lrcav.constructions import (CompositeCode, LinearCode, assemble_expander_code,
                                  build_expander_parity, sample_biregular)
 from lrcav.galois import BaseField, FieldTower
@@ -614,6 +615,47 @@ def test_shorten_reports_sets_and_bounds(tmp_path, capsys):
     for row in report["per_s"]:
         assert row["size_I"] <= row["k_bound_cap"]
         assert row["size_Cl"] >= min(row["cl_floor"], 6)
+
+
+def test_shorten_at_r1_walks_no_codeword(tmp_path, capsys):
+    # parity [I_24 | I_24]: k = n - k = 24, so d would cost 2^24 words, past
+    # the budget; at r = 1 the report has no bounds and never reads d
+    path = tmp_path / "raw.json"
+    parity = [[int(j % 24 == i) for j in range(48)] for i in range(24)]
+    path.write_text(json.dumps({
+        "format_version": "1", "kind": "raw",
+        "field": {"w": 1, "m": 1, "modulus": 3, "ext_modulus": None},
+        "n": 48, "k": 24, "r": 1, "t": 1, "matrices": {"parity": parity}}))
+    code, out, _ = run(capsys, "shorten", "--code", str(path), "--r", "1", "--s", "1")
+    assert code == 0
+    assert json.loads(out)["bounds"] is None
+
+
+@pytest.mark.parametrize("r,t,argv", [
+    ("7", "2", ["verify", "--distance"]),
+    ("5", "3", ["verify", "--distance"]),
+    ("7", "2", ["shorten", "--r", "7", "--s", "2"]),
+], ids=["verify-wzl72", "verify-wzl53", "shorten-wzl72"])
+def test_distance_of_large_wzl_through_the_dual(tmp_path, capsys, r, t, argv):
+    # 2^28 and 2^35 codewords, past the budget; 2^8 and 2^21 dual words
+    path = tmp_path / "wzl.json"
+    run(capsys, "construct", "wzl", "--r", r, "--t", t, "--out", str(path))
+    code, out, _ = run(capsys, argv[0], "--code", str(path), *argv[1:])
+    assert code == 0
+    if argv[0] == "verify":
+        assert json.loads(out)["distance"] == int(t) + 1
+    else:  # k_upper reads d
+        assert json.loads(out)["bounds"]["k_upper"] == shortening_k_bound(36, 3, 7, 2)
+
+
+def test_macwilliams_fault_is_not_an_input_error(tmp_path, capsys, monkeypatch):
+    # a dual walk one word short leaves a remainder in the transform
+    path = tmp_path / "wzl.json"
+    run(capsys, "construct", "wzl", "--r", "4", "--t", "2", "--out", str(path))
+    codewords = LinearCode.codewords
+    monkeypatch.setattr(LinearCode, "codewords", lambda self: list(codewords(self))[1:])
+    with pytest.raises(ArithmeticError, match="MacWilliams"):
+        cli.main(["verify", "--code", str(path), "--distance"])
 
 
 @pytest.mark.parametrize("r,s,message", [
