@@ -28,14 +28,14 @@ def weight_distribution(code: LinearCode, max_enumeration: int = 2**22) -> List[
 
     One Gray walk (``LinearCode.codewords``) over the smaller of the code
     and its dual: the q^k codewords when k <= n - k, ties included, else
-    the q^(n-k) dual words, whose weight counts ``macwilliams_transform``
-    turns into the code's.  max_enumeration bounds q^min(k, n-k), the
-    words walked.
+    the q^(n-k) words of ``code.dual``, whose weight counts
+    ``macwilliams_transform`` turns into the code's.  max_enumeration
+    bounds q^min(k, n-k), the words walked.
     """
     f, n, k = code.field, code.n, code.k
     if f.q ** min(k, n - k) > max_enumeration:
         raise ValueError("codeword enumeration exceeds the budget")
-    walked = code if k <= n - k else LinearCode.from_parity(f, code.generator)
+    walked = code if k <= n - k else code.dual
     counts = [0] * (n + 1)
     for weight, count in Counter(map(f.weight, walked.codewords())).items():
         counts[weight] = count

@@ -31,39 +31,30 @@ class InputError(Exception):
 # artifact serialization
 # ---------------------------------------------------------------------------
 
-def artifact_from_linear(code: constructions.LinearCode, kind: str,
-                         r, t, provenance: dict) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "field": {"w": code.field.w, "m": 1,
-                  "modulus": code.field.modulus, "ext_modulus": None},
-        "n": code.n, "k": code.k,
-        "r": r, "t": t,
-        "matrices": {"parity": code.parity.to_lists()},
-        "provenance": provenance,
-    }
+def to_artifact(code, kind: str, r, t, provenance) -> dict:
+    """The artifact of a LinearCode or CompositeCode, each fact once.
 
-
-def artifact_from_composite(code: constructions.CompositeCode, kind: str,
-                            r, t, provenance: dict) -> dict:
-    tower = code.tower
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "field": {"w": tower.base.w, "m": tower.m,
-                  "modulus": tower.base.modulus,
-                  "ext_modulus": list(tower.ext_modulus)},
-        "n": code.n, "k": code.k,
-        "r": r, "t": t,
-        "matrices": {"outer_map": code.outer.generator.to_lists()},
-        "params": {"n_G": code.n_g},
-        "provenance": provenance,
-    }
-    if kind == "concat":
-        doc["params"].update(blocks=code.blocks, n_I=code.inner_n, k_I=code.inner_k)
-    if kind == "expander":
-        doc["matrices"]["parity"] = code.outer.parity.to_lists()
+    A linear code stores its parity.  A composite stores its tower, its
+    outer code's generator (outer_map) and n_G, and either the inner
+    sizes (concat) or the outer parity it is built from (expander).
+    """
+    linear = isinstance(code, constructions.LinearCode)
+    base = code.field if linear else code.tower.base
+    doc = {"format_version": FORMAT_VERSION, "kind": kind,
+           "field": {"w": base.w, "modulus": base.modulus,
+                     "m": 1 if linear else code.tower.m,
+                     "ext_modulus": None if linear else list(code.tower.ext_modulus)},
+           "n": code.n, "k": code.k, "r": r, "t": t, "provenance": provenance}
+    if linear:
+        doc["matrices"] = {"parity": code.parity.to_lists()}
+    elif kind == "concat":
+        doc["matrices"] = {"outer_map": code.outer.generator.to_lists()}
+        doc["params"] = {"n_G": code.n_g, "blocks": code.blocks,
+                         "n_I": code.inner_n, "k_I": code.inner_k}
+    else:
+        doc["matrices"] = {"outer_map": code.outer.generator.to_lists(),
+                           "parity": code.outer.parity.to_lists()}
+        doc["params"] = {"n_G": code.n_g}
     return doc
 
 
@@ -91,8 +82,19 @@ def _base_rows(rows, q: int) -> list:
     return rows
 
 
-def _check_rebuild(stored: dict, rebuilt: dict) -> None:
-    stale = [key for key in stored if stored[key] != rebuilt[key]]
+def _check_rebuild(doc: dict, rebuilt: dict) -> None:
+    """Each fact the rebuilt code's artifact states must equal doc's copy:
+    n, k, every field fact, matrix and param, and the provenance parity an
+    older expander artifact holds."""
+    pairs = [(key, doc[key], rebuilt[key]) for key in ("n", "k")]
+    for group in ("field", "matrices", "params"):
+        stored = doc.get(group)
+        pairs += [(key, stored.get(key) if isinstance(stored, dict) else None, val)
+                  for key, val in rebuilt.get(group, {}).items()]
+    prov = doc.get("provenance")
+    if isinstance(prov, dict) and prov.get("parity") is not None:
+        pairs.append(("provenance parity", prov["parity"], rebuilt["matrices"].get("parity")))
+    stale = [key for key, stored, val in pairs if stored != val]
     if stale:
         raise InputError("stored data disagree with the code rebuilt from the "
                          f"artifact: {', '.join(stale)}")
@@ -105,9 +107,8 @@ def load_artifact(path: str):
     a JSON object with the keys its kind reads, non-negative integer sizes
     and base-field matrices of integers in [0, q).  The code is rebuilt
     from its parameters (concat) or stored parity (the other kinds), and
-    every stored size and matrix the rebuild also yields must equal it:
-    k of a linear code; outer_map and n_G of a composite, and for concat
-    also n, n_I and k_I.
+    every fact ``to_artifact`` writes for the rebuilt code must equal the
+    stored one (``_check_rebuild``).
     """
     try:
         with open(path) as fh:
@@ -126,26 +127,21 @@ def load_artifact(path: str):
         raise InputError("artifact lacks its matrices")
     for key in ("n", "k", "r", "t"):
         _count(doc, key)
-    base = BaseField(_count(f, "w"))
+    base, m = BaseField(_count(f, "w")), _count(f, "m")
     for rows in mats.values():
         _base_rows(rows, base.q)
     if kind in ("wzl", "raw"):
-        parity = Matrix.from_rows(base, mats["parity"], doc["n"])
-        code = constructions.LinearCode.from_parity(base, parity)
-        _check_rebuild({"k": doc["k"]}, {"k": code.k})
-        return doc, code
-    tower = FieldTower(base, _count(f, "m"), _base_rows([f.get("ext_modulus")], base.q)[0])
-    params = doc.get("params")
-    stored = {"outer_map": mats.get("outer_map"), "n_G": _count(params, "n_G")}
-    if kind == "concat":
-        code = constructions.assemble_concatenated(
-            tower, doc["r"], doc["t"], _count(params, "blocks"), doc["k"])
-        stored.update(n=doc["n"], n_I=params.get("n_I"), k_I=params.get("k_I"))
+        code = constructions.LinearCode.from_parity(
+            base, Matrix.from_rows(base, mats["parity"], doc["n"]))
     else:
-        parity = Matrix.from_rows(base, mats["parity"], doc["n"])
-        code = constructions.assemble_expander_code(tower, parity, doc["k"])
-    _check_rebuild(stored, {"outer_map": code.outer.generator.to_lists(), "n": code.n,
-                            "n_G": code.n_g, "n_I": code.inner_n, "k_I": code.inner_k})
+        tower = FieldTower(base, m, _base_rows([f.get("ext_modulus")], base.q)[0])
+        if kind == "concat":
+            code = constructions.assemble_concatenated(
+                tower, doc["r"], doc["t"], _count(doc.get("params"), "blocks"), doc["k"])
+        else:
+            parity = Matrix.from_rows(base, mats["parity"], doc["n"])
+            code = constructions.assemble_expander_code(tower, parity, doc["k"])
+    _check_rebuild(doc, to_artifact(code, kind, doc["r"], doc["t"], None))
     return doc, code
 
 
@@ -216,29 +212,24 @@ def cmd_curves(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    prov = {"seed": getattr(args, "seed", None)}
     if args.subkind == "wzl":
         code = constructions.build_wzl(args.r, args.t)
-        prov["parameters"] = {"r": args.r, "t": args.t}
-        doc = artifact_from_linear(code, "wzl", args.r, args.t, prov)
+        parameters = {"r": args.r, "t": args.t}
     elif args.subkind == "concat":
         if args.blocks < 1:  # before the default m = blocks * k_I builds a tower
             raise InputError("need at least one block")
-        k = args.k
-        if k is None and args.d is None:
+        if args.k is None and args.d is None:
             raise InputError("concat needs --k or a target --d")
         inner = constructions.build_wzl(args.r, args.t)
-        if k is None:
-            k = analysis.concatenated_dimension(args.blocks * inner.n, args.d,
-                                                args.r, args.t)
+        k = args.k if args.k is not None else analysis.concatenated_dimension(
+            args.blocks * inner.n, args.d, args.r, args.t)
         m = args.m if args.m is not None else args.blocks * inner.k
         tower = FieldTower(BaseField(1), m)
         code = constructions.assemble_concatenated(tower, args.r, args.t,
                                                    args.blocks, k)
-        prov["parameters"] = {"r": args.r, "t": args.t, "blocks": args.blocks,
-                              "d": args.d, "k": k, "m": m}
-        doc = artifact_from_composite(code, "concat", args.r, args.t, prov)
-    elif args.subkind == "expander":
+        parameters = {"r": args.r, "t": args.t, "blocks": args.blocks,
+                      "d": args.d, "k": k, "m": m}
+    else:
         g = constructions.sample_biregular(args.n, args.t, args.r + 1, args.seed,
                                            min_girth=args.min_girth)
         base = BaseField(args.w)
@@ -248,14 +239,11 @@ def cmd_construct(args) -> int:
         k = args.k if args.k is not None else max(n_g // 2, 1)
         tower = FieldTower(base, m)
         code = constructions.assemble_expander_code(tower, parity, k)
-        prov["parameters"] = {"n": args.n, "r": args.r, "t": args.t,
-                              "w": args.w, "k": k, "m": m}
-        prov["parity"] = parity.to_lists()
-        doc = artifact_from_composite(code, "expander", args.r, args.t, prov)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown construct kind {args.subkind!r}")
-    save_artifact(doc, args.out)
-    print(f"wrote {doc['kind']} artifact n={doc['n']} k={doc['k']} to {args.out}")
+        parameters = {"n": args.n, "r": args.r, "t": args.t,
+                      "w": args.w, "k": k, "m": m}
+    provenance = {"seed": getattr(args, "seed", None), "parameters": parameters}
+    save_artifact(to_artifact(code, args.subkind, args.r, args.t, provenance), args.out)
+    print(f"wrote {args.subkind} artifact n={code.n} k={code.k} to {args.out}")
     return 0
 
 
@@ -267,25 +255,21 @@ def cmd_verify(args) -> int:
     if args.erasures is not None and args.seed is None:
         raise InputError("--erasures requires --seed")
     doc, code = load_artifact(args.code)
-    if args.erasures is not None:
-        if isinstance(code, constructions.LinearCode):
-            if not 0 <= args.erasures <= code.n:
-                raise InputError("need 0 <= e <= n")
-        elif not 0 <= args.erasures < code.n:
-            raise InputError("need 0 <= e < n")
+    # the kind rule, once: a linear code may lose all n coordinates, a
+    # composite fewer; only a linear code has an exact distance and
+    # availability oracle
+    linear = isinstance(code, constructions.LinearCode)
+    if args.erasures is not None and not 0 <= args.erasures < code.n + linear:
+        raise InputError("need 0 <= e <= n" if linear else "need 0 <= e < n")
+    if not linear and (args.distance or args.availability):
+        flag = "--distance" if args.distance else "--availability"
+        raise InputError(f"{flag} applies to linear-code artifacts")
     report = {"artifact": args.code, "kind": doc["kind"]}
     failed = False
     if args.distance:
-        if isinstance(code, constructions.LinearCode):
-            d = analysis.min_distance(code)
-            report["distance"] = d
-            if d != doc["t"] + 1 and doc["kind"] == "wzl":
-                failed = True
-        else:
-            raise InputError("--distance applies to linear-code artifacts")
+        report["distance"] = d = analysis.min_distance(code)
+        failed = d != doc["t"] + 1 and doc["kind"] == "wzl"
     if args.availability:
-        if not isinstance(code, constructions.LinearCode):
-            raise InputError("--availability applies to linear-code artifacts")
         rep = analysis.verify_availability(code, doc["r"], doc["t"])
         report["availability"] = {
             "pass": rep.ok,
@@ -294,30 +278,25 @@ def cmd_verify(args) -> int:
             "failed_coordinates": rep.failed_coordinates,
         }
         failed |= not rep.ok
-    if args.erasures is not None:
-        if isinstance(code, constructions.CompositeCode):
-            stats = analysis.erasure_monte_carlo(code, args.erasures,
-                                                 args.trials, args.seed)
-            report["erasures"] = {
-                "e": args.erasures, "trials": stats.trials,
-                "successes": stats.successes,
-                "success_rate": stats.success_rate,
-                "min_survivor_rank": stats.min_survivor_rank,
-                "adversarial_success": stats.adversarial_success,
-                "seed": stats.seed,
-            }
-            failed |= stats.successes != stats.trials
-            if stats.adversarial_success is False:
-                failed = True
-        else:
-            rng = random.Random(args.seed)
-            ok = 0
-            for _ in range(args.trials):
-                erased = rng.sample(range(code.n), args.erasures)
-                ok += analysis.erasure_correctable(code, erased)
-            report["erasures"] = {"e": args.erasures, "trials": args.trials,
-                                  "successes": ok, "seed": args.seed}
-            failed |= ok != args.trials
+    if args.erasures is not None and linear:
+        rng = random.Random(args.seed)
+        ok = sum(analysis.erasure_correctable(code, rng.sample(range(code.n), args.erasures))
+                 for _ in range(args.trials))
+        report["erasures"] = {"e": args.erasures, "trials": args.trials,
+                              "successes": ok, "seed": args.seed}
+        failed |= ok != args.trials
+    elif args.erasures is not None:
+        stats = analysis.erasure_monte_carlo(code, args.erasures,
+                                             args.trials, args.seed)
+        report["erasures"] = {
+            "e": args.erasures, "trials": stats.trials,
+            "successes": stats.successes,
+            "success_rate": stats.success_rate,
+            "min_survivor_rank": stats.min_survivor_rank,
+            "adversarial_success": stats.adversarial_success,
+            "seed": stats.seed,
+        }
+        failed |= stats.successes != stats.trials or stats.adversarial_success is False
     print(json.dumps(report, indent=1, sort_keys=True))
     return 1 if failed else 0
 

@@ -47,6 +47,15 @@ class LinearCode:
         return cls(f, parity.cols, generator.rows, parity, generator)
 
     @cached_property
+    def dual(self) -> "LinearCode":
+        """The dual code, built once per code: its parity is this generator,
+        and its generator is a nullspace basis of it, not reduced to rref,
+        as its walks need only a basis."""
+        basis = nullspace(self.generator)
+        return LinearCode(self.field, self.n, len(basis), self.generator,
+                          Matrix(self.field, len(basis), self.n, basis))
+
+    @cached_property
     def parity_columns(self) -> List[int]:
         """The parity's columns as packed vectors, transposed once per code."""
         return self.parity.transpose().data

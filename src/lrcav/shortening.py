@@ -68,7 +68,7 @@ def enumerate_local_checks(code: LinearCode, r: int,
 
 
 def _span_checks(code: LinearCode, w: int) -> List[int]:
-    """The checks of weight <= w from one Gray walk over the dual code.
+    """The checks of weight <= w from one Gray walk over ``code.dual``.
 
     The kept words are those whose lowest nonzero coordinate is 1, sorted
     into the per-support walk's order: a check first appears on the first
@@ -79,7 +79,7 @@ def _span_checks(code: LinearCode, w: int) -> List[int]:
     """
     f, n = code.field, code.n
     fw, mask = f.w, f.q - 1
-    checks = [h for h in f.span(nullspace(code.generator))
+    checks = [h for h in code.dual.codewords()
               if h and f.weight(h) <= w
               and h >> ((h & -h).bit_length() - 1) // fw * fw & mask == 1]
     columns = code.generator_columns

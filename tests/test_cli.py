@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from lrcav import cli, shortening
@@ -170,7 +170,7 @@ def test_expander_artifact_takes_its_parity_from_the_code(tmp_path, capsys):
     g = sample_biregular(14, 3, 7, seed=7, min_girth=4)
     parity = build_expander_parity(g, BaseField(4), seed=8)
     composite = assemble_expander_code(FieldTower(BaseField(4), 8), parity, 4)
-    doc = cli.artifact_from_composite(composite, "expander", 6, 3, {"seed": 7})
+    doc = cli.to_artifact(composite, "expander", 6, 3, {"seed": 7})
     assert doc["matrices"]["parity"] == parity.to_lists()
     path = tmp_path / "exp.json"
     cli.save_artifact(doc, str(path))
@@ -428,6 +428,18 @@ def _set_param(key, value):
     return mutate
 
 
+def _set_field(key, value):
+    def mutate(doc):
+        doc["field"][key] = value
+        return doc
+    return mutate
+
+
+def _zero_provenance_parity(doc):
+    doc["provenance"]["parity"] = [[0] * len(row) for row in doc["matrices"]["parity"]]
+    return doc
+
+
 COMPOSITE_ARTIFACTS = {
     "concat": ["concat", "--r", "3", "--t", "2", "--blocks", "3", "--k", "9"],
     "expander": ["expander", "--n", "14", "--r", "6", "--t", "3", "--w", "4",
@@ -440,11 +452,15 @@ COMPOSITE_ARTIFACTS = {
     ("concat", lambda doc: dict(doc, n=31)), ("concat", _set_param("n_G", 17)),
     ("concat", _set_param("n_I", 11)), ("concat", _set_param("k_I", 5)),
     ("expander", _set_param("n_G", 3)),
+    ("concat", _set_field("modulus", 5)), ("expander", _set_field("modulus", 17)),
+    ("expander", _zero_provenance_parity),
 ], ids=["concat-zero-outer-map", "expander-zero-outer-map", "concat-n",
-        "concat-n_G", "concat-n_I", "concat-k_I", "expander-n_G"])
+        "concat-n_G", "concat-n_I", "concat-k_I", "expander-n_G",
+        "concat-modulus", "expander-modulus", "expander-provenance-parity"])
 def test_verify_tampered_composite_is_input_error(tmp_path, capsys, kind, mutate):
-    # verify checks the stored matrices: before, an all-zero outer_map was
-    # ignored (concat) or recomputed from parity (expander) and passed
+    # verify checks the stored matrices and field facts: before, an all-zero
+    # outer_map was ignored (concat) or recomputed from parity (expander) and
+    # passed, and so did a wrong base modulus or provenance parity
     path = tmp_path / f"{kind}.json"
     run(capsys, "construct", *COMPOSITE_ARTIFACTS[kind], "--out", str(path))
     code, _, _ = run(capsys, "verify", "--code", str(path), "--erasures", "6",
@@ -463,6 +479,31 @@ def test_verify_stale_linear_dimension_is_input_error(tmp_path, capsys):
     path.write_text(json.dumps(dict(json.loads(path.read_text()), k=5)))
     code, out, err = run(capsys, "verify", "--code", str(path), "--distance")
     assert code == 2 and "disagree" in err and out == ""
+
+
+@pytest.mark.parametrize("key,value", [("modulus", 5), ("m", 2), ("ext_modulus", [1, 1, 1])])
+def test_verify_tampered_linear_field_is_input_error(tmp_path, capsys, key, value):
+    # a linear code's field is GF(2^w) itself: m = 1 and no extension modulus;
+    # before, these facts were never read and a wrong one passed
+    path = tmp_path / "wzl.json"
+    run(capsys, "construct", "wzl", "--r", "2", "--t", "2", "--out", str(path))
+    path.write_text(json.dumps(_set_field(key, value)(json.loads(path.read_text()))))
+    code, out, err = run(capsys, "verify", "--code", str(path), "--distance")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: stored data disagree") and err.endswith(f": {key}\n")
+
+
+@pytest.mark.parametrize("parity", ["stored", None])
+def test_older_expander_artifact_with_a_provenance_parity_loads(tmp_path, capsys, parity):
+    # older writers copied the parity (or null) into the provenance as well
+    path = tmp_path / "expander.json"
+    run(capsys, "construct", *COMPOSITE_ARTIFACTS["expander"], "--out", str(path))
+    argv = ["verify", "--code", str(path), "--erasures", "6", "--trials", "20", "--seed", "1"]
+    expected = run(capsys, *argv)
+    doc = json.loads(path.read_text())
+    doc["provenance"]["parity"] = doc["matrices"]["parity"] if parity else None
+    path.write_text(json.dumps(doc))
+    assert run(capsys, *argv) == expected and expected[0] == 0
 
 
 def test_internal_error_is_not_an_input_error(tmp_path, monkeypatch):
@@ -559,7 +600,39 @@ def _raw_gf4_artifact(path):
     f, rng = BaseField(2), random.Random(4)
     rows = [[rng.randrange(f.q) for _ in range(9)] for _ in range(4)]
     code = LinearCode.from_parity(f, Matrix.from_rows(f, rows, 9))
-    path.write_text(json.dumps(cli.artifact_from_linear(code, "raw", 2, 1, {})))
+    path.write_text(json.dumps(cli.to_artifact(code, "raw", 2, 1, {})))
+
+
+@pytest.mark.parametrize("kind", ["wzl", "raw", "concat", "expander"])
+def test_loaded_artifact_writes_back_the_stored_document(tmp_path, capsys, kind):
+    # each fact is stored once: the expander parity sits in matrices only
+    path = tmp_path / f"{kind}.json"
+    if kind == "raw":
+        _raw_gf4_artifact(path)
+    else:
+        argv = ["wzl", "--r", "3", "--t", "2"] if kind == "wzl" else COMPOSITE_ARTIFACTS[kind]
+        run(capsys, "construct", *argv, "--out", str(path))
+    doc, code = cli.load_artifact(str(path))
+    assert cli.to_artifact(code, kind, doc["r"], doc["t"], doc["provenance"]) == doc
+    assert "parity" not in doc["provenance"]
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(r=st.integers(1, 7), t=st.integers(1, 3))
+def test_small_wzl_verifies_every_claim_it_makes(tmp_path, capsys, r, t):
+    # construct, then check the artifact with every oracle verify has for it;
+    # t = 3 stops at r = 4, where the dual has 2^15 words
+    assume(t < 3 or r <= 4)
+    path = tmp_path / "wzl.json"
+    run(capsys, "construct", "wzl", "--r", str(r), "--t", str(t), "--out", str(path))
+    code, out, err = run(capsys, "verify", "--code", str(path), "--distance",
+                         "--availability", "--erasures", str(t), "--trials", "20",
+                         "--seed", "1")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["distance"] == t + 1 and report["availability"]["pass"]
+    assert report["erasures"]["successes"] == 20
 
 
 @pytest.mark.parametrize("kind", ["wzl", "raw", "expander"])

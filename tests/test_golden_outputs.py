@@ -33,7 +33,7 @@ RUNS = [
     ("construct-expander", "construct expander --n 14 --r 6 --t 3 --w 4 --k 4 "
      "--min-girth 4 --seed 7 --out expander.json", 0,
      "484c78733d41687c0edef9b783fb61bb46c7f6e1d6c84db0e5c8658e7516b751",
-     "expander.json", "82d2fcf1d29a7c953a1090ba7afe1a7ecca1f16c16c0cdbfa7dfe9529a729cee"),
+     "expander.json", "547cab902f16f82da54a49073fb00cbbdd62f074dface77e05222f8382cc6e52"),
     ("verify-wzl32", "verify --code wzl32.json --distance --availability", 0,
      "a71223bc8fac386d008e1382b51fd011556257a7fece6cb1654030dd552659ed",
      None, None),

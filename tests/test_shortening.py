@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listalg import ListMatrix, rref
-from lrcav import shortening
+from lrcav import constructions, shortening
 from lrcav.analysis import verify_availability
 from lrcav.constructions import LinearCode, build_wzl
 from lrcav.galois import BaseField
@@ -54,7 +54,9 @@ def _count_nullspaces(monkeypatch):
         calls.append(M)
         return nullspace(M)
 
+    # the span walk's one nullspace builds ``code.dual`` in constructions
     monkeypatch.setattr(shortening, "nullspace", counted)
+    monkeypatch.setattr(constructions, "nullspace", counted)
     return calls
 
 
