@@ -25,7 +25,7 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .galois import BaseField, ExtElement, FieldTower
-from .gabidulin import GabidulinSpec, default_spec, gab_encode, moore_interpolate
+from .gabidulin import GabidulinSpec, gab_encode, moore_interpolate
 from .linalg import Matrix, RankTracker, nullspace, rank_over_base, rref
 
 
@@ -217,7 +217,7 @@ class CompositeCode:
     beta: List[ExtElement] = field(init=False, repr=False)
 
     def __post_init__(self):
-        # the evaluation points are 1, x, ..., x^(n_G-1) (default_spec), so
+        # a GabidulinSpec evaluates at the basis 1, x, ..., x^(n_G-1), so
         # coordinate j evaluates at sum_i G[i][j] x^i, column j of G; bound
         # once, as the decoder reads it per survivor
         self.beta = self.outer.generator_columns
@@ -244,7 +244,7 @@ def assemble_expander_code(tower: FieldTower, parity: Matrix, k: int) -> Composi
         raise ValueError("n_G exceeds the extension degree m")
     if k > outer.k:
         raise ValueError("k exceeds n_G")
-    return CompositeCode("expander", tower, default_spec(tower, outer.k, k), outer)
+    return CompositeCode("expander", tower, GabidulinSpec(tower, outer.k, k), outer)
 
 
 def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
@@ -267,7 +267,7 @@ def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
                                 [row << (b * n_i) for b in range(blocks) for row in mat.data])
                          for mat in (inner.parity, inner.generator))
     outer = LinearCode(tower.base, blocks * n_i, n_g, parity, generator)
-    return CompositeCode("concatenated", tower, default_spec(tower, n_g, k), outer,
+    return CompositeCode("concatenated", tower, GabidulinSpec(tower, n_g, k), outer,
                          inner_n=n_i, inner_k=k_i, blocks=blocks)
 
 

@@ -3,55 +3,52 @@
 A linearized polynomial sum(a_i * x^(q^i)) is GF(q)-linear as a map on
 GF(q^m).  Evaluating one at n linearly independent points gives a
 rank-metric codeword; erasure recovery is linearized interpolation at
-any k independent surviving points.
+any k independent surviving points.  A Gabidulin code here evaluates at
+the polynomial basis 1, x, ..., x^(n-1), where the encoder needs no
+extension-field product (``gab_encode``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 from .galois import ExtElement, FieldTower
-from .linalg import rank_over_base
 
 
 @dataclass
 class GabidulinSpec:
-    """An [n, k] Gabidulin code; ``powers[i][j]`` is eval_points[j]^(q^i), i < k."""
+    """An [n, k] Gabidulin code, evaluated at the polynomial basis 1, x, ..., x^(n-1)."""
 
     tower: FieldTower
     n: int
     k: int
-    eval_points: List[ExtElement]
-    powers: List[List[ExtElement]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (1 <= self.k <= self.n <= self.tower.m):
             raise ValueError("need 1 <= k <= n <= extension degree m")
-        if len(self.eval_points) != self.n:
-            raise ValueError("need exactly n evaluation points")
-        if rank_over_base(self.tower, self.eval_points) != self.n:
-            raise ValueError("evaluation points are linearly dependent over the base field")
-        self.powers = [list(self.eval_points)]
-        for _ in range(1, self.k):
-            self.powers.append([self.tower.frobenius(x, 1) for x in self.powers[-1]])
-
-
-def default_spec(tower: FieldTower, n: int, k: int) -> GabidulinSpec:
-    """Spec with the polynomial-basis evaluation points 1, x, x², ..."""
-    points = [tower.basis_element(i) for i in range(n)]
-    return GabidulinSpec(tower, n, k, points)
 
 
 def gab_encode(spec: GabidulinSpec, message: Sequence[ExtElement]) -> List[ExtElement]:
-    """Message-major: each nonzero symbol a_i times its row x_j^(q^i), one ``mul_row``."""
+    """f(x^j) for j < n, f = sum(a_i * X^(q^i)): Horner in the Frobenius map.
+
+    At a basis point a_i * (x^j)^(q^i) = Frob^i(g_i * x^j) with
+    g_i = a_i^(q^-i) = Frob^(m-i)(a_i), so the codeword is
+    sum_i Frob^i(h_i) for the rows h_i = [g_i * x^j]_j, each a chain of
+    coordinate shifts (``basis_row``).  acc <- Frob(acc) + h_i, for i
+    from k-1 down to 0, sums it with byte-table passes and no product.
+    """
     if len(message) != spec.k:
         raise ValueError(f"message must have {spec.k} symbols")
-    out = [spec.tower.zero] * spec.n
-    for a, powers in zip(message, spec.powers):
-        if a:
-            out = [y ^ p for y, p in zip(out, spec.tower.mul_row(a, powers))]
-    return out
+    tower = spec.tower
+    acc = [tower.zero] * spec.n
+    for i in range(spec.k - 1, -1, -1):
+        if i < spec.k - 1:
+            acc = tower.frobenius_row(acc)
+        if message[i]:
+            g = tower.frobenius(message[i], tower.m - i)
+            acc = [y ^ h for y, h in zip(acc, tower.basis_row(g, spec.n))]
+    return acc
 
 
 def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
@@ -70,7 +67,8 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
     d_s = (y_s - sum(d_u * A_u(p_s) for u < s)) / c_s, and sums
     f = sum(d_s * A_s).  The products of a round that share an operand
     (c_s^(q-1), the running inverse, d_s) form one ``mul_row``, so the
-    tower builds O(k) product tables.  Solving the Moore system (entry (i, j) =
+    tower builds O(k) product tables; pass 1's Frobenius images of a
+    round are one ``frobenius_row``.  Solving the Moore system (entry (i, j) =
     points[i]^(q^j)) gives the same f in O(k^3); the tests keep that
     solve as the oracle.  f is returned as its coefficients, low q-degree
     first.
@@ -80,7 +78,7 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
         raise ValueError("points and values differ in length")
     if not k:
         return []
-    mul, mul_row, frob = tower.mul, tower.mul_row, tower.frobenius
+    mul, mul_row = tower.mul, tower.mul_row
     # pass 1: row s holds A_s at p_s..p_(k-1), so rows[s][0] = c_s
     rows, anns, prefix = [], [], []
     pending, ann = list(points), [tower.one]
@@ -94,10 +92,13 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
         if s == k - 1:
             break
         ratio = tower.frobenius_ratio(c)
-        scaled = mul_row(ratio, pending[1:] + ann[:-1]) + [ratio]  # ann is monic
-        pending = [frob(v, 1) ^ x for v, x in zip(pending[1:], scaled)]
-        scaled = scaled[len(pending):]
-        ann = scaled[:1] + [x ^ frob(a, 1) for x, a in zip(scaled[1:], ann)] + [tower.one]
+        row = pending[1:] + ann[:-1]
+        scaled = mul_row(ratio, row) + [ratio]  # ann is monic
+        mapped = tower.frobenius_row(row)
+        cut = len(pending) - 1
+        pending = [v ^ x for v, x in zip(mapped[:cut], scaled)]
+        ann = (scaled[cut:cut + 1] + [x ^ a for x, a in zip(scaled[cut + 1:], mapped[cut:])]
+               + [tower.one])
     # one inversion, walked back through the prefix products
     inv = tower.inv(prefix[-1])
     c_invs = [tower.zero] * k

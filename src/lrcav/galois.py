@@ -363,10 +363,38 @@ class FieldTower:
         return self.base.scalar_mul(self.base.inv(norm), rest)
 
     def frobenius(self, a: ExtElement, i: int) -> ExtElement:
-        """a^(q^i) by i passes of byte-table lookups; i = m is the identity."""
+        """a^(q^i), as the one-element row ``frobenius_row((a,), i)``."""
+        return self.frobenius_row((a,), i)[0]
+
+    def frobenius_row(self, bs: Sequence[ExtElement], i: int = 1) -> List[ExtElement]:
+        """[b^(q^i) for b in bs] by i passes of byte-table lookups; i = m is the identity."""
         if i < 0:
             raise ValueError("Frobenius power must be nonnegative")
-        return _apply_byte_tables(self._frob_tables, a, i % self.m)
+        return _apply_byte_tables(self._frob_tables, bs, i % self.m)
+
+    def basis_row(self, a: ExtElement, n: int) -> List[ExtElement]:
+        """[a * x^j for j < n], no product: a chain of one-coordinate shifts.
+
+        The coordinate each shift pushes past the top folds back through
+        every nibble of the tower's tables of c * x^m mod f.
+        """
+        w, top, full, folds = self.base.w, self._top, self._full, self._fold_tables
+        out = [a]
+        if len(folds) == 1:  # w <= 4: the loop below with its one table unrolled
+            (fold,) = folds
+            for _ in range(n - 1):
+                a <<= w
+                a = a & full ^ fold[a >> top]
+                out.append(a)
+            return out
+        for _ in range(n - 1):
+            a <<= w
+            over, a = a >> top, a & full
+            for fold in folds:
+                a ^= fold[over & 15]
+                over >>= 4
+            out.append(a)
+        return out
 
     def frobenius_ratio(self, c: ExtElement) -> ExtElement:
         """c^(q-1), which is frob(c)/c for nonzero c, without an inversion.
@@ -377,25 +405,31 @@ class FieldTower:
         """
         b, k = c, 1
         for bit in bin(self.base.w)[3:]:
-            b = self.mul(b, _apply_byte_tables(self._square_tables, b, k))
+            b = self.mul(b, _apply_byte_tables(self._square_tables, (b,), k)[0])
             k *= 2
             if bit == "1":
-                b = self.mul(c, _apply_byte_tables(self._square_tables, b, 1))
+                b = self.mul(c, _apply_byte_tables(self._square_tables, (b,), 1)[0])
                 k += 1
         return b
 
 
-def _apply_byte_tables(tables: List[List[ExtElement]], a: ExtElement, passes: int) -> ExtElement:
-    """passes applications of the linear map whose byte tables these are."""
+def _apply_byte_tables(tables: List[List[ExtElement]], row: Sequence[ExtElement],
+                       passes: int) -> List[ExtElement]:
+    """passes applications, to each element of row, of the linear map whose
+    byte tables these are."""
+    row = list(row)
     for _ in range(passes):
-        out = 0
-        for table in tables:
-            if not a:
-                break
-            out ^= table[a & 255]
-            a >>= 8
-        a = out
-    return a
+        images = []
+        for a in row:
+            image = 0
+            for table in tables:
+                if not a:
+                    break
+                image ^= table[a & 255]
+                a >>= 8
+            images.append(image)
+        row = images
+    return row
 
 
 def _subset_tables(images: List[int]) -> List[tuple]:

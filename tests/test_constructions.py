@@ -409,13 +409,14 @@ def outer_code_cases():
                                   "expander_n20", "expander_gf4", "concat_one_block"])
 def test_beta_is_the_outer_map_applied_to_the_evaluation_points(outer_code_cases, name):
     # the outer map applied to the evaluation points, in tower products:
-    # beta_j = sum_i G[i][j] * eval_points[i]
+    # beta_j = sum_i G[i][j] * x^i, over the basis points x^i, i < n_G
     code, _ = outer_code_cases[name]
     tower, G = code.tower, code.outer.generator.to_lists()
     assert len(code.beta) == code.n == code.outer.n
+    points = [tower.basis_element(i) for i in range(code.n_g)]
     for j in range(code.n):
         expected = tower.zero
-        for row, point in zip(G, code.gab.eval_points):
+        for row, point in zip(G, points):
             expected ^= tower.mul(row[j], point)
         assert code.beta[j] == expected
 

@@ -1,10 +1,12 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lrcav"
+PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 
 
 def test_package_imports_only_the_standard_library():
@@ -44,3 +46,15 @@ def test_importing_the_cli_does_not_load_logging():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_package_parses_at_the_declared_python_floor():
+    # pyproject's requires-python is the floor; feature_version makes the
+    # parser refuse syntax newer than it (except*, type statements, ...)
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', PYPROJECT.read_text(), re.M)
+    assert floor
+    version = tuple(map(int, floor.groups()))
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=version)

@@ -5,14 +5,15 @@ from itertools import product
 import pytest
 
 from listalg import ListMatrix, solve
-from lrcav.gabidulin import GabidulinSpec, default_spec, gab_encode, moore_interpolate
+from lrcav.gabidulin import GabidulinSpec, gab_encode, moore_interpolate
 from lrcav.galois import BaseField, FieldTower
 from lrcav.linalg import rank_over_base
 
 
 def lin_eval(tower, coeffs, x):
     """sum(a_i * x^(q^i)) for coeffs a_0, a_1, ..., low q-degree first: one
-    point at a time, the oracle for the message-major ``gab_encode``."""
+    point at a time, in tower products, the oracle for the Frobenius-Horner
+    ``gab_encode``."""
     acc = tower.zero
     xi = x
     for i, a in enumerate(coeffs):
@@ -70,30 +71,46 @@ def test_evaluation_is_base_linear():
         assert lhs == rhs
 
 
+def basis(tower, n):
+    return [tower.basis_element(j) for j in range(n)]
+
+
 def test_encode_unit_message_gives_eval_points():
     t = tower24()
-    spec = default_spec(t, 4, 2)
+    spec = GabidulinSpec(t, 4, 2)
     msg = [t.one, t.zero]
-    assert gab_encode(spec, msg) == spec.eval_points
+    assert gab_encode(spec, msg) == basis(t, 4)
 
 
 def test_encode_zero_message():
     t = tower24()
-    spec = default_spec(t, 4, 2)
+    spec = GabidulinSpec(t, 4, 2)
     assert gab_encode(spec, [t.zero, t.zero]) == [t.zero] * 4
 
 
 @pytest.mark.parametrize("w,m", [(1, 8), (4, 5), (8, 3)])
 def test_encode_matches_per_point_evaluation(w, m):
-    # random independent evaluation points, not the polynomial basis, and
-    # messages with zero symbols in every position
+    # every 1 <= k <= n <= m, at the basis points, and messages with zero
+    # symbols in every position
     t = FieldTower(BaseField(w), m, seed=3)
     rng = random.Random(30 + w)
-    for k in range(1, m + 1):
-        spec = GabidulinSpec(t, m, k, _independent_points(t, m, rng))
-        for _ in range(6):
-            msg = [t.rand(rng) if rng.random() < 0.6 else t.zero for _ in range(k)]
-            assert gab_encode(spec, msg) == [lin_eval(t, msg, x) for x in spec.eval_points]
+    for n in range(1, m + 1):
+        for k in range(1, n + 1):
+            spec = GabidulinSpec(t, n, k)
+            for _ in range(6):
+                msg = [t.rand(rng) if rng.random() < 0.6 else t.zero for _ in range(k)]
+                assert gab_encode(spec, msg) == [lin_eval(t, msg, x) for x in basis(t, n)]
+
+
+@pytest.mark.parametrize("w,m,k", [(1, 18, 9), (4, 8, 4), (8, 12, 6), (1, 36, 24)])
+def test_encode_matches_per_point_evaluation_at_decode_scale(w, m, k):
+    # the towers and (n_G, k) of the benchmark's four composite codes
+    t = FieldTower(BaseField(w), m)
+    rng = random.Random(50 + m)
+    spec = GabidulinSpec(t, m, k)
+    for _ in range(3):
+        msg = [t.rand(rng) for _ in range(k)]
+        assert gab_encode(spec, msg) == [lin_eval(t, msg, x) for x in basis(t, m)]
 
 
 def _count_tower_calls(monkeypatch, *names):
@@ -117,35 +134,41 @@ def _count_tower_calls(monkeypatch, *names):
     return calls
 
 
-def test_encode_builds_tables_once_per_nonzero_symbol(monkeypatch):
-    # a nonzero symbol's n products are one row: one table build, and no
-    # product outside a row
-    t = FieldTower(BaseField(4), 6, seed=2)
-    spec = GabidulinSpec(t, 6, 5, _independent_points(t, 6, random.Random(11)))
-    msg = [t.basis_element(2) ^ 7, t.zero, t.basis_element(5) ^ 1, t.zero, t.basis_element(1)]
-    expected = [lin_eval(t, msg, x) for x in spec.eval_points]
+@pytest.mark.parametrize("w,m", [(1, 8), (4, 6), (8, 3)])
+def test_encode_makes_no_products(monkeypatch, w, m):
+    # Frobenius passes and coordinate shifts only: no product, and no
+    # product tables built
+    t = FieldTower(BaseField(w), m, seed=2)
+    spec = GabidulinSpec(t, m, m - 1)
+    rng = random.Random(11)
+    msgs = [[t.rand(rng) for _ in range(m - 1)] for _ in range(3)]
+    msgs.append([t.basis_element(2) ^ 7, t.zero] + [t.rand(rng) for _ in range(m - 3)])
+    expected = [[lin_eval(t, msg, x) for x in basis(t, m)] for msg in msgs]
     calls = _count_tower_calls(monkeypatch, "mul", "mul_row", "_nibble_tables")
-    assert gab_encode(spec, msg) == expected
-    assert calls == {"mul_row": 3, "products": 6 * 3, "_nibble_tables": 3}
+    assert [gab_encode(spec, msg) for msg in msgs] == expected
+    assert not calls
 
 
 def test_encode_length_mismatch():
     t = tower24()
-    spec = default_spec(t, 4, 2)
+    spec = GabidulinSpec(t, 4, 2)
     with pytest.raises(ValueError):
         gab_encode(spec, [t.one])
 
 
-def test_spec_rejects_dependent_points():
+@pytest.mark.parametrize("n,k", [(4, 0), (2, 3), (5, 2), (5, 5)])
+def test_spec_rejects_bad_parameters(n, k):
+    # k < 1, k > n, and n > m: the basis points 1, ..., x^(n-1) are
+    # independent exactly when n <= m
     t = tower24()
-    with pytest.raises(ValueError):
-        GabidulinSpec(t, 2, 1, [t.one, t.one])
+    with pytest.raises(ValueError, match="1 <= k <= n <= extension degree m"):
+        GabidulinSpec(t, n, k)
 
 
 def test_mrd_exhaustive_small_field():
     # [4, 2] code over GF(2^4)/GF(2): minimum rank weight is n - k + 1 = 3
     t = FieldTower(BaseField(1), 4)
-    spec = default_spec(t, 4, 2)
+    spec = GabidulinSpec(t, 4, 2)
     best = None
     count = 0
     for c0, c1 in product(range(16), repeat=2):

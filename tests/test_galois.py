@@ -580,6 +580,32 @@ def test_frobenius_ratio_matches_power(w, m):
         assert t.frobenius_ratio(c) == _pow(t, c, e)
 
 
+ROW_TOWERS = [(1, 6), (2, 3), (3, 4), (4, 5), (8, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("w,m", ROW_TOWERS)
+def test_frobenius_row_matches_per_element_frobenius(w, m):
+    t = FieldTower(BaseField(w), m, seed=w)
+    rng = random.Random(40 + w)
+    row = [t.zero, t.one, t.x] + [t.rand(rng) for _ in range(20)]
+    assert t.frobenius_row(row) == [t.frobenius(a, 1) for a in row]
+    assert t.frobenius_row(row) == [_pow(t, a, t.base.q) for a in row]
+    for i in range(m + 1):
+        assert t.frobenius_row(row, i) == [t.frobenius(a, i) for a in row]
+    assert t.frobenius_row([]) == []
+
+
+@pytest.mark.parametrize("w,m", ROW_TOWERS)
+def test_basis_row_matches_mul_row_with_the_basis(w, m):
+    # a * x^j by coordinate shifts against the product row, every n <= m
+    t = FieldTower(BaseField(w), m, seed=w)
+    rng = random.Random(50 + w)
+    points = [t.basis_element(j) for j in range(m)]
+    for a in [t.zero, t.one, t.x] + [t.rand(rng) for _ in range(20)]:
+        for n in range(1, m + 1):
+            assert t.basis_row(a, n) == t.mul_row(a, points[:n])
+
+
 @pytest.mark.parametrize("w,m,seed", [(1, 6, 1), (2, 2, 9), (3, 2, 3), (4, 2, 0)])
 def test_square_tables_built_once_per_tower_and_not_at_w1(monkeypatch, w, m, seed):
     # at w > 1 the squaring tables wait for the accepted modulus (the
