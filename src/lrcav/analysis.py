@@ -206,9 +206,9 @@ def erasure_monte_carlo(code: CompositeCode, e: int, trials: int, seed: int,
         successes += ok
         min_rank = min(min_rank, rank)
     stats = ErasureTrialStats(trials, successes, min_rank, seed)
-    if code.kind == "concatenated":
-        # block b holds coordinates [b*n_I, (b+1)*n_I), so the first e
-        # coordinates cover whole inner blocks first
+    if code.blocks is not None:
+        # a concatenated code: block b holds coordinates [b*n_I, (b+1)*n_I),
+        # so the first e coordinates cover whole inner blocks first
         ok, rank = _trial(code, list(range(e)), rng, full_decode=True)
         stats.adversarial_success = ok
         stats.min_survivor_rank = min(stats.min_survivor_rank, rank)

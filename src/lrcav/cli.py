@@ -50,7 +50,7 @@ def to_artifact(code, kind: str, r, t, provenance) -> dict:
     elif kind == "concat":
         doc["matrices"] = {"outer_map": code.outer.generator.to_lists()}
         doc["params"] = {"n_G": code.n_g, "blocks": code.blocks,
-                         "n_I": code.inner_n, "k_I": code.inner_k}
+                         "n_I": code.n // code.blocks, "k_I": code.n_g // code.blocks}
     else:
         doc["matrices"] = {"outer_map": code.outer.generator.to_lists(),
                            "parity": code.outer.parity.to_lists()}

@@ -6,13 +6,13 @@ check covering the t-subsets that contain it.  This gives n = C(r+t, t),
 dimension n*r/(r+t), distance t+1, and explicit disjoint recovering sets
 for every coordinate.
 
-Composite codes layer a Gabidulin code over a base-field outer code:
-a message is Gabidulin-encoded to n_G extension symbols, then expanded
-to n coordinates by the outer code's generator (full row rank).  By
-linearity every coordinate is the evaluation of the message polynomial
-at a base-field combination of the original evaluation points, so
-erasure decoding reduces to picking k independent surviving points and
-interpolating.
+A composite code is its tower, a base-field outer code whose n_G x n
+generator G has full row rank, k and, if concatenated, its number of
+inner blocks.  The [n_G, k] Gabidulin code at the basis 1, x, ...,
+x^(n_G-1) encodes a message, and G expands it to n coordinates, so
+coordinate j evaluates the message polynomial at column j of G read as
+an extension element: erasure decoding picks k independent surviving
+points and interpolates.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .galois import BaseField, ExtElement, FieldTower
-from .gabidulin import GabidulinSpec, gab_encode, moore_interpolate
+from .gabidulin import gab_encode, moore_interpolate
 from .linalg import Matrix, RankTracker, nullspace, rank_over_base, rref
 
 
@@ -205,19 +205,18 @@ def build_expander_parity(g: BipartiteGraph, base: BaseField, seed: int) -> Matr
 
 @dataclass
 class CompositeCode:
-    """Gabidulin code pushed through the generator of a base-field outer code."""
+    """An [n_G, k] Gabidulin code pushed through a base-field outer code's generator."""
 
-    kind: str  # "expander" | "concatenated"
     tower: FieldTower
-    gab: GabidulinSpec
     outer: LinearCode          # its generator G is n_G x n, full row rank
-    inner_n: Optional[int] = None
-    inner_k: Optional[int] = None
-    blocks: Optional[int] = None
+    k: int
+    blocks: Optional[int] = None  # inner codes of a concatenated code
     beta: List[ExtElement] = field(init=False, repr=False)
 
     def __post_init__(self):
-        # a GabidulinSpec evaluates at the basis 1, x, ..., x^(n_G-1), so
+        if not 1 <= self.k <= self.n_g <= self.tower.m:
+            raise ValueError("need 1 <= k <= n <= extension degree m")
+        # the Gabidulin code evaluates at the basis 1, x, ..., x^(n_G-1), so
         # coordinate j evaluates at sum_i G[i][j] x^i, column j of G; bound
         # once, as the decoder reads it per survivor
         self.beta = self.outer.generator_columns
@@ -227,12 +226,8 @@ class CompositeCode:
         return self.outer.n
 
     @property
-    def k(self) -> int:
-        return self.gab.k
-
-    @property
     def n_g(self) -> int:
-        return self.gab.n
+        return self.outer.k
 
 
 def assemble_expander_code(tower: FieldTower, parity: Matrix, k: int) -> CompositeCode:
@@ -244,7 +239,7 @@ def assemble_expander_code(tower: FieldTower, parity: Matrix, k: int) -> Composi
         raise ValueError("n_G exceeds the extension degree m")
     if k > outer.k:
         raise ValueError("k exceeds n_G")
-    return CompositeCode("expander", tower, GabidulinSpec(tower, outer.k, k), outer)
+    return CompositeCode(tower, outer, k)
 
 
 def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
@@ -267,16 +262,17 @@ def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
                                 [row << (b * n_i) for b in range(blocks) for row in mat.data])
                          for mat in (inner.parity, inner.generator))
     outer = LinearCode(tower.base, blocks * n_i, n_g, parity, generator)
-    return CompositeCode("concatenated", tower, GabidulinSpec(tower, n_g, k), outer,
-                         inner_n=n_i, inner_k=k_i, blocks=blocks)
+    return CompositeCode(tower, outer, k, blocks)
 
 
 def encode_composite(code: CompositeCode, message: Sequence[ExtElement]) -> List[ExtElement]:
     """Gabidulin-encode, then apply the outer generator: y_j = sum_i G[i][j] c_i."""
+    if len(message) != code.k:
+        raise ValueError(f"message must have {code.k} symbols")
     tower = code.tower
     scalar_mul, w, mask = tower.base.scalar_mul, tower.base.w, tower.base.q - 1
     out = [tower.zero] * code.n
-    for row, symbol in zip(code.outer.generator.data, gab_encode(code.gab, message)):
+    for row, symbol in zip(code.outer.generator.data, gab_encode(tower, message, code.n_g)):
         while row:  # the row's nonzero coordinates, lowest first
             j = ((row & -row).bit_length() - 1) // w
             lam = row >> (j * w) & mask

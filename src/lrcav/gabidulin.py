@@ -3,34 +3,22 @@
 A linearized polynomial sum(a_i * x^(q^i)) is GF(q)-linear as a map on
 GF(q^m).  Evaluating one at n linearly independent points gives a
 rank-metric codeword; erasure recovery is linearized interpolation at
-any k independent surviving points.  A Gabidulin code here evaluates at
-the polynomial basis 1, x, ..., x^(n-1), where the encoder needs no
+any k independent surviving points.  An [n, k] Gabidulin code is fixed
+by its tower and (n, k): it evaluates at the polynomial basis 1, x, ...,
+x^(n-1), independent exactly when n <= m, where the encoder needs no
 extension-field product (``gab_encode``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 from .galois import ExtElement, FieldTower
 
 
-@dataclass
-class GabidulinSpec:
-    """An [n, k] Gabidulin code, evaluated at the polynomial basis 1, x, ..., x^(n-1)."""
-
-    tower: FieldTower
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if not (1 <= self.k <= self.n <= self.tower.m):
-            raise ValueError("need 1 <= k <= n <= extension degree m")
-
-
-def gab_encode(spec: GabidulinSpec, message: Sequence[ExtElement]) -> List[ExtElement]:
-    """f(x^j) for j < n, f = sum(a_i * X^(q^i)): Horner in the Frobenius map.
+def gab_encode(tower: FieldTower, message: Sequence[ExtElement], n: int) -> List[ExtElement]:
+    """f(x^j) for j < n, f = sum(a_i * X^(q^i)) with k = len(message)
+    coefficients: Horner in the Frobenius map.
 
     At a basis point a_i * (x^j)^(q^i) = Frob^i(g_i * x^j) with
     g_i = a_i^(q^-i) = Frob^(m-i)(a_i), so the codeword is
@@ -38,16 +26,16 @@ def gab_encode(spec: GabidulinSpec, message: Sequence[ExtElement]) -> List[ExtEl
     coordinate shifts (``basis_row``).  acc <- Frob(acc) + h_i, for i
     from k-1 down to 0, sums it with byte-table passes and no product.
     """
-    if len(message) != spec.k:
-        raise ValueError(f"message must have {spec.k} symbols")
-    tower = spec.tower
-    acc = [tower.zero] * spec.n
-    for i in range(spec.k - 1, -1, -1):
-        if i < spec.k - 1:
+    k = len(message)
+    if not 1 <= k <= n <= tower.m:
+        raise ValueError("need 1 <= k <= n <= extension degree m")
+    acc = [tower.zero] * n
+    for i in range(k - 1, -1, -1):
+        if i < k - 1:
             acc = tower.frobenius_row(acc)
         if message[i]:
             g = tower.frobenius(message[i], tower.m - i)
-            acc = [y ^ h for y, h in zip(acc, tower.basis_row(g, spec.n))]
+            acc = [y ^ h for y, h in zip(acc, tower.basis_row(g, n))]
     return acc
 
 

@@ -48,6 +48,8 @@ PRIMITIVE_POLY = {
     16: 0b10001000000001011,
 }
 
+TOWER_SIZE_CAP = 1024  # largest extension size m*w, in bits, that FieldTower builds
+
 
 class BaseField:
     """GF(2^w) with exp/log tables for multiplication and inversion."""
@@ -193,6 +195,9 @@ class FieldTower:
                  seed: int = 0):
         if m < 1:
             raise ValueError("extension degree must be >= 1")
+        if m * base.w > TOWER_SIZE_CAP:
+            raise ValueError(f"m*w = {m * base.w} bits exceeds the tower size cap "
+                             f"{TOWER_SIZE_CAP}")
         self.base = base
         self.m = m
         self.zero: ExtElement = 0

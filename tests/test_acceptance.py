@@ -21,7 +21,7 @@ from lrcav.bounds import (_expansion_residual, concat_expander_crossover,
 from lrcav.constructions import (assemble_concatenated, assemble_expander_code,
                                  build_expander_parity, build_wzl,
                                  check_expansion, sample_biregular)
-from lrcav.gabidulin import GabidulinSpec, gab_encode, moore_interpolate
+from lrcav.gabidulin import gab_encode, moore_interpolate
 from lrcav.galois import BaseField, FieldTower
 from lrcav.linalg import Matrix, rank_over_base, rref
 from lrcav.shortening import (build_shortening_set, closure,
@@ -94,7 +94,6 @@ def test_criterion_03_tightness_witnesses(report):
 def test_criterion_04_gabidulin_mrd_exhaustive(report):
     start = time.perf_counter()
     tower = FieldTower(BaseField(1), 4)
-    spec = GabidulinSpec(tower, 4, 2)
     best = None
     count = 0
     for c0, c1 in product(range(16), repeat=2):
@@ -102,7 +101,7 @@ def test_criterion_04_gabidulin_mrd_exhaustive(report):
             continue
         count += 1
         msg = [c0, c1]
-        w = rank_over_base(tower, gab_encode(spec, msg))
+        w = rank_over_base(tower, gab_encode(tower, msg, 4))
         best = w if best is None else min(best, w)
     elapsed = time.perf_counter() - start
     ok = count == 255 and best == 3 and elapsed < 1.0

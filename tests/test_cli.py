@@ -472,6 +472,45 @@ def test_verify_tampered_composite_is_input_error(tmp_path, capsys, kind, mutate
     assert code == 2 and "disagree" in err and out == ""
 
 
+@pytest.mark.parametrize("kind,flags,message", [
+    ("concat", ["--m", "17"], "n_G = blocks*k_I exceeds the extension degree m"),
+    ("expander", ["--m", "7"], "n_G exceeds the extension degree m"),
+    ("concat", ["--k", "19"], "k exceeds n_G"),
+    ("expander", ["--k", "9"], "k exceeds n_G"),
+    ("concat", ["--m", "1025"], "m*w = 1025 bits exceeds the tower size cap 1024"),
+], ids=["concat-m-below-n_G", "expander-m-below-n_G", "concat-k-above-n_G",
+        "expander-k-above-n_G", "concat-m-above-the-tower-cap"])
+def test_construct_composite_outside_its_parameters_is_input_error(tmp_path, capsys,
+                                                                   kind, flags, message):
+    # n_G = 18 (concat) and 8 (expander); the last flag wins over the k or m
+    # that COMPOSITE_ARTIFACTS sets
+    path = tmp_path / "x.json"
+    code, out, err = run(capsys, "construct", *COMPOSITE_ARTIFACTS[kind], *flags,
+                         "--out", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("kind,key,value,message", [
+    ("concat", "k", 0, "need 1 <= k <= n <= extension degree m"),
+    ("concat", "k", 19, "k exceeds n_G"),
+    ("expander", "k", 0, "need 1 <= k <= n <= extension degree m"),
+    ("expander", "k", 9, "k exceeds n_G"),
+    ("concat", "m", 1025, "m*w = 1025 bits exceeds the tower size cap 1024"),
+], ids=["concat-k-0", "concat-k-above-n_G", "expander-k-0", "expander-k-above-n_G",
+        "concat-m-above-the-tower-cap"])
+def test_verify_composite_outside_its_parameters_is_input_error(tmp_path, capsys,
+                                                                kind, key, value, message):
+    path = tmp_path / f"{kind}.json"
+    run(capsys, "construct", *COMPOSITE_ARTIFACTS[kind], "--out", str(path))
+    doc = json.loads(path.read_text())
+    (doc if key == "k" else doc["field"])[key] = value
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--code", str(path), "--erasures", "6",
+                         "--trials", "20", "--seed", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_stale_linear_dimension_is_input_error(tmp_path, capsys):
     # k is not read from the artifact, so a stale value used to pass unnoticed
     path = tmp_path / "wzl.json"

@@ -276,6 +276,13 @@ def test_decode_rejects_indices_outside_the_code():
     assert composite_erasure_decode(code, received) == msg
 
 
+def test_encode_length_mismatch():
+    code, _ = expander_code()
+    for length in (code.k - 1, code.k + 1):
+        with pytest.raises(ValueError, match=f"^message must have {code.k} symbols$"):
+            encode_composite(code, [code.tower.one] * length)
+
+
 def test_select_independent_survivors_matches_rank():
     code, _ = expander_code()
     rng = random.Random(9)
@@ -323,9 +330,9 @@ def concat_code():
 
 def test_concatenated_shape():
     code = concat_code()
-    assert code.kind == "concatenated"
     assert (code.n, code.k, code.n_g) == (30, 9, 18)
-    assert (code.inner_n, code.inner_k, code.blocks) == (10, 6, 3)
+    # three [10, 6] inner blocks
+    assert (code.n // code.blocks, code.n_g // code.blocks, code.blocks) == (10, 6, 3)
 
 
 def test_concatenated_blocks_are_inner_codewords():
@@ -424,6 +431,7 @@ def test_beta_is_the_outer_map_applied_to_the_evaluation_points(outer_code_cases
 @pytest.mark.parametrize("name", ["expander_n14", "expander_n20", "expander_gf4"])
 def test_expander_outer_code_is_the_code_of_its_parity(outer_code_cases, name):
     code, parity = outer_code_cases[name]
+    assert code.blocks is None
     assert code.outer.parity.to_lists() == parity.to_lists()
     assert code.outer.k == code.n_g
 
@@ -433,12 +441,13 @@ def test_expander_outer_code_is_the_code_of_its_parity(outer_code_cases, name):
 def test_concatenated_outer_code_is_the_code_of_its_parity(r, t, blocks):
     # the block-diagonal inner generator, in rref without an elimination,
     # is the generator from_parity derives from the block-diagonal parity
-    k_i = build_wzl(r, t).k
-    code = assemble_concatenated(FieldTower(BaseField(1), blocks * k_i), r, t,
+    inner = build_wzl(r, t)
+    code = assemble_concatenated(FieldTower(BaseField(1), blocks * inner.k), r, t,
                                  blocks, k=1)
     outer = code.outer
-    assert (outer.n, outer.k) == (code.n, code.n_g) == (blocks * code.inner_n,
-                                                        blocks * k_i)
+    assert code.blocks == blocks
+    assert (outer.n, outer.k) == (code.n, code.n_g) == (blocks * inner.n,
+                                                        blocks * inner.k)
     rebuilt = LinearCode.from_parity(outer.field, outer.parity)
     assert rebuilt.generator.to_lists() == outer.generator.to_lists()
     H = ListMatrix.from_rows(outer.field, outer.parity.to_lists(), outer.n)

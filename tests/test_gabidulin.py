@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from listalg import ListMatrix, solve
-from lrcav.gabidulin import GabidulinSpec, gab_encode, moore_interpolate
+from lrcav.gabidulin import gab_encode, moore_interpolate
 from lrcav.galois import BaseField, FieldTower
 from lrcav.linalg import rank_over_base
 
@@ -77,15 +77,13 @@ def basis(tower, n):
 
 def test_encode_unit_message_gives_eval_points():
     t = tower24()
-    spec = GabidulinSpec(t, 4, 2)
     msg = [t.one, t.zero]
-    assert gab_encode(spec, msg) == basis(t, 4)
+    assert gab_encode(t, msg, 4) == basis(t, 4)
 
 
 def test_encode_zero_message():
     t = tower24()
-    spec = GabidulinSpec(t, 4, 2)
-    assert gab_encode(spec, [t.zero, t.zero]) == [t.zero] * 4
+    assert gab_encode(t, [t.zero, t.zero], 4) == [t.zero] * 4
 
 
 @pytest.mark.parametrize("w,m", [(1, 8), (4, 5), (8, 3)])
@@ -96,10 +94,9 @@ def test_encode_matches_per_point_evaluation(w, m):
     rng = random.Random(30 + w)
     for n in range(1, m + 1):
         for k in range(1, n + 1):
-            spec = GabidulinSpec(t, n, k)
             for _ in range(6):
                 msg = [t.rand(rng) if rng.random() < 0.6 else t.zero for _ in range(k)]
-                assert gab_encode(spec, msg) == [lin_eval(t, msg, x) for x in basis(t, n)]
+                assert gab_encode(t, msg, n) == [lin_eval(t, msg, x) for x in basis(t, n)]
 
 
 @pytest.mark.parametrize("w,m,k", [(1, 18, 9), (4, 8, 4), (8, 12, 6), (1, 36, 24)])
@@ -107,10 +104,9 @@ def test_encode_matches_per_point_evaluation_at_decode_scale(w, m, k):
     # the towers and (n_G, k) of the benchmark's four composite codes
     t = FieldTower(BaseField(w), m)
     rng = random.Random(50 + m)
-    spec = GabidulinSpec(t, m, k)
     for _ in range(3):
         msg = [t.rand(rng) for _ in range(k)]
-        assert gab_encode(spec, msg) == [lin_eval(t, msg, x) for x in basis(t, m)]
+        assert gab_encode(t, msg, m) == [lin_eval(t, msg, x) for x in basis(t, m)]
 
 
 def _count_tower_calls(monkeypatch, *names):
@@ -139,36 +135,28 @@ def test_encode_makes_no_products(monkeypatch, w, m):
     # Frobenius passes and coordinate shifts only: no product, and no
     # product tables built
     t = FieldTower(BaseField(w), m, seed=2)
-    spec = GabidulinSpec(t, m, m - 1)
     rng = random.Random(11)
     msgs = [[t.rand(rng) for _ in range(m - 1)] for _ in range(3)]
     msgs.append([t.basis_element(2) ^ 7, t.zero] + [t.rand(rng) for _ in range(m - 3)])
     expected = [[lin_eval(t, msg, x) for x in basis(t, m)] for msg in msgs]
     calls = _count_tower_calls(monkeypatch, "mul", "mul_row", "_nibble_tables")
-    assert [gab_encode(spec, msg) for msg in msgs] == expected
+    assert [gab_encode(t, msg, m) for msg in msgs] == expected
     assert not calls
-
-
-def test_encode_length_mismatch():
-    t = tower24()
-    spec = GabidulinSpec(t, 4, 2)
-    with pytest.raises(ValueError):
-        gab_encode(spec, [t.one])
 
 
 @pytest.mark.parametrize("n,k", [(4, 0), (2, 3), (5, 2), (5, 5)])
 def test_spec_rejects_bad_parameters(n, k):
-    # k < 1, k > n, and n > m: the basis points 1, ..., x^(n-1) are
+    # the [n, k] code's parameters, k = len(message): k < 1 (an empty
+    # message), k > n, and n > m, as the basis points 1, ..., x^(n-1) are
     # independent exactly when n <= m
     t = tower24()
     with pytest.raises(ValueError, match="1 <= k <= n <= extension degree m"):
-        GabidulinSpec(t, n, k)
+        gab_encode(t, [t.one] * k, n)
 
 
 def test_mrd_exhaustive_small_field():
     # [4, 2] code over GF(2^4)/GF(2): minimum rank weight is n - k + 1 = 3
     t = FieldTower(BaseField(1), 4)
-    spec = GabidulinSpec(t, 4, 2)
     best = None
     count = 0
     for c0, c1 in product(range(16), repeat=2):
@@ -176,7 +164,7 @@ def test_mrd_exhaustive_small_field():
             continue
         count += 1
         msg = [c0, c1]
-        w = rank_over_base(t, gab_encode(spec, msg))
+        w = rank_over_base(t, gab_encode(t, msg, 4))
         best = w if best is None else min(best, w)
     assert count == 255
     assert best == 3

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcav.galois import BaseField, FieldTower, _poly_gcd, is_irreducible
+from lrcav.galois import (TOWER_SIZE_CAP, BaseField, FieldTower, _poly_gcd,
+                          is_irreducible)
 
 
 # dense coefficient-list polynomials over a BaseField (low to high): the
@@ -343,6 +344,27 @@ def test_root_test_matches_evaluation_at_every_point(w):
         has_root = any(functools.reduce(lambda acc, c: f.mul(acc, a) ^ c, reversed(poly), 0) == 0
                        for a in range(f.q))
         assert FieldTower(f, m)._set_modulus(poly) == (m == 1 or not has_root)
+
+
+class _NoModulus(Exception):
+    pass
+
+
+@pytest.mark.parametrize("w,m,over", [(1, 1025, True), (8, 129, True), (16, 65, True),
+                                      (1, 1024, False), (8, 128, False), (16, 64, False)])
+def test_tower_size_cap(monkeypatch, w, m, over):
+    # m*w above the cap is a ValueError before any modulus is tried; at the
+    # cap the modulus search starts (stopped here before it builds a table)
+    def stop(self, poly):
+        raise _NoModulus
+    monkeypatch.setattr(FieldTower, "_set_modulus", stop)
+    if over:
+        with pytest.raises(ValueError, match=f"^m\\*w = {m * w} bits exceeds the tower "
+                                             f"size cap {TOWER_SIZE_CAP}$"):
+            FieldTower(BaseField(w), m)
+    else:
+        with pytest.raises(_NoModulus):
+            FieldTower(BaseField(w), m)
 
 
 def test_frobenius_tables_only_for_rootless_candidates(monkeypatch):
