@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 from typing import List
 
@@ -38,6 +37,13 @@ def to_artifact(code, kind: str, r, t, provenance) -> dict:
     outer code's generator (outer_map) and n_G, and either the inner
     sizes (concat) or the outer parity it is built from (expander).
     """
+    doc = _artifact(code, kind, r, t, provenance)
+    doc["matrices"] = {key: M.to_lists() for key, M in doc["matrices"].items()}
+    return doc
+
+
+def _artifact(code, kind: str, r, t, provenance) -> dict:
+    """``to_artifact``'s document with its matrices left as Matrix objects."""
     linear = isinstance(code, constructions.LinearCode)
     base = code.field if linear else code.tower.base
     doc = {"format_version": FORMAT_VERSION, "kind": kind,
@@ -46,14 +52,13 @@ def to_artifact(code, kind: str, r, t, provenance) -> dict:
                      "ext_modulus": None if linear else list(code.tower.ext_modulus)},
            "n": code.n, "k": code.k, "r": r, "t": t, "provenance": provenance}
     if linear:
-        doc["matrices"] = {"parity": code.parity.to_lists()}
+        doc["matrices"] = {"parity": code.parity}
     elif kind == "concat":
-        doc["matrices"] = {"outer_map": code.outer.generator.to_lists()}
+        doc["matrices"] = {"outer_map": code.outer.generator}
         doc["params"] = {"n_G": code.n_g, "blocks": code.blocks,
                          "n_I": code.n // code.blocks, "k_I": code.n_g // code.blocks}
     else:
-        doc["matrices"] = {"outer_map": code.outer.generator.to_lists(),
-                           "parity": code.outer.parity.to_lists()}
+        doc["matrices"] = {"outer_map": code.outer.generator, "parity": code.outer.parity}
         doc["params"] = {"n_G": code.n_g}
     return doc
 
@@ -82,19 +87,35 @@ def _base_rows(rows, q: int) -> list:
     return rows
 
 
+def _same_rows(rows, M: Matrix) -> bool:
+    """Do the stored rows (None, or checked by _base_rows) hold matrix M?"""
+    return (rows is not None and len(rows) == M.rows
+            and all(len(row) == M.cols for row in rows)
+            and list(map(M.field.pack, rows)) == M.data)
+
+
 def _check_rebuild(doc: dict, rebuilt: dict) -> None:
-    """Each fact the rebuilt code's artifact states must equal doc's copy:
-    n, k, every field fact, matrix and param, and the provenance parity an
-    older expander artifact holds."""
-    pairs = [(key, doc[key], rebuilt[key]) for key in ("n", "k")]
+    """Each fact the rebuilt code's artifact (``_artifact``) states must
+    equal doc's copy: n, k, every field fact, matrix and param, and the
+    provenance parity an older expander artifact holds.
+
+    A stored parity is the matrix the code was rebuilt from, so it is not
+    compared with itself; a derived matrix (outer_map) is compared packed.
+    """
+    pairs = [(key, doc[key] == rebuilt[key]) for key in ("n", "k")]
     for group in ("field", "matrices", "params"):
         stored = doc.get(group)
-        pairs += [(key, stored.get(key) if isinstance(stored, dict) else None, val)
-                  for key, val in rebuilt.get(group, {}).items()]
+        stored = stored if isinstance(stored, dict) else {}
+        for key, val in rebuilt.get(group, {}).items():
+            if group != "matrices":
+                pairs.append((key, stored.get(key) == val))
+            elif key != "parity":
+                pairs.append((key, _same_rows(stored.get(key), val)))
     prov = doc.get("provenance")
     if isinstance(prov, dict) and prov.get("parity") is not None:
-        pairs.append(("provenance parity", prov["parity"], rebuilt["matrices"].get("parity")))
-    stale = [key for key, stored, val in pairs if stored != val]
+        source = doc["matrices"]["parity"] if "parity" in rebuilt["matrices"] else None
+        pairs.append(("provenance parity", prov["parity"] == source))
+    stale = [key for key, same in pairs if not same]
     if stale:
         raise InputError("stored data disagree with the code rebuilt from the "
                          f"artifact: {', '.join(stale)}")
@@ -141,7 +162,7 @@ def load_artifact(path: str):
         else:
             parity = Matrix.from_rows(base, mats["parity"], doc["n"])
             code = constructions.assemble_expander_code(tower, parity, doc["k"])
-    _check_rebuild(doc, to_artifact(code, kind, doc["r"], doc["t"], None))
+    _check_rebuild(doc, _artifact(code, kind, doc["r"], doc["t"], None))
     return doc, code
 
 
@@ -279,9 +300,8 @@ def cmd_verify(args) -> int:
         }
         failed |= not rep.ok
     if args.erasures is not None and linear:
-        rng = random.Random(args.seed)
-        ok = sum(analysis.erasure_correctable(code, rng.sample(range(code.n), args.erasures))
-                 for _ in range(args.trials))
+        ok = analysis.erasure_trials(code, args.erasures, args.trials, args.seed,
+                                     report.get("distance"))
         report["erasures"] = {"e": args.erasures, "trials": args.trials,
                               "successes": ok, "seed": args.seed}
         failed |= ok != args.trials

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrcav import analysis
 from lrcav.analysis import (concatenated_dimension, erasure_correctable,
-                            erasure_monte_carlo, macwilliams_transform,
+                            erasure_monte_carlo, erasure_trials, macwilliams_transform,
                             min_distance, partial_block_rank_bound,
                             verify_availability, weight_distribution)
 from lrcav.constructions import (LinearCode, assemble_concatenated,
@@ -148,6 +149,29 @@ def test_erasure_correctable_matches_distance():
                for p in combinations(range(code.n), d - 1))
     assert not all(erasure_correctable(code, p)
                    for p in combinations(range(code.n), d))
+
+
+def _sampled_successes(code, e, trials, seed):
+    rng = random.Random(seed)
+    return sum(erasure_correctable(code, rng.sample(range(code.n), e)) for _ in range(trials))
+
+
+def test_erasure_trials_takes_a_given_distance_and_keeps_the_budget(monkeypatch):
+    code = build_wzl(3, 3)  # d = 4; k = n - k = 10, a 2^10-word walk
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the distance was walked")
+
+    monkeypatch.setattr(analysis, "min_distance", no_walk)
+    # a known d is reused: proven below it, drawn at it
+    assert erasure_trials(code, 3, 100, 1, distance=4) == 100
+    assert erasure_trials(code, 4, 100, 1, distance=4) == _sampled_successes(code, 4, 100, 1)
+    # 1,600 words at 100 trials, but past a 2^4 budget: drawn
+    monkeypatch.setattr(analysis, "ENUMERATION_BUDGET", 2**4)
+    assert erasure_trials(code, 3, 100, 1) == 100
+    for e in (-1, code.n + 1):
+        with pytest.raises(ValueError, match="need 0 <= e <= n"):
+            erasure_trials(code, e, 100, 1)
 
 
 def _masked_parity_rank_correctable(code, erased):

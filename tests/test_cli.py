@@ -2,10 +2,10 @@ import json
 import random
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from lrcav import cli, shortening
+from lrcav import analysis, cli, shortening
 from lrcav.bounds import shortening_k_bound
 from lrcav.constructions import (CompositeCode, LinearCode, assemble_expander_code,
                                  build_expander_parity, sample_biregular)
@@ -355,6 +355,112 @@ def test_verify_erasing_every_coordinate_is_a_failure(tmp_path, capsys):
     assert code == 1 and json.loads(out)["erasures"]["successes"] == 0
 
 
+def _raw_artifact(path, w, n, rows, r=1):
+    f = BaseField(w)
+    code = LinearCode.from_parity(f, Matrix.from_rows(f, rows, n))
+    path.write_text(json.dumps(cli.to_artifact(code, "raw", r, 1, {})))
+    return code
+
+
+@st.composite
+def raw_parities(draw):
+    """(w, n, parity rows): GF(2) with n <= 12 or GF(4) with n <= 8, any rank."""
+    w = draw(st.sampled_from([1, 2]), label="w")
+    n = draw(st.integers(1, 12 if w == 1 else 8), label="n")
+    entry = st.integers(0, 2**w - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n + 1),
+                label="rows")
+    return w, n, rows
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(parity=raw_parities(), data=st.data())
+@example(parity=(1, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+         data=None).via("the zero code")
+@example(parity=(2, 5, []), data=None).via("the full space")
+def test_verify_erasures_reports_what_the_sampled_trials_give(tmp_path, capsys,
+                                                              parity, data):
+    # proven (e < d, or k = 0) or drawn, the report is the one the seeded
+    # trials give, pattern by pattern
+    w, n, rows = parity
+    path = tmp_path / "raw.json"
+    code = _raw_artifact(path, w, n, rows)
+    for e in range(n + 1):
+        seed = data.draw(st.integers(0, 2**31), label="seed") if data else e
+        rng = random.Random(seed)
+        ok = sum(analysis.erasure_correctable(code, rng.sample(range(n), e))
+                 for _ in range(50))
+        expected = json.dumps({"artifact": str(path), "kind": "raw", "erasures": {
+            "e": e, "trials": 50, "successes": ok, "seed": seed}}, indent=1, sort_keys=True)
+        assert run(capsys, "verify", "--code", str(path), "--erasures", str(e),
+                   "--trials", "50", "--seed", str(seed)) == \
+            (int(ok != 50), expected + "\n", "")
+
+
+def test_verify_erasures_on_the_zero_code_all_succeed(tmp_path, capsys):
+    # a full-rank parity leaves k = 0: no nonzero codeword, so every pattern
+    # is correctable, and min_distance's ValueError never reaches exit 2
+    path = tmp_path / "raw.json"
+    code = _raw_artifact(path, 2, 5, [[int(i == j) for j in range(5)] for i in range(5)])
+    assert code.k == 0
+    for e in range(6):
+        status, out, err = run(capsys, "verify", "--code", str(path), "--erasures", str(e),
+                               "--trials", "30", "--seed", "1")
+        assert (status, err) == (0, "")
+        assert json.loads(out)["erasures"]["successes"] == 30
+
+
+def test_verify_erasures_below_the_distance_draws_no_pattern(tmp_path, capsys,
+                                                             monkeypatch):
+    # WZL(3,3): e = 3 < d = 4, and its 2^10-word walk proves all 10^7 trials
+    path = tmp_path / "wzl.json"
+    run(capsys, "construct", "wzl", "--r", "3", "--t", "3", "--out", str(path))
+
+    def no_pattern(*args, **kwargs):
+        raise AssertionError("a pattern was drawn")
+
+    monkeypatch.setattr(analysis, "erasure_correctable", no_pattern)
+    status, out, err = run(capsys, "verify", "--code", str(path), "--erasures", "3",
+                           "--trials", "10000000", "--seed", "1")
+    assert (status, err) == (0, "")
+    assert json.loads(out)["erasures"]["successes"] == 10**7
+
+
+def test_verify_erasures_past_the_walk_cost_samples(tmp_path, capsys, monkeypatch):
+    # WZL(5,3): 2^21 dual words cost more than 16 per trial at 20 trials
+    path = tmp_path / "wzl.json"
+    run(capsys, "construct", "wzl", "--r", "5", "--t", "3", "--out", str(path))
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the distance was walked")
+
+    monkeypatch.setattr(analysis, "min_distance", no_walk)
+    status, out, err = run(capsys, "verify", "--code", str(path), "--erasures", "3",
+                           "--trials", "20", "--seed", "1")
+    assert (status, err) == (0, "")
+    assert json.loads(out)["erasures"]["successes"] == 20
+
+
+@pytest.mark.parametrize("flags", [[], ["--distance"]], ids=["erasures", "with-distance"])
+def test_verify_erasures_walks_the_code_once(tmp_path, capsys, monkeypatch, flags):
+    # --distance computes d once, and the erasure verdict reuses it
+    path = tmp_path / "wzl.json"
+    run(capsys, "construct", "wzl", "--r", "3", "--t", "3", "--out", str(path))
+    walks = []
+    codewords = LinearCode.codewords
+
+    def counted(self):
+        walks.append(self)
+        return codewords(self)
+
+    monkeypatch.setattr(LinearCode, "codewords", counted)
+    status, out, _ = run(capsys, "verify", "--code", str(path), *flags,
+                         "--erasures", "3", "--trials", "200", "--seed", "1")
+    assert status == 0 and json.loads(out)["erasures"]["successes"] == 200
+    assert len(walks) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["concat", "--r", "3", "--t", "2", "--blocks", "3"],
     ["expander", "--n", "14", "--r", "6", "--t", "3", "--w", "4",
@@ -470,6 +576,32 @@ def test_verify_tampered_composite_is_input_error(tmp_path, capsys, kind, mutate
     code, out, err = run(capsys, "verify", "--code", str(path), "--erasures", "6",
                          "--trials", "20", "--seed", "1")
     assert code == 2 and "disagree" in err and out == ""
+
+
+def _zero_padded_outer_map(doc):
+    doc["matrices"]["outer_map"] = [row + [0] for row in doc["matrices"]["outer_map"]]
+    return doc
+
+
+def _zero_row_outer_map(doc):
+    rows = doc["matrices"]["outer_map"]
+    rows.append([0] * len(rows[0]))
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["concat", "expander"])
+@pytest.mark.parametrize("mutate", [_zero_padded_outer_map, _zero_row_outer_map],
+                         ids=["zero-column", "zero-row"])
+def test_verify_outer_map_of_another_shape_is_stale(tmp_path, capsys, kind, mutate):
+    # outer_map is compared packed, and a zero column or row packs to the
+    # same rows: its shape must still match the code's generator
+    path = tmp_path / f"{kind}.json"
+    run(capsys, "construct", *COMPOSITE_ARTIFACTS[kind], "--out", str(path))
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    code, out, err = run(capsys, "verify", "--code", str(path), "--erasures", "6",
+                         "--trials", "20", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: stored data disagree") and err.endswith(": outer_map\n")
 
 
 @pytest.mark.parametrize("kind,flags,message", [
@@ -636,10 +768,8 @@ def test_verify_mutated_artifact_keeps_the_exit_contract(valid_artifacts, capsys
 
 
 def _raw_gf4_artifact(path):
-    f, rng = BaseField(2), random.Random(4)
-    rows = [[rng.randrange(f.q) for _ in range(9)] for _ in range(4)]
-    code = LinearCode.from_parity(f, Matrix.from_rows(f, rows, 9))
-    path.write_text(json.dumps(cli.to_artifact(code, "raw", 2, 1, {})))
+    rng = random.Random(4)
+    _raw_artifact(path, 2, 9, [[rng.randrange(4) for _ in range(9)] for _ in range(4)], r=2)
 
 
 @pytest.mark.parametrize("kind", ["wzl", "raw", "concat", "expander"])
@@ -692,12 +822,14 @@ def test_column_views_are_the_transposes(tmp_path, capsys, kind):
     assert code.generator_columns is code.generator_columns
 
 
-@pytest.mark.parametrize("argv", [
-    ["shorten", "--r", "3", "--s", "2"],
-    ["verify", "--erasures", "2", "--trials", "50", "--seed", "1"],
+@pytest.mark.parametrize("argv,exit_code", [
+    (["shorten", "--r", "3", "--s", "2"], 0),
+    # e = 3 = d: the trials are drawn, not proven by the distance, and the
+    # ones that erase a weight-3 codeword fail
+    (["verify", "--erasures", "3", "--trials", "50", "--seed", "1"], 1),
 ], ids=["shorten", "verify-erasures"])
 def test_one_run_transposes_each_matrix_of_the_code_once(tmp_path, capsys,
-                                                         monkeypatch, argv):
+                                                         monkeypatch, argv, exit_code):
     path = tmp_path / "wzl.json"
     run(capsys, "construct", "wzl", "--r", "3", "--t", "2", "--out", str(path))
     transposed = []
@@ -709,7 +841,7 @@ def test_one_run_transposes_each_matrix_of_the_code_once(tmp_path, capsys,
 
     monkeypatch.setattr(Matrix, "transpose", counted)
     code, _, _ = run(capsys, argv[0], "--code", str(path), *argv[1:])
-    assert code == 0
+    assert code == exit_code
     assert transposed and len(transposed) <= 2
     assert len({id(M) for M in transposed}) == len(transposed)
 
