@@ -241,6 +241,8 @@ def erasure_monte_carlo(code: CompositeCode, e: int, trials: int, seed: int,
         raise ValueError("need 0 <= e < n")
     if trials < 1:
         raise ValueError("need trials >= 1")
+    if decode_every < 1:
+        raise ValueError("need decode_every >= 1")
     rng = random.Random(seed)
     successes, min_rank = 0, code.n  # a survivor rank is at most n_G <= n
     for trial in range(trials):

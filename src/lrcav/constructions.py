@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .galois import BaseField, ExtElement, FieldTower
 from .gabidulin import gab_encode, moore_interpolate
-from .linalg import Matrix, RankTracker, nullspace, rank_over_base, rref
+from .linalg import Matrix, RankTracker, nullspace, rref
 
 
 @dataclass
@@ -64,6 +64,23 @@ class LinearCode:
     def generator_columns(self) -> List[int]:
         """The generator's columns as packed vectors, transposed once per code."""
         return self.generator.transpose().data
+
+    @cached_property
+    def rref_view(self) -> Tuple[List[int], List[int]]:
+        """(lanes, columns) of the generator's rref R, built on first use.
+
+        columns[j] is column j of R, packed; lanes[j] is the lane mask
+        (q - 1) << (i*w) when j is row i's pivot column, so that column
+        is the unit vector of lane i, and 0 otherwise.  Row operations
+        keep the rank of every column subset, so ``survivor_rank``
+        reads it off R.
+        """
+        f = self.field
+        R, _, pivots = rref(self.generator)
+        lanes = [0] * self.n
+        for i, col in enumerate(pivots):
+            lanes[col] = (f.q - 1) << (i * f.w)
+        return lanes, R.transpose().data
 
     def codewords(self):
         """All q^k codewords, packed, in Gray order over the generator rows.
@@ -295,7 +312,35 @@ def select_independent_survivors(code: CompositeCode,
 
 
 def survivor_rank(code: CompositeCode, indices: Sequence[int]) -> int:
-    return rank_over_base(code.tower, [code.beta[j] for j in indices])
+    """Base-field rank of the betas at indices: the rank of G's columns S.
+
+    On the outer generator's rref R (``LinearCode.rref_view``), with
+    pivot columns pi and E the rows whose pivot column is not in S,
+    rank(G_S) = (n_G - |E|) + rank(R[E, S \\ pi]): the surviving pivot
+    columns are the unit vectors of the other rows, and projecting them
+    out leaves the surviving non-pivot columns restricted to E.  So
+    only those columns, masked to E's lanes, go through a rank tracker.
+    """
+    if indices:
+        low, high = min(indices), max(indices)
+        if low < 0 or high >= code.n:
+            raise ValueError(f"surviving index {low if low < 0 else high} "
+                             f"must lie in [0, n) with n = {code.n}")
+    lanes, columns = code.outer.rref_view
+    base = code.tower.base
+    erased = (1 << (code.n_g * base.w)) - 1  # every row's lane, until its pivot survives
+    free = []
+    for j in indices:
+        if lanes[j]:
+            erased &= ~lanes[j]
+        else:
+            free.append(columns[j])
+    if not erased:
+        return code.n_g
+    tracker = RankTracker(base)
+    for column in free:
+        tracker.add(column & erased)
+    return code.n_g - erased.bit_count() // base.w + tracker.rank
 
 
 def composite_erasure_decode(code: CompositeCode,

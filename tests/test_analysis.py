@@ -15,7 +15,7 @@ from lrcav.constructions import (LinearCode, assemble_concatenated,
                                  assemble_expander_code, build_expander_parity,
                                  build_wzl, sample_biregular, survivor_rank)
 from lrcav.galois import BaseField, FieldTower
-from lrcav.linalg import Matrix, rref
+from lrcav.linalg import Matrix, rank_over_base, rref
 
 
 def repetition_code(n):
@@ -264,15 +264,44 @@ def test_monte_carlo_rank_criterion_matches_decoder():
             assert stats.successes == stats.trials
 
 
+def readme_expander():
+    # lrcav construct expander --n 14 --r 6 --t 3 --w 4 --k 4 --min-girth 4 --seed 7
+    g = sample_biregular(14, 3, 7, seed=7, min_girth=4)
+    parity = build_expander_parity(g, BaseField(4), seed=8)
+    return assemble_expander_code(FieldTower(BaseField(4), 8), parity, k=4)
+
+
 def test_monte_carlo_guards():
     code = concat_code()
     with pytest.raises(ValueError):
         erasure_monte_carlo(code, code.n, trials=5, seed=0)
     # with no trial there is no measured survivor rank to report
-    g = sample_biregular(14, 3, 7, seed=7, min_girth=4)
-    parity = build_expander_parity(g, BaseField(4), seed=8)
-    expander = assemble_expander_code(FieldTower(BaseField(4), 8), parity, k=4)
-    for composite in (code, expander):
+    for composite in (code, readme_expander()):
         for trials in (0, -1):
             with pytest.raises(ValueError, match="need trials >= 1"):
                 erasure_monte_carlo(composite, 2, trials=trials, seed=0)
+        # trial % decode_every would divide by zero
+        for decode_every in (0, -3):
+            with pytest.raises(ValueError, match="need decode_every >= 1"):
+                erasure_monte_carlo(composite, 2, trials=5, seed=0,
+                                    decode_every=decode_every)
+
+
+@pytest.mark.parametrize("build,erasures", [(concat_code, (17, 18, 20)),
+                                            (readme_expander, (10, 11, 12))],
+                         ids=["readme_concat", "readme_expander"])
+def test_monte_carlo_statistics_past_the_distance_match_a_reference_rank(
+        monkeypatch, build, erasures):
+    # exact d is 18 (concat) and 11 (expander), so some of these trials
+    # fail; a rank draws nothing from the rng, so both runs see the same
+    # patterns and decode the same trials
+    code = build()
+    runs = {}
+    for name in ("survivor_rank", "reference"):
+        if name == "reference":
+            monkeypatch.setattr(analysis, "survivor_rank", lambda code, indices: rank_over_base(
+                code.tower, [code.beta[j] for j in indices]))
+        runs[name] = [erasure_monte_carlo(code, e, trials=200, seed=seed)
+                      for e in erasures for seed in (1, 2, 3)]
+    assert runs["survivor_rank"] == runs["reference"]
+    assert any(stats.successes < stats.trials for stats in runs["reference"])

@@ -47,3 +47,16 @@ def test_one_block_passes_its_checks(tmp_path, workload, classes):
     assert {op.cls for op in ops} == classes
     failures = [(op.cls, reason) for op in ops if (reason := op.check(op.call()))]
     assert failures == []
+
+
+def test_decode_bench_codes_never_build_the_survivor_rank_view(tmp_path):
+    # the decoder picks its survivors with select_independent_survivors,
+    # so a round trip on every code the decode benchmark builds leaves
+    # the outer generator's cached rref view, read only by survivor_rank,
+    # unbuilt
+    bench = workloads.Decode()
+    bench.setup(str(tmp_path))
+    for op in bench.block(seed=1, b=0):
+        assert op.check(op.call()) is None
+    for cls, code in bench.codes.items():
+        assert "rref_view" not in code.outer.__dict__, cls

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 import listalg
 from listalg import ListMatrix
 from lrcav.analysis import min_distance, verify_availability
-from lrcav.constructions import (BipartiteGraph, LinearCode, assemble_concatenated,
+from lrcav.constructions import (BipartiteGraph, CompositeCode, LinearCode,
+                                 assemble_concatenated,
                                  assemble_expander_code, build_expander_parity,
                                  build_wzl, check_expansion,
                                  composite_erasure_decode, encode_composite,
                                  sample_biregular, select_independent_survivors,
                                  survivor_rank)
 from lrcav.galois import BaseField, FieldTower
-from lrcav.linalg import Matrix, rref
+from lrcav.linalg import Matrix, rank_over_base, rref
 
 
 @pytest.mark.parametrize("r,t,n,k,d", [
@@ -285,12 +286,69 @@ def test_encode_length_mismatch():
 
 def test_select_independent_survivors_matches_rank():
     code, _ = expander_code()
+    rank = lambda sub: rank_over_base(code.tower, [code.beta[j] for j in sub])
     rng = random.Random(9)
     for _ in range(50):
         sub = sorted(rng.sample(range(code.n), rng.randrange(1, code.n)))
         chosen = select_independent_survivors(code, sub)
-        assert survivor_rank(code, chosen) == len(chosen)
-        assert len(chosen) == min(code.k, survivor_rank(code, sub))
+        assert rank(chosen) == len(chosen)
+        assert len(chosen) == min(code.k, rank(sub))
+
+
+def _assert_survivor_rank_is_the_rank_of_the_betas(code, subsets):
+    for sub in subsets:
+        expected = rank_over_base(code.tower, [code.beta[j] for j in sub])
+        assert survivor_rank(code, sub) == expected, sub
+
+
+@pytest.mark.parametrize("build", [lambda: concat_code(m=6, blocks=1, k=3),
+                                   lambda: expander_code()[0]],
+                         ids=["concat_one_block", "expander_n14"])
+def test_survivor_rank_matches_rank_over_base_on_every_subset(build):
+    code = build()
+    _assert_survivor_rank_is_the_rank_of_the_betas(
+        code, (sub for size in range(code.n + 1)
+               for sub in combinations(range(code.n), size)))
+
+
+def readme_expander():
+    # lrcav construct expander --n 14 --r 6 --t 3 --w 4 --k 4 --min-girth 4 --seed 7
+    g = sample_biregular(14, 3, 7, seed=7, min_girth=4)
+    parity = build_expander_parity(g, BaseField(4), seed=8)
+    return assemble_expander_code(FieldTower(BaseField(4), 8), parity, k=4)
+
+
+@pytest.mark.parametrize("build", [lambda: concat_code(), lambda: readme_expander()],
+                         ids=["readme_concat", "readme_expander"])
+def test_survivor_rank_matches_rank_over_base_on_seeded_subsets(build):
+    code = build()
+    rng = random.Random(27)
+    _assert_survivor_rank_is_the_rank_of_the_betas(
+        code, (rng.sample(range(code.n), rng.randrange(code.n + 1)) for _ in range(2000)))
+
+
+def test_survivor_rank_on_an_outer_generator_not_in_rref():
+    # rows permuted, then one row added into another: the same code, but
+    # its generator is no longer its own rref
+    code = concat_code()
+    rows = code.outer.generator.data[::-1]
+    rows[0] ^= rows[1]
+    outer = code.outer
+    mixed = LinearCode(outer.field, outer.n, outer.k, outer.parity,
+                       Matrix(outer.field, outer.k, outer.n, rows))
+    assert rref(mixed.generator)[0].data != mixed.generator.data
+    composite = CompositeCode(code.tower, mixed, code.k, code.blocks)
+    rng = random.Random(5)
+    _assert_survivor_rank_is_the_rank_of_the_betas(
+        composite, (rng.sample(range(code.n), rng.randrange(code.n + 1)) for _ in range(500)))
+
+
+def test_survivor_rank_rejects_indices_outside_the_code():
+    code = concat_code()
+    assert survivor_rank(code, []) == 0
+    for bad in ([0, 1, -1], [code.n], [3, code.n + 5, 2], [-code.n]):
+        with pytest.raises(ValueError, match=r"must lie in \[0, n\) with n = 30"):
+            survivor_rank(code, bad)
 
 
 def test_wzl_systematic_generator_shape():
@@ -323,9 +381,10 @@ def test_from_parity_matches_list_oracle(data):
         assert H.mul_vec(g) == [0] * len(rows)
 
 
-def concat_code():
-    tower = FieldTower(BaseField(1), 18, seed=0)
-    return assemble_concatenated(tower, 3, 2, blocks=3, k=9)
+def concat_code(m=18, blocks=3, k=9):
+    # the defaults are the README concat: WZL(3,2) x 3 blocks at d = 15, k = 9
+    tower = FieldTower(BaseField(1), m, seed=0)
+    return assemble_concatenated(tower, 3, 2, blocks=blocks, k=k)
 
 
 def test_concatenated_shape():
