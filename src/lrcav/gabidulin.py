@@ -29,6 +29,7 @@ def gab_encode(tower: FieldTower, message: Sequence[ExtElement], n: int) -> List
     k = len(message)
     if not 1 <= k <= n <= tower.m:
         raise ValueError("need 1 <= k <= n <= extension degree m")
+    tower.check(message)
     acc = [tower.zero] * n
     for i in range(k - 1, -1, -1):
         if i < k - 1:
@@ -43,20 +44,31 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
                       values: Sequence[ExtElement]) -> List[ExtElement]:
     """The unique f of q-degree < k through k independent (point, value) pairs.
 
-    Newton interpolation in two passes of O(k^2) products and one
-    inversion.  Pass 1 builds the monic annihilators without division:
-    A_0 = x and A_(s+1) = A_s^q - c_s^(q-1) * A_s with c_s = A_s(p_s),
-    which vanishes at p_0..p_s.  It tracks A_s's values at the points
-    still pending and its coefficients; c_s is zero exactly when p_s lies
-    in the span of the earlier points (they are then dependent, a
-    ValueError).  One inversion of c_0 * ... * c_(k-1), walked back
-    through the prefix products, gives every c_s^-1.  Pass 2 takes the
-    Newton coefficients by forward substitution,
-    d_s = (y_s - sum(d_u * A_u(p_s) for u < s)) / c_s, and sums
-    f = sum(d_s * A_s).  The products of a round that share an operand
-    (c_s^(q-1), the running inverse, d_s) form one ``mul_row``, so the
-    tower builds O(k) product tables; pass 1's Frobenius images of a
-    round are one ``frobenius_row``.  Solving the Moore system (entry (i, j) =
+    Newton interpolation in two passes on packed rows (``FieldTower.pack``:
+    lane j of a row holds element j), one inversion and O(k) products
+    and row products.  Pass 1 builds the monic annihilators without
+    division: A_0 = x and A_(s+1) = A_s^q - c_s^(q-1) * A_s with
+    c_s = A_s(p_s), which vanishes at p_0..p_s.  It keeps
+
+        X_s = [A_s(p_s..p_(k-1)), a_0..a_(s-1), 1],
+
+    A_s's values at the points still pending and its coefficients, so
+    c_s is lane 0 of X_s, and with R_s = X_s >> one lane (k lanes)
+
+        X_(s+1) = c_s^(q-1) * R_s + Frob(R_s), coefficient lanes moved up one,
+
+    one ``mul_row`` and one ``frobenius_row`` a round.  c_s is zero
+    exactly when p_s lies in the span of the earlier points (they are
+    then dependent, a ValueError).  One inversion of c_0 * ... * c_(k-1),
+    walked back through the prefix products, gives every c_s^-1.  Pass 2
+    takes the Newton coefficients d_s = residual_s / c_s by forward
+    substitution and sums f = sum(d_s * A_s) in one row of k lanes,
+
+        Y_s = [residual_s..residual_(k-1), f_0..f_(s-1)],
+        Y_(s+1) = (Y_s >> one lane) + d_s * R_s,
+
+    from Y_0 = values, so Y_k is f: a round is one row product, none
+    when d_s = 0.  Solving the Moore system (entry (i, j) =
     points[i]^(q^j)) gives the same f in O(k^3); the tests keep that
     solve as the oracle.  f is returned as its coefficients, low q-degree
     first.
@@ -64,44 +76,39 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
     k = len(points)
     if len(values) != k:
         raise ValueError("points and values differ in length")
+    tower.check(points)
+    tower.check(values)
     if not k:
         return []
-    mul, mul_row = tower.mul, tower.mul_row
-    # pass 1: row s holds A_s at p_s..p_(k-1), so rows[s][0] = c_s
-    rows, anns, prefix = [], [], []
-    pending, ann = list(points), [tower.one]
+    mul, lane = tower.mul, tower.m * tower.base.w
+    full = (1 << lane) - 1
+    # pass 1: rows[s] = R_s, cs[s] = c_s, prefix[s] = c_0 * ... * c_s
+    rows, cs, prefix = [], [], []
+    x = tower.pack(points) ^ 1 << k * lane  # X_0: A_0 = x is monic
     for s in range(k):
-        c = pending[0]
+        c, row = x & full, x >> lane
         if not c:
             raise ValueError("interpolation points are linearly dependent over the base field")
         prefix.append(mul(c, prefix[-1]) if s else c)
-        rows.append(pending)
-        anns.append(ann)
+        rows.append(row)
+        cs.append(c)
         if s == k - 1:
             break
-        ratio = tower.frobenius_ratio(c)
-        row = pending[1:] + ann[:-1]
-        scaled = mul_row(ratio, row) + [ratio]  # ann is monic
-        mapped = tower.frobenius_row(row)
-        cut = len(pending) - 1
-        pending = [v ^ x for v, x in zip(mapped[:cut], scaled)]
-        ann = (scaled[cut:cut + 1] + [x ^ a for x, a in zip(scaled[cut + 1:], mapped[cut:])]
-               + [tower.one])
+        cut = k - s - 1  # the pending lanes of R_s
+        mapped = tower.frobenius_row(tower.unpack(row, k))
+        x = tower.mul_row(tower.frobenius_ratio(c), row) ^ tower.pack(
+            mapped[:cut] + [0] + mapped[cut:])  # the coefficient lanes move up one
     # one inversion, walked back through the prefix products
     inv = tower.inv(prefix[-1])
     c_invs = [tower.zero] * k
     for s in range(k - 1, 0, -1):
-        c_invs[s], inv = mul_row(inv, (prefix[s - 1], rows[s][0]))
+        c_invs[s], inv = mul(inv, prefix[s - 1]), mul(inv, cs[s])
     c_invs[0] = inv
-    # pass 2: at round s, residual[j] = y_j - sum(d_u * A_u(p_j) for u < s), j >= s
-    residual = list(values)
-    f = [tower.zero] * k
-    for s, (row, ann) in enumerate(zip(rows, anns)):
-        d = mul(c_invs[s], residual[s])
-        if not d:
-            continue
-        products = mul_row(d, row[1:] + ann[:-1])
-        residual[s + 1:] = [y ^ p for y, p in zip(residual[s + 1:], products)]
-        f[:s] = [x ^ p for x, p in zip(f, products[k - s - 1:])]
-        f[s] ^= d
-    return f
+    # pass 2: lane 0 of y is residual_s = y_s - sum(d_u * A_u(p_s) for u < s)
+    y = tower.pack(values)
+    for c_inv, row in zip(c_invs, rows):
+        d = mul(c_inv, y & full)
+        y >>= lane
+        if d:
+            y ^= tower.mul_row(d, row)
+    return tower.unpack(y, k)

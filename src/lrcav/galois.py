@@ -187,8 +187,8 @@ class FieldTower:
     Extension elements are packed integers (see the module docstring), so
     zero is 0, one is 1, addition is XOR and an element is nonzero iff it
     is truthy.  A tower holds only tables fixed by its modulus; products
-    that share an operand go through ``mul_row``, which builds that
-    operand's tables once per row.
+    that share an operand go through ``mul_row``, one lane-parallel
+    product on a packed row of elements.
     """
 
     def __init__(self, base: BaseField, m: int, ext_modulus: Sequence[int] | None = None,
@@ -272,15 +272,15 @@ class FieldTower:
         m, w = self.m, self.base.w
         bit_images = []
         col, tables = self.one, self._nibble_tables(step, self._fold_tables[0])
-        for _ in range(m):  # a chain, not a row: step's tables serve every link
+        for _ in range(m):  # step's tables serve every link of the chain
             bit_images += self.base.alpha_multiples(col, self._ones, stride * w)[::stride]
-            (col,) = self._horner_row(tables, (col,))
+            col = self._horner(tables, col)
         nibbles = _subset_tables(bit_images + [0] * 4)  # padded: they pair up, one pair a byte
         return [[hi ^ lo for hi in high for lo in low]
                 for low, high in zip(nibbles[::2], nibbles[1::2])]
 
     def _nibble_tables(self, a: ExtElement, fold: tuple) -> List[tuple]:
-        """Tables of c*a, one per nibble of a Horner window of mul_row.
+        """Tables of c*a, one per nibble of a Horner window of mul.
 
         Bit p of a window stands for alpha^(p mod w) * x^(p div w): lane
         doubling gives alpha^s * a, and at w < 4 a shift by one coordinate
@@ -304,46 +304,82 @@ class FieldTower:
     # -- arithmetic -----------------------------------------------------------
 
     def mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        """a*b, as the one-element row ``mul_row(a, [b])``."""
-        return self.mul_row(a, (b,))[0]
+        """a*b by a windowed Horner loop over b, with a's tables built for it."""
+        return self._horner(self._nibble_tables(a, self._fold_tables[0]), b)
 
-    def mul_row(self, a: ExtElement, bs: Sequence[ExtElement]) -> List[ExtElement]:
-        """[a*b for b in bs], with a's product tables built once for the row."""
-        return self._horner_row(self._nibble_tables(a, self._fold_tables[0]), bs)
-
-    def _horner_row(self, nibbles: List[tuple], bs: Sequence[ExtElement]) -> List[ExtElement]:
-        """[a*b for b in bs], a given by its nibble tables: windowed Horner
-        over each b, top window first, acc = acc*x^c + (window of b)*a.
+    def _horner(self, nibbles: List[tuple], b: ExtElement) -> ExtElement:
+        """a*b, a given by its nibble tables: windowed Horner over b, top
+        window first, acc = acc*x^c + (window of b)*a.
 
         A window is c coordinates of b: as many as fit in 4 bits, at least
         one.  Its nibbles index a's tables; what the shift pushes past the
         top coordinate folds back through the tower's tables.
         """
-        tables = list(zip(nibbles, self._fold_tables))
         window, full = self._window, self._full
         below, window_mask = max(self._top - window, 0), (1 << window) - 1
         shifts = range((self._top - 1) // window * window, -1, -window)
-        out = []
-        if len(tables) == 1:  # w <= 4: the loop below with its one table unrolled
-            ((table, fold),) = tables
-            for b in bs:
-                acc = 0
-                for shift in shifts:
-                    acc = (acc << window & full) ^ table[b >> shift & window_mask] ^ fold[acc >> below]
-                out.append(acc)
-            return out
-        for b in bs:
-            acc = 0
+        acc = 0
+        if len(nibbles) == 1:  # w <= 4: the loop below with its one table unrolled
+            table, fold = nibbles[0], self._fold_tables[0]
             for shift in shifts:
-                hi = acc >> below
-                acc = acc << window & full
-                chunk = b >> shift & window_mask
-                for table, fold in tables:
-                    acc ^= table[chunk & 15] ^ fold[hi & 15]
-                    chunk >>= 4
-                    hi >>= 4
-            out.append(acc)
-        return out
+                acc = (acc << window & full) ^ table[b >> shift & window_mask] ^ fold[acc >> below]
+            return acc
+        tables = list(zip(nibbles, self._fold_tables))
+        for shift in shifts:
+            hi = acc >> below
+            acc = acc << window & full
+            chunk = b >> shift & window_mask
+            for table, fold in tables:
+                acc ^= table[chunk & 15] ^ fold[hi & 15]
+                chunk >>= 4
+                hi >>= 4
+        return acc
+
+    def mul_row(self, a: ExtElement, row: int) -> int:
+        """a times every element of a packed row, as one packed row.
+
+        A row of L elements is one int: lane j holds element j in bits
+        [j*m*w, (j+1)*m*w), so its coordinates pack like a base-field
+        vector's.  With images a*x^i (``basis_row``) and ones the bit 0
+        of every lane,
+
+            a*row = sum_(s<w) alpha^s * sum_(i<m) ((row >> (i*w+s)) & ones) * (a*x^i),
+
+        the inner sum over the bits of coordinate weight alpha^s and the
+        outer one Horner in alpha by lane doubling over every coordinate.
+        The images are fully reduced, below 2^(m*w), so multiplying one by
+        a mask of 0/1 lanes only copies it into the selected lanes: no
+        carry crosses a lane.  The row costs m*w shift-mask-multiply steps
+        whatever its length, where ``mul`` makes about m*w/4 nibble lookups
+        per element.
+        """
+        w, top = self.base.w, self._top
+        ones = ((1 << -(-row.bit_length() // top) * top) - 1) // self._full
+        coords, low = ones * self._ones, self.base.modulus ^ self.base.q
+        images = self.basis_row(a, self.m)
+        acc = 0
+        for s in range(w - 1, -1, -1):
+            over = acc >> (w - 1) & coords
+            acc = (acc ^ over << (w - 1)) << 1 ^ over * low
+            for shift, image in zip(range(s, top, w), images):
+                acc ^= (row >> shift & ones) * image
+        return acc
+
+    def check(self, elements: Sequence[ExtElement]) -> None:
+        """A ValueError unless every element lies in [0, q^m).  A wider int
+        is no element, and in a packed row it would spill into the next lane."""
+        if elements and (min(elements) < 0 or max(elements) > self._full):
+            raise ValueError(f"field element outside [0, 2^{self._top})")
+
+    def pack(self, elements: Sequence[ExtElement]) -> int:
+        """The packed row with element j in bits [j*m*w, (j+1)*m*w)."""
+        top = self._top
+        return sum(a << (j * top) for j, a in enumerate(elements))
+
+    def unpack(self, row: int, n: int) -> List[ExtElement]:
+        """The first n elements of the packed row."""
+        top, full = self._top, self._full
+        return [row >> (j * top) & full for j in range(n)]
 
     def inv(self, a: ExtElement) -> ExtElement:
         """Itoh-Tsujii: a^-1 = a^(r-1) / N(a) with r = (q^m-1)/(q-1).

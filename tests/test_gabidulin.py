@@ -112,8 +112,8 @@ def test_encode_matches_per_point_evaluation_at_decode_scale(w, m, k):
 def _count_tower_calls(monkeypatch, *names):
     """A Counter of calls to these FieldTower methods, for the test's duration.
 
-    With "mul_row" among them, "products" sums the rows' lengths: every
-    product is an entry of one row (a ``mul`` is a row of one).
+    With "mul_row" among them, "lanes" sums the lanes of the packed rows
+    it multiplies.
     """
     calls = Counter()
 
@@ -121,7 +121,8 @@ def _count_tower_calls(monkeypatch, *names):
         def wrapper(*args):
             calls[name] += 1
             if name == "mul_row":
-                calls["products"] += len(args[2])
+                tower, row = args[0], args[2]
+                calls["lanes"] += -(-row.bit_length() // (tower.m * tower.base.w))
             return fn(*args)
         return wrapper
 
@@ -152,6 +153,27 @@ def test_spec_rejects_bad_parameters(n, k):
     t = tower24()
     with pytest.raises(ValueError, match="1 <= k <= n <= extension degree m"):
         gab_encode(t, [t.one] * k, n)
+
+
+def test_out_of_field_symbols_rejected():
+    # over GF(2^8) an int outside [0, 2^8) is no element: its high bits
+    # would spill into the next lane of a packed row
+    t = tower24()
+    rng = random.Random(12)
+    pts = _independent_points(t, 2, rng)
+    f = moore_interpolate(t, pts, [5, 7])
+    assert [lin_eval(t, f, p) for p in pts] == [5, 7]
+    for bad in (5 | 1 << 8, 5 | 1 << 20, -1):
+        with pytest.raises(ValueError, match="outside"):
+            moore_interpolate(t, pts, [bad, 7])
+        with pytest.raises(ValueError, match="outside"):
+            moore_interpolate(t, pts, [7, bad])
+    for bad in (1 << 8, pts[1] | 1 << 8, -pts[1]):
+        with pytest.raises(ValueError, match="outside"):
+            moore_interpolate(t, [pts[0], bad], [5, 7])
+    for message in ([512, 3], [3, 512], [-1, 3]):
+        with pytest.raises(ValueError, match="outside"):
+            gab_encode(t, message, 4)
 
 
 def test_mrd_exhaustive_small_field():
@@ -275,12 +297,12 @@ def test_interpolate_inverts_once_and_builds_linear_tables(monkeypatch, w, m, in
     # one inversion per interpolation.  With k points and chain = the
     # products of c^(q-1) (0 at w = 1, 3 at w = 8) the single products are
     #   pass 1: k-1 prefix, (k-1)*chain; inv_products inside the inversion;
+    #   the walk back: one pair per step;
     #   pass 2: d_s, one per point;
-    # and the rows are those singles (a row of one each) plus
-    #   pass 1: one of k-1 products per round, led by c^(q-1);
-    #   the walk back: one pair per step, led by the running inverse;
-    #   pass 2: one of k-1 products per point, led by d_s.
-    # Every row, single or not, builds its product tables once.
+    # each building its product tables once, and the row products, which
+    # build none, are
+    #   pass 1: one of k lanes per round, led by c^(q-1);
+    #   pass 2: one of k lanes per nonzero d_s.
     t = FieldTower(BaseField(w), m, seed=1)
     rng = random.Random(3)
     k = 6
@@ -290,12 +312,15 @@ def test_interpolate_inverts_once_and_builds_linear_tables(monkeypatch, w, m, in
     calls = _count_tower_calls(monkeypatch, "mul", "mul_row", "_nibble_tables", "inv")
     assert moore_interpolate(t, pts, vals) == expected
     chain = 0 if w == 1 else 3
-    products = (k - 1) * (1 + chain) + (k - 1) ** 2 + inv_products + 2 * (k - 1) + k * k
-    singles = (k - 1) * (1 + chain) + inv_products + k
-    rows = singles + (k - 1) + (k - 1) + k
-    assert calls == {"inv": 1, "mul": singles, "mul_row": rows, "products": products,
-                     "_nibble_tables": rows}
-    assert (products, rows) == ((82, 33) if w == 1 else (95, 46))
+    singles = (k - 1) * (1 + chain) + inv_products + 2 * (k - 1) + k
+    rows = (k - 1) + k
+    assert calls == {"inv": 1, "mul": singles, "_nibble_tables": singles,
+                     "mul_row": rows, "lanes": rows * k}
+    assert singles == (27 if w == 1 else 40)
+    # f = x: d_0 = 1 and every later d_s = 0, so pass 2 makes one row product
+    calls.clear()
+    assert moore_interpolate(t, pts, pts) == [t.one] + [t.zero] * (k - 1)
+    assert calls["mul_row"] == (k - 1) + 1
     for j in range(1, m + 1):
         calls.clear()
         pts = _independent_points(t, j, rng)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcav.galois import (TOWER_SIZE_CAP, BaseField, FieldTower, _poly_gcd,
-                          is_irreducible)
+from lrcav.galois import (PRIMITIVE_POLY, TOWER_SIZE_CAP, BaseField, FieldTower,
+                          _poly_gcd, is_irreducible)
 
 
 # dense coefficient-list polynomials over a BaseField (low to high): the
@@ -455,18 +455,40 @@ MUL_ROW_GRID = [(1, 7), (2, 3), (4, 5), (8, 3)]
 
 @pytest.mark.parametrize("w,m", MUL_ROW_GRID + [(5, 4), (8, 5), (16, 3)])
 def test_mul_row_matches_horner_oracle(w, m):
-    # entry by entry: w <= 4 takes the one-table loop, w = 5, 8 and 16
-    # the loop over two or four nibble tables; empty rows, zero and one on
-    # either side, repeated entries
+    # entry by entry on packed rows: empty rows, zero and one on either
+    # side, repeated entries; mul at w <= 4 takes the one-table loop, at
+    # w = 5, 8 and 16 the loop over two or four nibble tables
     t = _tower(w, m)
     rng = random.Random(60 + w)
     elems = [t.zero, t.one] + [t.rand(rng) for _ in range(5)]
     rows = [[], [t.zero], [t.one], elems, elems + elems[::-1], [elems[-1]] * 3]
     for a in elems:
         for row in rows:
-            assert t.mul_row(a, row) == [_horner_mul(t, a, b) for b in row]
+            assert t.mul_row(a, t.pack(row)) == t.pack([_horner_mul(t, a, b) for b in row])
         for b in elems:
-            assert t.mul(a, b) == t.mul_row(a, [b])[0] == t.mul(b, a)
+            assert t.mul(a, b) == t.mul_row(a, b) == t.mul(b, a)
+
+
+# every base width at a small m, the bench's towers, a wide one and one
+# at the size cap
+PACKED_ROW_TOWERS = ([(w, 3) for w in sorted(PRIMITIVE_POLY)]
+                     + [(1, 18), (1, 36), (4, 8), (8, 12), (1, 64), (16, 64)])
+
+
+@pytest.mark.parametrize("w,m", PACKED_ROW_TOWERS)
+def test_packed_mul_row_matches_per_lane_horner(w, m):
+    # lanes of 0, 1, x and the all-ones element 2^(m*w) - 1, the lane
+    # that would leak a carry into the next one, among random lanes; rows
+    # of 0 to 24 lanes, operands 0, 1, x, all-ones and random
+    t = _tower(w, m)
+    rng = random.Random(70 + w + m)
+    full = (1 << m * w) - 1
+    special = [full, t.zero, t.one, t.x]
+    lanes = special + [t.rand(rng) for _ in range(16)] + special[::-1]
+    for a in [t.zero, t.one, t.x, full, t.rand(rng)]:
+        for n in (0, 1, 2, 3, 7, 24):
+            row = lanes[-n:] if n else []
+            assert t.mul_row(a, t.pack(row)) == t.pack([_horner_mul(t, a, b) for b in row])
 
 
 @pytest.mark.parametrize("w,m", MUL_ROW_GRID)
@@ -619,13 +641,13 @@ def test_frobenius_row_matches_per_element_frobenius(w, m):
 
 @pytest.mark.parametrize("w,m", ROW_TOWERS)
 def test_basis_row_matches_mul_row_with_the_basis(w, m):
-    # a * x^j by coordinate shifts against the product row, every n <= m
+    # a * x^j by coordinate shifts against the packed product row, every n <= m
     t = FieldTower(BaseField(w), m, seed=w)
     rng = random.Random(50 + w)
     points = [t.basis_element(j) for j in range(m)]
     for a in [t.zero, t.one, t.x] + [t.rand(rng) for _ in range(20)]:
         for n in range(1, m + 1):
-            assert t.basis_row(a, n) == t.mul_row(a, points[:n])
+            assert t.pack(t.basis_row(a, n)) == t.mul_row(a, t.pack(points[:n]))
 
 
 @pytest.mark.parametrize("w,m,seed", [(1, 6, 1), (2, 2, 9), (3, 2, 3), (4, 2, 0)])
