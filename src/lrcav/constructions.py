@@ -25,7 +25,7 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .galois import BaseField, ExtElement, FieldTower
-from .gabidulin import gab_encode, moore_interpolate
+from .gabidulin import moore_interpolate
 from .linalg import Matrix, RankTracker, nullspace, rref
 
 
@@ -238,6 +238,17 @@ class CompositeCode:
         # once, as the decoder reads it per survivor
         self.beta = self.outer.generator_columns
 
+    @cached_property
+    def frobenius_rows(self) -> List[int]:
+        """[pack(Frob^i(beta)) for i < k], built on first encode: k - 1
+        ``frobenius_row`` passes over the n points, kept as k packed rows."""
+        tower, points = self.tower, self.beta
+        rows = [tower.pack(points)]
+        for _ in range(self.k - 1):
+            points = tower.frobenius_row(points)
+            rows.append(tower.pack(points))
+        return rows
+
     @property
     def n(self) -> int:
         return self.outer.n
@@ -283,19 +294,19 @@ def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
 
 
 def encode_composite(code: CompositeCode, message: Sequence[ExtElement]) -> List[ExtElement]:
-    """Gabidulin-encode, then apply the outer generator: y_j = sum_i G[i][j] c_i."""
+    """y_j = f(beta_j) for f = sum(a_i * X^(q^i)), as one row sum.
+
+    f is GF(q)-linear and beta_j = sum_i G[i][j] * x^i, so evaluating f
+    at the Gabidulin code's basis points and then applying the outer
+    generator G gives f at beta_j.  With V_i = [beta_j^(q^i)]_j
+    (``CompositeCode.frobenius_rows``), the codeword is
+    sum_i a_i * V_i: one ``FieldTower.dot_row``.
+    """
     if len(message) != code.k:
         raise ValueError(f"message must have {code.k} symbols")
     tower = code.tower
-    scalar_mul, w, mask = tower.base.scalar_mul, tower.base.w, tower.base.q - 1
-    out = [tower.zero] * code.n
-    for row, symbol in zip(code.outer.generator.data, gab_encode(tower, message, code.n_g)):
-        while row:  # the row's nonzero coordinates, lowest first
-            j = ((row & -row).bit_length() - 1) // w
-            lam = row >> (j * w) & mask
-            out[j] ^= scalar_mul(lam, symbol)
-            row ^= lam << (j * w)
-    return out
+    tower.check(message)
+    return tower.unpack(tower.dot_row(message, code.frobenius_rows), code.n)
 
 
 def select_independent_survivors(code: CompositeCode,

@@ -188,7 +188,8 @@ class FieldTower:
     zero is 0, one is 1, addition is XOR and an element is nonzero iff it
     is truthy.  A tower holds only tables fixed by its modulus; products
     that share an operand go through ``mul_row``, one lane-parallel
-    product on a packed row of elements.
+    product on a packed row of elements, and sums of such products
+    through ``dot_row``.
     """
 
     def __init__(self, base: BaseField, m: int, ext_modulus: Sequence[int] | None = None,
@@ -243,8 +244,9 @@ class FieldTower:
         self.ext_modulus = poly
         # x^m = sum of the lower modulus terms (characteristic 2), packed
         self._reduce = self.base.pack(poly[:-1])
-        images = self.base.alpha_multiples(self._reduce, self._ones, self.base.w)
-        one_coordinate = _subset_tables(images)[0]  # folds one overflowing coordinate
+        # alpha^s * x^m mod f for s < w: they fold one overflowing coordinate
+        self._fold_images = self.base.alpha_multiples(self._reduce, self._ones, self.base.w)
+        one_coordinate = _subset_tables(self._fold_images)[0]
         self._fold_tables = self._nibble_tables(self._reduce, one_coordinate)  # c * x^m mod f
         self.x = self.basis_element(1) if self.m > 1 else self._reduce  # x mod f
         # x^q by squarings, from the highest x^(2^s) below x^m: a basis element
@@ -363,6 +365,54 @@ class FieldTower:
             acc = (acc ^ over << (w - 1)) << 1 ^ over * low
             for shift, image in zip(range(s, top, w), images):
                 acc ^= (row >> shift & ones) * image
+        return acc
+
+    def dot_row(self, scalars: Sequence[ExtElement], rows: Sequence[int]) -> int:
+        """sum_i scalars[i] * rows[i], as one packed row (``mul_row``'s layout).
+
+        Bit p of an element stands for alpha^(p mod w) * x^(p div w), so
+        with the bucket B_p the XOR of the rows whose scalar has bit p set,
+
+            sum_i a_i * row_i = sum_(c<m) x^c * sum_(s<w) alpha^s * B_(c*w+s),
+
+        one XOR per set scalar bit, then one Horner pass, top coordinate c
+        first: acc <- x*acc + the inner sum, itself Horner in alpha by lane
+        doubling over every coordinate (``BaseField.alpha_multiples``).
+        Times x shifts every lane up one coordinate and folds the base
+        element e that leaves a lane back into it as
+        sum_(s<w) ((e >> s) & 1) * alpha^s * (x^m mod f).  Those w images
+        are fully reduced, below 2^(m*w), so multiplying one by a mask of
+        0/1 lanes only copies it into the selected lanes: no carry crosses
+        a lane.  The pass costs about 2*m*w shift-mask-multiply steps
+        whatever the rows' length.  Rows may differ in width; the sum is as
+        wide as the widest.  Scalars must be field elements (``check``):
+        a negative int would give a wrong sum, a wider one an IndexError.
+        """
+        w, top = self.base.w, self._top
+        buckets = [0] * top
+        width = 0
+        for a, row in zip(scalars, rows, strict=True):
+            width = max(width, row.bit_length())
+            for p, bit in enumerate(bin(a)[:1:-1]):  # a's bits, lowest first
+                if bit == "1":
+                    buckets[p] ^= row
+        ones = ((1 << -(-width // top) * top) - 1) // self._full
+        coords, bottoms = ones * self._ones, ones * (self.base.q - 1)
+        low, images = self.base.modulus ^ self.base.q, self._fold_images
+        acc = 0
+        for c in range(top - w, -1, -w):
+            if acc:  # acc <- x*acc
+                acc <<= w
+                over = acc >> top & bottoms
+                acc ^= over << top
+                for image in images:
+                    acc ^= (over & ones) * image
+                    over >>= 1
+            inner = buckets[c + w - 1]
+            for p in range(c + w - 2, c - 1, -1):
+                over = inner >> (w - 1) & coords
+                inner = (inner ^ over << (w - 1)) << 1 ^ over * low ^ buckets[p]
+            acc ^= inner
         return acc
 
     def check(self, elements: Sequence[ExtElement]) -> None:

@@ -8,6 +8,7 @@ the tier-1 suite instead of in a benchmark run.
 """
 
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,21 @@ def test_decode_bench_codes_never_build_the_survivor_rank_view(tmp_path):
         assert op.check(op.call()) is None
     for cls, code in bench.codes.items():
         assert "rref_view" not in code.outer.__dict__, cls
+
+
+def test_decode_bench_block_builds_each_frobenius_row_table_once(tmp_path, monkeypatch):
+    # encode_composite reads CompositeCode.frobenius_rows, cached on the
+    # code: one decode block, which encodes every code several times,
+    # builds each code's rows on its first encode and never again
+    from lrcav.constructions import CompositeCode
+    builds = []
+    build = CompositeCode.frobenius_rows.func
+    counted = cached_property(lambda code: builds.append(code) or build(code))
+    counted.__set_name__(CompositeCode, "frobenius_rows")
+    monkeypatch.setattr(CompositeCode, "frobenius_rows", counted)
+    bench = workloads.Decode()
+    bench.setup(str(tmp_path))
+    for op in bench.block(seed=1, b=0):
+        assert op.check(op.call()) is None
+    for cls, code in bench.codes.items():
+        assert sum(built is code for built in builds) == 1, cls

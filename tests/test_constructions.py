@@ -18,6 +18,7 @@ from lrcav.constructions import (BipartiteGraph, CompositeCode, LinearCode,
                                  composite_erasure_decode, encode_composite,
                                  sample_biregular, select_independent_survivors,
                                  survivor_rank)
+from lrcav.gabidulin import gab_encode
 from lrcav.galois import BaseField, FieldTower
 from lrcav.linalg import Matrix, rank_over_base, rref
 
@@ -284,6 +285,21 @@ def test_encode_length_mismatch():
             encode_composite(code, [code.tower.one] * length)
 
 
+@pytest.mark.parametrize("build", [lambda: concat_code(), lambda: readme_expander()],
+                         ids=["readme_concat", "readme_expander"])
+def test_encode_rejects_symbols_outside_the_field(build):
+    # -1, 2^(m*w) and wider ints are no field elements: refused before the
+    # row sum walks their bits, at the first, a middle and the last symbol
+    code = build()
+    top = code.tower.m * code.tower.base.w
+    for bad in (-1, 1 << top, 1 << top + 40):
+        for position in (0, code.k // 2, code.k - 1):
+            message = [code.tower.one] * code.k
+            message[position] = bad
+            with pytest.raises(ValueError, match=rf"^field element outside \[0, 2\^{top}\)$"):
+                encode_composite(code, message)
+
+
 def test_select_independent_survivors_matches_rank():
     code, _ = expander_code()
     rank = lambda sub: rank_over_base(code.tower, [code.beta[j] for j in sub])
@@ -451,7 +467,8 @@ def test_assemble_guards():
 @pytest.fixture(scope="module")
 def outer_code_cases():
     """name -> (code, expander parity or None): the four decode bench
-    codes, a GF(4) expander and a one-block concat."""
+    codes (concat_n30 and expander_n14 are the README composites),
+    expanders over GF(4), GF(16) and GF(256) and a one-block concat."""
     def expander(n, t, rp1, w, graph_seed, min_girth, k):
         g = sample_biregular(n, t, rp1, seed=graph_seed, min_girth=min_girth)
         parity = build_expander_parity(g, BaseField(w), seed=graph_seed + 1)
@@ -467,6 +484,8 @@ def outer_code_cases():
         "expander_n14": expander(14, 3, 7, 4, 7, 4, 4),
         "expander_n20": expander(20, 2, 5, 8, 3, 6, 6),
         "expander_gf4": expander(12, 2, 4, 2, 1, 6, 3),
+        "expander_gf16": expander(8, 2, 4, 4, 1, 4, 3),
+        "expander_gf256": expander(8, 2, 4, 8, 2, 4, 2),
         "concat_one_block": concat(6, 1, 3),
     }
 
@@ -512,3 +531,38 @@ def test_concatenated_outer_code_is_the_code_of_its_parity(r, t, blocks):
     H = ListMatrix.from_rows(outer.field, outer.parity.to_lists(), outer.n)
     for g in outer.generator.to_lists():
         assert H.mul_vec(g) == [0] * outer.parity.rows
+
+
+def _outer_map_of_gab_encode(code, message):
+    """The composite encoder as it was before its row sum: Gabidulin-encode
+    at the basis points, then apply the outer generator coordinate by
+    coordinate, y_j = sum_i G[i][j] * c_i."""
+    tower = code.tower
+    scalar_mul, w, mask = tower.base.scalar_mul, tower.base.w, tower.base.q - 1
+    out = [tower.zero] * code.n
+    for row, symbol in zip(code.outer.generator.data, gab_encode(tower, message, code.n_g)):
+        while row:  # the row's nonzero coordinates, lowest first
+            j = ((row & -row).bit_length() - 1) // w
+            lam = row >> (j * w) & mask
+            out[j] ^= scalar_mul(lam, symbol)
+            row ^= lam << (j * w)
+    return out
+
+
+@pytest.mark.parametrize("name", ["concat_n30", "concat_n60", "expander_n14", "expander_n20",
+                                  "concat_one_block", "expander_gf4", "expander_gf16",
+                                  "expander_gf256"])
+def test_encode_is_the_outer_map_of_the_gabidulin_codeword(outer_code_cases, name):
+    # the decode bench codes, with the README composites, and small codes
+    # at w = 1, 2, 4, 8; messages zero, all-ones symbols, every unit bit
+    # (bit p in symbol p mod k, so each bucket and each symbol) and random
+    code, _ = outer_code_cases[name]
+    tower, k = code.tower, code.k
+    top = tower.m * tower.base.w
+    rng = random.Random(31)
+    messages = [[tower.zero] * k, [(1 << top) - 1] * k]
+    for p in range(top):
+        messages.append([1 << p if i == p % k else tower.zero for i in range(k)])
+    messages += [[tower.rand(rng) for _ in range(k)] for _ in range(20)]
+    for message in messages:
+        assert encode_composite(code, message) == _outer_map_of_gab_encode(code, message)

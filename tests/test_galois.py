@@ -491,6 +491,41 @@ def test_packed_mul_row_matches_per_lane_horner(w, m):
             assert t.mul_row(a, t.pack(row)) == t.pack([_horner_mul(t, a, b) for b in row])
 
 
+@pytest.mark.parametrize("w,m", PACKED_ROW_TOWERS)
+def test_dot_row_matches_summed_per_lane_horner(w, m):
+    # sum_i a_i * row_i against the per-lane Horner oracle summed lane by
+    # lane: empty lists; rows of 0 to 24 lanes, several widths in one call,
+    # holding the all-ones lane that would leak a carry; scalars 0, 1, x,
+    # all-ones and random, and every single bit (each bucket) alone and
+    # all at once
+    t = _tower(w, m)
+    rng = random.Random(80 + w + m)
+    full = (1 << m * w) - 1
+    values = [full, t.zero, t.one, t.x] + [t.rand(rng) for _ in range(4)]
+    # Horner over the scalar's coordinates: quick for the single bits
+    product = functools.lru_cache(maxsize=None)(lambda a, b: _horner_mul(t, b, a))
+
+    def check(scalars, rows):
+        expected = [t.zero] * max(map(len, rows), default=0)
+        for a, row in zip(scalars, rows):
+            for j, b in enumerate(row):
+                expected[j] ^= product(a, b)
+        assert t.dot_row(scalars, [t.pack(row) for row in rows]) == t.pack(expected)
+
+    check([], [])
+    scalars = [t.zero, t.one, t.x, full, t.rand(rng)]
+    for n in (0, 1, 2, 3, 7, 24):
+        rows = [[rng.choice(values) for _ in range(n)] for _ in scalars]
+        for a, row in zip(scalars, rows):
+            check([a], [row])
+        check(scalars, rows)
+        check(scalars, [row[:rng.randrange(n + 1)] for row in rows])
+    bits = [1 << p for p in range(m * w)]
+    for a in bits:
+        check([a], [[full]])
+    check(bits, [[full] * (1 + p % 3) for p in range(m * w)])
+
+
 @pytest.mark.parametrize("w,m", MUL_ROW_GRID)
 def test_mul_memo_across_operand_changes_and_towers(w, m):
     # a tower keeps no tables between products: reuse a, then switch a;
