@@ -45,9 +45,9 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
     """The unique f of q-degree < k through k independent (point, value) pairs.
 
     Newton interpolation in two passes on packed rows (``FieldTower.pack``:
-    lane j of a row holds element j), one inversion and O(k) products
-    and row products.  Pass 1 builds the monic annihilators without
-    division: A_0 = x and A_(s+1) = A_s^q - c_s^(q-1) * A_s with
+    lane j of a row holds element j), one inversion, O(k) products and
+    one bit-plane pass per round.  Pass 1 builds the monic annihilators
+    without division: A_0 = x and A_(s+1) = A_s^q - c_s^(q-1) * A_s with
     c_s = A_s(p_s), which vanishes at p_0..p_s.  It keeps
 
         X_s = [A_s(p_s..p_(k-1)), a_0..a_(s-1), 1],
@@ -55,23 +55,31 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
     A_s's values at the points still pending and its coefficients, so
     c_s is lane 0 of X_s, and with R_s = X_s >> one lane (k lanes)
 
-        X_(s+1) = c_s^(q-1) * R_s + Frob(R_s), coefficient lanes moved up one,
+        X_(s+1) = c_s^(q-1) * R_s + Frob(R_s), coefficient lanes moved up one.
 
-    one ``mul_row`` and one ``frobenius_row`` a round.  c_s is zero
-    exactly when p_s lies in the span of the earlier points (they are
-    then dependent, a ValueError).  One inversion of c_0 * ... * c_(k-1),
-    walked back through the prefix products, gives every c_s^-1.  Pass 2
-    takes the Newton coefficients d_s = residual_s / c_s by forward
-    substitution and sums f = sum(d_s * A_s) in one row of k lanes,
+    Both maps are GF(q)-linear, so a round is one ``plane_sum`` over R_s's
+    bit planes with two image sets, lambda * x^i (lambda = c_s^(q-1),
+    ``basis_row``) and (x^q)^i (``frobenius_images``).  The lane move
+    follows from A_s^q = sum(a_j^q * x^(q^(j+1))): the Frobenius of
+    coefficient j is coefficient j+1 of A_s^q, while a pending value
+    A_s(p)^q stays in its lane.  So the Frobenius half keeps its low
+    k-s-1 lanes (the pending values) and shifts the rest up one lane, a
+    mask and a shift; the monic 1 lands in the new top lane, one lane
+    above X_s's.  c_s is zero exactly when p_s lies in the span of the
+    earlier points (they are then dependent, a ValueError).  One
+    inversion of c_0 * ... * c_(k-1), walked back through the prefix
+    products, gives every c_s^-1.  Pass 2 takes the Newton coefficients
+    d_s = residual_s / c_s by forward substitution and sums
+    f = sum(d_s * A_s) in one row of k lanes,
 
         Y_s = [residual_s..residual_(k-1), f_0..f_(s-1)],
         Y_(s+1) = (Y_s >> one lane) + d_s * R_s,
 
-    from Y_0 = values, so Y_k is f: a round is one row product, none
-    when d_s = 0.  Solving the Moore system (entry (i, j) =
-    points[i]^(q^j)) gives the same f in O(k^3); the tests keep that
-    solve as the oracle.  f is returned as its coefficients, low q-degree
-    first.
+    from Y_0 = values, so Y_k is f: a round is one ``plane_sum`` on the
+    planes pass 1 took of R_s, none when d_s = 0.  Solving the Moore
+    system (entry (i, j) = points[i]^(q^j)) gives the same f in O(k^3);
+    the tests keep that solve as the oracle.  f is returned as its
+    coefficients, low q-degree first.
     """
     k = len(points)
     if len(values) != k:
@@ -80,35 +88,35 @@ def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
     tower.check(values)
     if not k:
         return []
-    mul, lane = tower.mul, tower.m * tower.base.w
+    mul, m, lane = tower.mul, tower.m, tower.m * tower.base.w
     full = (1 << lane) - 1
-    # pass 1: rows[s] = R_s, cs[s] = c_s, prefix[s] = c_0 * ... * c_s
-    rows, cs, prefix = [], [], []
+    # pass 1: planes[s] = R_s's bit planes, cs[s] = c_s, prefix[s] = c_0 * ... * c_s
+    planes, cs, prefix = [], [], []
     x = tower.pack(points) ^ 1 << k * lane  # X_0: A_0 = x is monic
     for s in range(k):
         c, row = x & full, x >> lane
         if not c:
             raise ValueError("interpolation points are linearly dependent over the base field")
         prefix.append(mul(c, prefix[-1]) if s else c)
-        rows.append(row)
+        planes.append(tower.bit_planes(row))
         cs.append(c)
         if s == k - 1:
             break
-        cut = k - s - 1  # the pending lanes of R_s
-        mapped = tower.frobenius_row(tower.unpack(row, k))
-        x = tower.mul_row(tower.frobenius_ratio(c), row) ^ tower.pack(
-            mapped[:cut] + [0] + mapped[cut:])  # the coefficient lanes move up one
+        scaled, mapped = tower.plane_sum(planes[-1], tower.basis_row(tower.frobenius_ratio(c), m),
+                                         tower.frobenius_images)
+        pending = mapped & (1 << (k - s - 1) * lane) - 1
+        x = scaled ^ pending ^ (mapped ^ pending) << lane  # the coefficient lanes move up one
     # one inversion, walked back through the prefix products
     inv = tower.inv(prefix[-1])
     c_invs = [tower.zero] * k
     for s in range(k - 1, 0, -1):
-        c_invs[s], inv = mul(inv, prefix[s - 1]), mul(inv, cs[s])
+        c_invs[s], inv = tower.mul_each(inv, (prefix[s - 1], cs[s]))
     c_invs[0] = inv
     # pass 2: lane 0 of y is residual_s = y_s - sum(d_u * A_u(p_s) for u < s)
     y = tower.pack(values)
-    for c_inv, row in zip(c_invs, rows):
+    for c_inv, row_planes in zip(c_invs, planes):
         d = mul(c_inv, y & full)
         y >>= lane
         if d:
-            y ^= tower.mul_row(d, row)
+            y ^= tower.plane_sum(row_planes, tower.basis_row(d, m))
     return tower.unpack(y, k)

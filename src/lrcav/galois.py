@@ -20,7 +20,7 @@ Primitive polynomials used for the base fields (one per width w):
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .linalg import RankTracker
 
@@ -186,10 +186,11 @@ class FieldTower:
 
     Extension elements are packed integers (see the module docstring), so
     zero is 0, one is 1, addition is XOR and an element is nonzero iff it
-    is truthy.  A tower holds only tables fixed by its modulus; products
-    that share an operand go through ``mul_row``, one lane-parallel
-    product on a packed row of elements, and sums of such products
-    through ``dot_row``.
+    is truthy.  A tower holds only tables fixed by its modulus.  Products
+    that share an operand go through ``mul_each``; GF(q)-linear maps of
+    every element of a packed row (products ``mul_row``, the Frobenius)
+    through ``plane_sum``, one lane-parallel pass; and sums of row
+    products through ``dot_row``.
     """
 
     def __init__(self, base: BaseField, m: int, ext_modulus: Sequence[int] | None = None,
@@ -256,27 +257,35 @@ class FieldTower:
             xq = self.mul(xq, xq)
         if self.m > 1 and _poly_gcd(self.base, self.base.pack(poly), xq ^ self.x) != 1:
             return False
-        # a -> a^q fixes GF(q) and takes x^i to (x^q)^i
-        self._frob_tables = self._linear_byte_tables(xq, 1)
+        # a -> a^q fixes GF(q) and takes x^i to (x^q)^i: the images
+        # plane_sum reads, and the bit images of the byte tables
+        self.frobenius_images = self._power_chain(xq)
+        self._frob_tables = self._linear_byte_tables(self.frobenius_images, 1)
         return True
 
     def _build_square_tables(self) -> List[List[ExtElement]]:
         """Byte tables of a -> a^2: alpha^s -> alpha^(2s) and x^i -> (x^2)^i."""
-        return self._linear_byte_tables(self.mul(self.x, self.x), 2)
+        return self._linear_byte_tables(self._power_chain(self.mul(self.x, self.x)), 2)
 
-    def _linear_byte_tables(self, step: ExtElement, stride: int) -> List[List[ExtElement]]:
+    def _power_chain(self, step: ExtElement) -> List[ExtElement]:
+        """[step^i for i < m]: step's product tables serve every link."""
+        col, tables = self.one, self._nibble_tables(step, self._fold_tables[0])
+        chain = [col]
+        for _ in range(self.m - 1):
+            col = self._horner(tables, col)
+            chain.append(col)
+        return chain
+
+    def _linear_byte_tables(self, chain: List[ExtElement], stride: int) -> List[List[ExtElement]]:
         """One table per byte of a packed element: byte value -> its image.
 
         The map is GF(2)-linear and takes the bit for base value 2^s in
-        coordinate i to alpha^(stride*s) * step^i, so a byte's image is
+        coordinate i to alpha^(stride*s) * chain[i], so a byte's image is
         the XOR of its bits' images.
         """
-        m, w = self.m, self.base.w
-        bit_images = []
-        col, tables = self.one, self._nibble_tables(step, self._fold_tables[0])
-        for _ in range(m):  # step's tables serve every link of the chain
-            bit_images += self.base.alpha_multiples(col, self._ones, stride * w)[::stride]
-            col = self._horner(tables, col)
+        w = self.base.w
+        bit_images = [image for col in chain
+                      for image in self.base.alpha_multiples(col, self._ones, stride * w)[::stride]]
         nibbles = _subset_tables(bit_images + [0] * 4)  # padded: they pair up, one pair a byte
         return [[hi ^ lo for hi in high for lo in low]
                 for low, high in zip(nibbles[::2], nibbles[1::2])]
@@ -308,6 +317,11 @@ class FieldTower:
     def mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
         """a*b by a windowed Horner loop over b, with a's tables built for it."""
         return self._horner(self._nibble_tables(a, self._fold_tables[0]), b)
+
+    def mul_each(self, a: ExtElement, bs: Sequence[ExtElement]) -> List[ExtElement]:
+        """[a*b for b in bs], a's tables built once for every product."""
+        tables = self._nibble_tables(a, self._fold_tables[0])
+        return [self._horner(tables, b) for b in bs]
 
     def _horner(self, nibbles: List[tuple], b: ExtElement) -> ExtElement:
         """a*b, a given by its nibble tables: windowed Horner over b, top
@@ -342,30 +356,68 @@ class FieldTower:
 
         A row of L elements is one int: lane j holds element j in bits
         [j*m*w, (j+1)*m*w), so its coordinates pack like a base-field
-        vector's.  With images a*x^i (``basis_row``) and ones the bit 0
-        of every lane,
+        vector's.  The product is ``plane_sum`` of the row's bit planes
+        with the images a*x^i (``basis_row``): m*w shift-mask-multiply
+        steps whatever the row's length, where ``mul`` makes about m*w/4
+        nibble lookups per element.
+        """
+        return self.plane_sum(self.bit_planes(row), self.basis_row(a, self.m))
 
-            a*row = sum_(s<w) alpha^s * sum_(i<m) ((row >> (i*w+s)) & ones) * (a*x^i),
+    def bit_planes(self, row: int) -> Tuple[int, List[List[int]]]:
+        """The m*w bit planes of a packed row, for ``plane_sum``.
 
-        the inner sum over the bits of coordinate weight alpha^s and the
-        outer one Horner in alpha by lane doubling over every coordinate.
-        The images are fully reduced, below 2^(m*w), so multiplying one by
-        a mask of 0/1 lanes only copies it into the selected lanes: no
-        carry crosses a lane.  The row costs m*w shift-mask-multiply steps
-        whatever its length, where ``mul`` makes about m*w/4 nibble lookups
-        per element.
+        Plane (i, s) is (row >> (i*w+s)) & ones, ones the bit 0 of every
+        lane the row reaches: bit 0 of a lane is set in it iff bit s of
+        that lane's coordinate i is.  Returned as (coords, planes) with
+        planes[s][i] that plane and coords the bit 0 of every coordinate
+        of those lanes, the mask of lane doubling.
         """
         w, top = self.base.w, self._top
         ones = ((1 << -(-row.bit_length() // top) * top) - 1) // self._full
-        coords, low = ones * self._ones, self.base.modulus ^ self.base.q
-        images = self.basis_row(a, self.m)
+        return ones * self._ones, [[row >> shift & ones for shift in range(s, top, w)]
+                                   for s in range(w)]
+
+    def plane_sum(self, planes: Tuple[int, List[List[int]]], images: Sequence[ExtElement],
+                  images2: Sequence[ExtElement] | None = None) -> int | Tuple[int, int]:
+        """The GF(q)-linear map with images[i] = the image of x^i, applied
+        to every lane of the row whose ``bit_planes`` these are.
+
+        Bit s of coordinate i stands for alpha^s * x^i, so a map L that is
+        GF(q)-linear takes a lane to sum_(s<w) alpha^s * sum_(i<m)
+        bit(i, s) * L(x^i), and on the whole row
+
+            L(row) = sum_(s<w) alpha^s * sum_(i<m) plane(i, s) * L(x^i),
+
+        the outer sum Horner in alpha by lane doubling over every
+        coordinate (``BaseField.alpha_multiples``).  With L(x^i) = a*x^i
+        it is a*row; with L(x^i) = (x^q)^i (``frobenius_images``) it is
+        the lane-wise Frobenius, as Frob(alpha^s * x^i) = alpha^s * (x^q)^i.
+        The images must be fully reduced, below 2^(m*w): multiplying one by
+        a plane of 0/1 lanes then only copies it into the selected lanes,
+        and no carry crosses a lane.  Given images2 as well, both maps run
+        in the one loop over the planes, each on its own accumulator, and
+        the two rows come back as a pair.
+        """
+        coords, by_weight = planes
+        w, low = self.base.w, self.base.modulus ^ self.base.q
         acc = 0
-        for s in range(w - 1, -1, -1):
+        if images2 is None:
+            for weight in reversed(by_weight):
+                over = acc >> (w - 1) & coords
+                acc = (acc ^ over << (w - 1)) << 1 ^ over * low
+                for plane, image in zip(weight, images):
+                    acc ^= plane * image
+            return acc
+        acc2 = 0
+        for weight in reversed(by_weight):
             over = acc >> (w - 1) & coords
             acc = (acc ^ over << (w - 1)) << 1 ^ over * low
-            for shift, image in zip(range(s, top, w), images):
-                acc ^= (row >> shift & ones) * image
-        return acc
+            over = acc2 >> (w - 1) & coords
+            acc2 = (acc2 ^ over << (w - 1)) << 1 ^ over * low
+            for plane, image, image2 in zip(weight, images, images2):
+                acc ^= plane * image
+                acc2 ^= plane * image2
+        return acc, acc2
 
     def dot_row(self, scalars: Sequence[ExtElement], rows: Sequence[int]) -> int:
         """sum_i scalars[i] * rows[i], as one packed row (``mul_row``'s layout).

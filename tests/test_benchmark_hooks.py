@@ -79,3 +79,37 @@ def test_decode_bench_block_builds_each_frobenius_row_table_once(tmp_path, monke
         assert op.check(op.call()) is None
     for cls, code in bench.codes.items():
         assert sum(built is code for built in builds) == 1, cls
+
+
+def test_decode_bench_block_interpolates_without_frobenius_rows(tmp_path, monkeypatch):
+    # pass 1 takes each round's Frobenius from the row's bit planes, so
+    # inside moore_interpolate every frobenius_row call is the one-element
+    # row of a frobenius call (the Itoh-Tsujii inversion's), never a row
+    # of lanes
+    from lrcav import constructions
+    from lrcav.galois import FieldTower
+    depth, calls = [0], {"frobenius": 0, "frobenius_row": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += depth[0]
+            return fn(*args)
+        return wrapper
+
+    def interpolate(*args):
+        depth[0] += 1
+        try:
+            return interpolate_in_full(*args)
+        finally:
+            depth[0] -= 1
+
+    interpolate_in_full = constructions.moore_interpolate
+    monkeypatch.setattr(constructions, "moore_interpolate", interpolate)
+    for name in calls:
+        monkeypatch.setattr(FieldTower, name, counted(name, getattr(FieldTower, name)))
+    bench = workloads.Decode()
+    bench.setup(str(tmp_path))
+    for op in bench.block(seed=1, b=0):
+        assert op.check(op.call()) is None
+    assert calls["frobenius"] > 0
+    assert calls["frobenius_row"] == calls["frobenius"]

@@ -112,17 +112,20 @@ def test_encode_matches_per_point_evaluation_at_decode_scale(w, m, k):
 def _count_tower_calls(monkeypatch, *names):
     """A Counter of calls to these FieldTower methods, for the test's duration.
 
-    With "mul_row" among them, "lanes" sums the lanes of the packed rows
-    it multiplies.
+    With "bit_planes" among them, "lanes" sums the lanes of the packed
+    rows it takes planes of; with "plane_sum", "paired" counts its calls
+    with two image sets.
     """
     calls = Counter()
 
     def counted(name, fn):
         def wrapper(*args):
             calls[name] += 1
-            if name == "mul_row":
-                tower, row = args[0], args[2]
+            if name == "bit_planes":
+                tower, row = args
                 calls["lanes"] += -(-row.bit_length() // (tower.m * tower.base.w))
+            if name == "plane_sum" and len(args) == 4:
+                calls["paired"] += 1
             return fn(*args)
         return wrapper
 
@@ -140,7 +143,7 @@ def test_encode_makes_no_products(monkeypatch, w, m):
     msgs = [[t.rand(rng) for _ in range(m - 1)] for _ in range(3)]
     msgs.append([t.basis_element(2) ^ 7, t.zero] + [t.rand(rng) for _ in range(m - 3)])
     expected = [[lin_eval(t, msg, x) for x in basis(t, m)] for msg in msgs]
-    calls = _count_tower_calls(monkeypatch, "mul", "mul_row", "_nibble_tables")
+    calls = _count_tower_calls(monkeypatch, "mul", "mul_row", "plane_sum", "_nibble_tables")
     assert [gab_encode(t, msg, m) for msg in msgs] == expected
     assert not calls
 
@@ -266,19 +269,32 @@ def test_interpolate_rejects_dependent_points():
         moore_interpolate(t, [p1, p2, p1 ^ p2], [t.rand(rng) for _ in range(3)])
 
 
-@pytest.mark.parametrize("w,m", [(1, 8), (2, 4), (3, 4), (4, 5), (8, 3), (8, 6)])
+@pytest.mark.parametrize("w,m", [(1, 8), (2, 4), (3, 4), (4, 5), (8, 3), (8, 6), (16, 3)])
 def test_interpolate_matches_moore_solve(w, m):
     # oracle: the O(k^3) Moore-matrix solve by list elimination over the
-    # tower, at random independent points
+    # tower, at every k <= m: random independent points, the basis points
+    # (whose rows have sparse bit planes) and all-zero values (no pass-2
+    # plane sum)
     t = FieldTower(BaseField(w), m, seed=1)
     rng = random.Random(8 + w)
     for k in range(1, m + 1):
-        for _ in range(4):
-            pts = _independent_points(t, k, rng)
-            vals = [t.rand(rng) for _ in range(k)]
+        cases = [(_independent_points(t, k, rng), [t.rand(rng) for _ in range(k)])
+                 for _ in range(4)]
+        cases += [(basis(t, k), [t.rand(rng) for _ in range(k)]),
+                  (_independent_points(t, k, rng), [t.zero] * k)]
+        for pts, vals in cases:
             f = moore_interpolate(t, pts, vals)
             assert f == solve(moore_matrix(t, pts, k), vals)
             assert [lin_eval(t, f, p) for p in pts] == vals
+
+
+def test_interpolate_matches_moore_solve_at_forty_points():
+    # 40 lanes of 64 bits: rows wider than any the benchmark interpolates
+    t = FieldTower(BaseField(1), 64, seed=1)
+    rng = random.Random(64)
+    pts = _independent_points(t, 40, rng)
+    vals = [t.rand(rng) for _ in range(40)]
+    assert moore_interpolate(t, pts, vals) == solve(moore_matrix(t, pts, 40), vals)
 
 
 @pytest.mark.parametrize("w,m,k", [(1, 36, 24), (8, 12, 6), (4, 8, 4)])
@@ -297,30 +313,37 @@ def test_interpolate_inverts_once_and_builds_linear_tables(monkeypatch, w, m, in
     # one inversion per interpolation.  With k points and chain = the
     # products of c^(q-1) (0 at w = 1, 3 at w = 8) the single products are
     #   pass 1: k-1 prefix, (k-1)*chain; inv_products inside the inversion;
-    #   the walk back: one pair per step;
     #   pass 2: d_s, one per point;
-    # each building its product tables once, and the row products, which
-    # build none, are
-    #   pass 1: one of k lanes per round, led by c^(q-1);
-    #   pass 2: one of k lanes per nonzero d_s.
+    # each building its product tables once, and the walk back makes one
+    # pair of products per step on one set of tables.  Pass 1 takes the
+    # bit planes of each R_s once (k rows of k lanes), and the plane sums,
+    # which build no tables, are
+    #   pass 1: one a round, paired: c^(q-1) * x^i and (x^q)^i;
+    #   pass 2: one per nonzero d_s, on the planes pass 1 took;
+    # so no row goes through mul_row.
     t = FieldTower(BaseField(w), m, seed=1)
     rng = random.Random(3)
     k = 6
     pts = _independent_points(t, k, rng)
     vals = [t.rand(rng) for _ in range(k)]
     expected = solve(moore_matrix(t, pts, k), vals)
-    calls = _count_tower_calls(monkeypatch, "mul", "mul_row", "_nibble_tables", "inv")
+    calls = _count_tower_calls(monkeypatch, "mul", "mul_each", "mul_row", "_nibble_tables",
+                               "inv", "bit_planes", "plane_sum")
     assert moore_interpolate(t, pts, vals) == expected
     chain = 0 if w == 1 else 3
-    singles = (k - 1) * (1 + chain) + inv_products + 2 * (k - 1) + k
-    rows = (k - 1) + k
-    assert calls == {"inv": 1, "mul": singles, "_nibble_tables": singles,
-                     "mul_row": rows, "lanes": rows * k}
-    assert singles == (27 if w == 1 else 40)
-    # f = x: d_0 = 1 and every later d_s = 0, so pass 2 makes one row product
+    singles = (k - 1) * (1 + chain) + inv_products + k
+    assert calls == {"inv": 1, "mul": singles, "mul_each": k - 1,
+                     "_nibble_tables": singles + (k - 1), "bit_planes": k, "lanes": k * k,
+                     "plane_sum": (k - 1) + k, "paired": k - 1}
+    assert singles == (17 if w == 1 else 30)
+    # f = x: d_0 = 1 and every later d_s = 0, so pass 2 makes one plane sum
     calls.clear()
     assert moore_interpolate(t, pts, pts) == [t.one] + [t.zero] * (k - 1)
-    assert calls["mul_row"] == (k - 1) + 1
+    assert calls["plane_sum"] == (k - 1) + 1
+    # f = 0: every d_s = 0, so pass 2 makes none
+    calls.clear()
+    assert moore_interpolate(t, pts, [t.zero] * k) == [t.zero] * k
+    assert calls["plane_sum"] == calls["paired"] == k - 1
     for j in range(1, m + 1):
         calls.clear()
         pts = _independent_points(t, j, rng)

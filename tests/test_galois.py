@@ -294,6 +294,20 @@ def test_seeded_search_keeps_its_moduli(w, m, seed):
     assert t.base.pack(t.ext_modulus) == PINNED_MODULI[w, m, seed]
 
 
+@pytest.mark.parametrize("w,m,seed", [(2, 2, 9), (3, 2, 3), (4, 2, 0), (8, 12, 0), (1, 36, 0)])
+def test_frobenius_images_follow_the_accepted_modulus(w, m, seed):
+    # the images (x^q)^i that plane_sum maps lanes with are the Frobenius
+    # of the basis under the modulus the search kept (these seeds reject
+    # candidates first), and a tower rebuilt from that stored modulus
+    # takes the same images
+    t = FieldTower(_base(w), m, seed=seed)
+    rebuilt = FieldTower(_base(w), m, t.ext_modulus)
+    basis = [t.basis_element(i) for i in range(m)]
+    assert t.frobenius_images == t.frobenius_row(basis) == rebuilt.frobenius_images
+    assert rebuilt.frobenius_images == rebuilt.frobenius_row(basis)
+    assert all(0 <= image < 1 << m * w for image in t.frobenius_images)
+
+
 def _trim(p):
     while p and not p[-1]:
         p.pop()
@@ -489,6 +503,31 @@ def test_packed_mul_row_matches_per_lane_horner(w, m):
         for n in (0, 1, 2, 3, 7, 24):
             row = lanes[-n:] if n else []
             assert t.mul_row(a, t.pack(row)) == t.pack([_horner_mul(t, a, b) for b in row])
+
+
+@pytest.mark.parametrize("w,m", PACKED_ROW_TOWERS)
+def test_plane_sum_matches_per_lane_horner_and_frobenius(w, m):
+    # one row's bit planes, taken once, against per-lane oracles: products
+    # a*b (images a*x^i) and the Frobenius b^q (images (x^q)^i), alone and
+    # paired in one call in either order, on rows of 0 to 24 lanes that
+    # hold the all-ones element, the lane that would leak a carry
+    t = _tower(w, m)
+    rng = random.Random(90 + w + m)
+    full = (1 << m * w) - 1
+    special = [full, t.zero, t.one, t.x]
+    lanes = special + [t.rand(rng) for _ in range(16)] + special[::-1]
+    frob = t.frobenius_images
+    for n in (0, 1, 2, 3, 7, 24):
+        row = lanes[-n:] if n else []
+        planes = t.bit_planes(t.pack(row))
+        mapped = t.pack([t.frobenius(b, 1) for b in row])
+        assert t.plane_sum(planes, frob) == mapped
+        for a in [t.zero, t.one, t.x, full, t.rand(rng)]:
+            images = t.basis_row(a, m)
+            product = t.pack([_horner_mul(t, a, b) for b in row])
+            assert t.plane_sum(planes, images) == product
+            assert t.plane_sum(planes, images, frob) == (product, mapped)
+            assert t.plane_sum(planes, frob, images) == (mapped, product)
 
 
 @pytest.mark.parametrize("w,m", PACKED_ROW_TOWERS)
