@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from math import ceil, comb
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from . import constructions
 from .bounds import rate_cap
 from .constructions import (CompositeCode, LinearCode, composite_erasure_decode,
                             encode_composite, survivor_rank)
@@ -23,22 +24,21 @@ from .constructions import (CompositeCode, LinearCode, composite_erasure_decode,
 from .linalg import RankTracker, rref  # noqa: F401
 from .shortening import enumerate_local_checks
 
-ENUMERATION_BUDGET = 2**22  # words a weight_distribution walk visits at most by default
 WALK_WORDS_PER_TRIAL = 16  # distance-walk words erasure_trials spends per trial it may save
+FULL_DECODE_EVERY = 25  # erasure_monte_carlo trials per full decode; the rest rank only
 
 
-def weight_distribution(code: LinearCode,
-                        max_enumeration: int = ENUMERATION_BUDGET) -> List[int]:
+def weight_distribution(code: LinearCode) -> List[int]:
     """[A_0, ..., A_n]: the number of codewords of each Hamming weight, exactly.
 
     One Gray walk (``LinearCode.codewords``) over the smaller of the code
     and its dual: the q^k codewords when k <= n - k, ties included, else
     the q^(n-k) words of ``code.dual``, whose weight counts
-    ``macwilliams_transform`` turns into the code's.  max_enumeration
-    bounds q^min(k, n-k), the words walked.
+    ``macwilliams_transform`` turns into the code's.  The q^min(k, n-k)
+    words walked are charged to ``constructions.WORK_BUDGET``.
     """
     f, n, k = code.field, code.n, code.k
-    if f.q ** min(k, n - k) > max_enumeration:
+    if f.q ** min(k, n - k) > constructions.WORK_BUDGET:
         raise ValueError("codeword enumeration exceeds the budget")
     walked = code if k <= n - k else code.dual
     counts = [0] * (n + 1)
@@ -76,12 +76,12 @@ def macwilliams_transform(counts: Sequence[int], q: int, dim: int) -> List[int]:
     return out
 
 
-def min_distance(code: LinearCode, max_enumeration: int = ENUMERATION_BUDGET) -> int:
+def min_distance(code: LinearCode) -> int:
     """Exact minimum distance: the least j > 0 with A_j > 0 in
     ``weight_distribution`` (same budget, charged q^min(k, n-k))."""
     if code.k == 0:
         raise ValueError("the zero code has no minimum distance")
-    counts = weight_distribution(code, max_enumeration)
+    counts = weight_distribution(code)
     return next(j for j in range(1, code.n + 1) if counts[j])
 
 
@@ -156,9 +156,9 @@ def erasure_trials(code: LinearCode, e: int, trials: int, seed: int,
     so then every trial succeeds.  d is `distance` when the caller has
     it already (one walk per run), else ``min_distance``'s, taken only
     when its q^min(k, n-k) words are at most WALK_WORDS_PER_TRIAL per
-    trial and within ENUMERATION_BUDGET.  At e >= d, or when the walk
-    costs more, the trials are drawn and checked, so the count is the
-    same either way.
+    trial and within ``constructions.WORK_BUDGET``.  At e >= d, or when
+    the walk costs more, the trials are drawn and checked, so the count
+    is the same either way.
 
     The cost rule rests on measured costs (Python 3.11, 2-vCPU VM): a
     sampled trial takes 4.4-5.7 us on WZL(3,2) to WZL(4,3), and a walked
@@ -173,7 +173,8 @@ def erasure_trials(code: LinearCode, e: int, trials: int, seed: int,
     if code.k == 0:
         return trials
     walk = code.field.q ** min(code.k, code.n - code.k)
-    if distance is None and walk <= min(WALK_WORDS_PER_TRIAL * trials, ENUMERATION_BUDGET):
+    if distance is None and walk <= min(WALK_WORDS_PER_TRIAL * trials,
+                                        constructions.WORK_BUDGET):
         distance = min_distance(code)
     if distance is not None and e < distance:
         return trials
@@ -232,22 +233,20 @@ def _trial(code: CompositeCode, erased: Sequence[int], rng: random.Random,
     ok = decoded is not None and decoded == message
     return ok, rank
 
-def erasure_monte_carlo(code: CompositeCode, e: int, trials: int, seed: int,
-                        decode_every: int = 25) -> ErasureTrialStats:
-    """Random e-erasure trials; every decode_every-th trial runs the full
+def erasure_monte_carlo(code: CompositeCode, e: int, trials: int,
+                        seed: int) -> ErasureTrialStats:
+    """Random e-erasure trials; every FULL_DECODE_EVERY-th trial runs the full
     interpolation round-trip, the rest use the survivor-rank criterion
     (which the decoder succeeds on exactly)."""
     if not (0 <= e < code.n):
         raise ValueError("need 0 <= e < n")
     if trials < 1:
         raise ValueError("need trials >= 1")
-    if decode_every < 1:
-        raise ValueError("need decode_every >= 1")
     rng = random.Random(seed)
     successes, min_rank = 0, code.n  # a survivor rank is at most n_G <= n
     for trial in range(trials):
         erased = rng.sample(range(code.n), e)
-        ok, rank = _trial(code, erased, rng, full_decode=(trial % decode_every == 0))
+        ok, rank = _trial(code, erased, rng, full_decode=trial % FULL_DECODE_EVERY == 0)
         successes += ok
         min_rank = min(min_rank, rank)
     stats = ErasureTrialStats(trials, successes, min_rank, seed)

@@ -85,14 +85,17 @@ class LinearCode:
     def codewords(self):
         """All q^k codewords, packed, in Gray order over the generator rows.
 
-        One XOR per word (``BaseField.span``).  Exhaustive; the caller
-        owns the budget.
+        One XOR per word (``BaseField.span``).  Exhaustive: the caller
+        charges the q^k words to ``WORK_BUDGET`` before it walks them.
         """
         return self.field.span(self.generator.data)
 
 
 WZL_SIZE_CAP = 10**5  # largest WZL length n = C(r+t, t) that build_wzl builds
-EXPANSION_SUBSET_BUDGET = 24  # largest subset size check_expansion enumerates
+# steps any one exhaustive walk may take: a word of a span walk, a subset of
+# check_expansion, (r+1)^3 per support plus its points in the support walk;
+# each walk reads it when called, so setting it here moves every limit
+WORK_BUDGET = 10**8
 
 
 def build_wzl(r: int, t: int) -> LinearCode:
@@ -126,19 +129,6 @@ class BipartiteGraph:
                 out[c].append(v)
         return out
 
-    def neighbors(self, left_set: Sequence[int]) -> set:
-        out = set()
-        for v in left_set:
-            out.update(self.adj[v])
-        return out
-
-    def is_simple(self) -> bool:
-        return _has_girth(self.adj, 4)
-
-    def is_simple_girth_gt4(self) -> bool:
-        """No repeated edges and no two left vertices sharing >= 2 rights."""
-        return _has_girth(self.adj, 6)
-
 
 def _has_girth(adj, min_girth: int) -> bool:
     """Is the graph with these left adjacencies simple and, at min_girth 6,
@@ -158,8 +148,11 @@ def _has_girth(adj, min_girth: int) -> bool:
     return True
 
 
+SAMPLE_TRIES = 10**4  # configuration-model shuffles sample_biregular draws at most
+
+
 def sample_biregular(n: int, t: int, rp1: int, seed: int,
-                     max_tries: int = 10**4, min_girth: int = 6) -> BipartiteGraph:
+                     min_girth: int = 6) -> BipartiteGraph:
     """Configuration-model sample, rejected until simple with girth > 4.
 
     min_girth=6 (the default) demands no 4-cycles; min_girth=4 only
@@ -169,7 +162,7 @@ def sample_biregular(n: int, t: int, rp1: int, seed: int,
     Left vertex v takes the t right stubs at [v*t, (v+1)*t) of each
     shuffle, and a shuffle is rejected at its first offending vertex,
     before any graph is built.  Raises ValueError, as for any other
-    unusable parameters, when no sample in max_tries passes.
+    unusable parameters, when no sample in SAMPLE_TRIES passes.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -182,7 +175,7 @@ def sample_biregular(n: int, t: int, rp1: int, seed: int,
     n_right = n * t // rp1
     rng = random.Random(seed)
     right_stubs = [c for c in range(n_right) for _ in range(rp1)]
-    for tries in range(max_tries):
+    for tries in range(SAMPLE_TRIES):
         rng.shuffle(right_stubs)
         # left vertex v takes the stubs at [v*t, (v+1)*t): t-tuples in order
         if _has_girth(zip(*[iter(right_stubs)] * t), min_girth):
@@ -191,19 +184,26 @@ def sample_biregular(n: int, t: int, rp1: int, seed: int,
                 "sample_biregular(n=%d, t=%d, r+1=%d): rejected %d samples", n, t, rp1, tries)
             return BipartiteGraph(n, n_right, [sorted(right_stubs[v * t:(v + 1) * t])
                                                for v in range(n)])
-    raise ValueError(f"no girth>={min_girth} simple sample in {max_tries} tries; "
+    raise ValueError(f"no girth>={min_girth} simple sample in {SAMPLE_TRIES} tries; "
                      "parameters too dense")
 
 
 def check_expansion(g: BipartiteGraph, alpha, gamma) -> bool:
-    """Exhaustively test |Gamma(V')| > t*gamma*|V'| for all |V'| <= alpha*n."""
+    """Exhaustively test |Gamma(V')| > t*gamma*|V'| for all |V'| <= alpha*n.
+
+    The walk visits at most sum_(1 <= s <= alpha*n) C(n, s) subsets, one
+    step of ``WORK_BUDGET`` each, and that sum is checked before it starts.
+    """
     max_size = int(alpha * g.n_left)
-    if max_size > EXPANSION_SUBSET_BUDGET:
-        raise ValueError("subset size exceeds the exhaustive-check budget")
+    subsets = 0
+    for size in range(1, max_size + 1):
+        subsets += comb(g.n_left, size)
+        if subsets > WORK_BUDGET:
+            raise ValueError("subset count exceeds the exhaustive-check budget")
     t = len(g.adj[0]) if g.adj else 0
     for size in range(1, max_size + 1):
         for sub in combinations(range(g.n_left), size):
-            if len(g.neighbors(sub)) <= t * gamma * size:
+            if len(set().union(*(g.adj[v] for v in sub))) <= t * gamma * size:
                 return False
     return True
 

@@ -188,7 +188,7 @@ class FieldTower:
     zero is 0, one is 1, addition is XOR and an element is nonzero iff it
     is truthy.  A tower holds only tables fixed by its modulus.  Products
     that share an operand go through ``mul_each``; GF(q)-linear maps of
-    every element of a packed row (products ``mul_row``, the Frobenius)
+    every element of a packed row (a product a*row, the Frobenius)
     through ``plane_sum``, one lane-parallel pass; and sums of row
     products through ``dot_row``.
     """
@@ -351,18 +351,6 @@ class FieldTower:
                 hi >>= 4
         return acc
 
-    def mul_row(self, a: ExtElement, row: int) -> int:
-        """a times every element of a packed row, as one packed row.
-
-        A row of L elements is one int: lane j holds element j in bits
-        [j*m*w, (j+1)*m*w), so its coordinates pack like a base-field
-        vector's.  The product is ``plane_sum`` of the row's bit planes
-        with the images a*x^i (``basis_row``): m*w shift-mask-multiply
-        steps whatever the row's length, where ``mul`` makes about m*w/4
-        nibble lookups per element.
-        """
-        return self.plane_sum(self.bit_planes(row), self.basis_row(a, self.m))
-
     def bit_planes(self, row: int) -> Tuple[int, List[List[int]]]:
         """The m*w bit planes of a packed row, for ``plane_sum``.
 
@@ -390,8 +378,9 @@ class FieldTower:
 
         the outer sum Horner in alpha by lane doubling over every
         coordinate (``BaseField.alpha_multiples``).  With L(x^i) = a*x^i
-        it is a*row; with L(x^i) = (x^q)^i (``frobenius_images``) it is
-        the lane-wise Frobenius, as Frob(alpha^s * x^i) = alpha^s * (x^q)^i.
+        (``basis_row(a, m)``) it is a*row; with L(x^i) = (x^q)^i
+        (``frobenius_images``) it is the lane-wise Frobenius, as
+        Frob(alpha^s * x^i) = alpha^s * (x^q)^i.
         The images must be fully reduced, below 2^(m*w): multiplying one by
         a plane of 0/1 lanes then only copies it into the selected lanes,
         and no carry crosses a lane.  Given images2 as well, both maps run
@@ -420,7 +409,7 @@ class FieldTower:
         return acc, acc2
 
     def dot_row(self, scalars: Sequence[ExtElement], rows: Sequence[int]) -> int:
-        """sum_i scalars[i] * rows[i], as one packed row (``mul_row``'s layout).
+        """sum_i scalars[i] * rows[i], as one packed row (``pack``'s layout).
 
         Bit p of an element stands for alpha^(p mod w) * x^(p div w), so
         with the bucket B_p the XOR of the rows whose scalar has bit p set,

@@ -16,6 +16,7 @@ from itertools import combinations, product
 from math import comb
 from typing import List, Sequence, Set, Tuple
 
+from . import constructions
 from .constructions import LinearCode
 from .linalg import Matrix, RankTracker, nullspace
 
@@ -41,29 +42,29 @@ def _projective_points(q: int, d: int):
             yield (0,) * lead + (1,) + tail
 
 
-def enumerate_local_checks(code: LinearCode, r: int,
-                           budget: int = 10**8) -> LocalCheckSet:
+def enumerate_local_checks(code: LinearCode, r: int) -> LocalCheckSet:
     """All dual codewords of weight <= r+1, by the cheaper of two exact walks.
 
     The span walk visits each of the dual code's q^(n-k) words once; the
     per-support walk costs about C(n, r+1) * (r+1)^3 for its nullspaces,
     plus one word per projective point of each support's dual words.
-    The walk with the smaller up-front cost runs, and the budget bounds
-    that cost (and, on the per-support walk, the points as they are
-    counted).  Both list the checks in the same order: by the first
-    (r+1)-support in ``combinations`` order that holds the check, then
-    by its projective point on that support's nullspace basis.
+    The walk with the smaller up-front cost runs, and
+    ``constructions.WORK_BUDGET`` bounds that cost (and, on the
+    per-support walk, the points as they are counted).  Both list the
+    checks in the same order: by the first (r+1)-support in
+    ``combinations`` order that holds the check, then by its projective
+    point on that support's nullspace basis.
     """
     n, q = code.n, code.field.q
     w = min(r + 1, n)
     walk, per_support = q ** (n - code.k), comb(n, w) * (r + 1) ** 3
-    cost = min(walk, per_support)
+    cost, budget = min(walk, per_support), constructions.WORK_BUDGET
     if cost > budget:
         raise ValueError(f"local-check enumeration cost {cost} exceeds budget {budget}")
     if walk <= per_support:
         checks = _span_checks(code, w)
     else:
-        checks = _support_checks(code, w, cost, budget)
+        checks = _support_checks(code, w, cost)
     return LocalCheckSet(code.field, n, r, checks)
 
 
@@ -103,15 +104,16 @@ def _span_checks(code: LinearCode, w: int) -> List[int]:
     return checks
 
 
-def _support_checks(code: LinearCode, w: int, cost: int, budget: int) -> List[int]:
+def _support_checks(code: LinearCode, w: int, cost: int) -> List[int]:
     """The checks of weight <= w from one nullspace per w-support.
 
     The dual words supported inside a w-support are the span of its
     nullspace; one word per projective point of that span is walked, so
     every check appears up to scaling.  cost, the work charged so far,
-    grows by each span's point count and may not pass the budget.
+    grows by each span's point count and may not pass
+    ``constructions.WORK_BUDGET``.
     """
-    n, f = code.n, code.field
+    n, f, budget = code.n, code.field, constructions.WORK_BUDGET
     rows = code.generator.data
     fw, mask = f.w, f.q - 1
     seen = set()

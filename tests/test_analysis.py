@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcav import analysis
+from lrcav import analysis, constructions
 from lrcav.analysis import (concatenated_dimension, erasure_correctable,
                             erasure_monte_carlo, erasure_trials, macwilliams_transform,
                             min_distance, partial_block_rank_bound,
@@ -34,21 +34,24 @@ def test_min_distance_wzl():
     assert min_distance(build_wzl(2, 3)) == 4
 
 
-def test_min_distance_budget_and_zero_code():
+def test_min_distance_budget_and_zero_code(monkeypatch):
     # the budget is charged q^min(k, n-k), the words of the cheaper walk
     dual_walk = build_wzl(4, 2)  # k = 10 > n - k = 5
     code_walk = build_wzl(2, 4)  # k = 5 < n - k = 10
+    monkeypatch.setattr(constructions, "WORK_BUDGET", 2**4)
     for code in (dual_walk, code_walk):
         with pytest.raises(ValueError, match="exceeds the budget"):
-            min_distance(code, max_enumeration=2**4)
-    assert min_distance(dual_walk, max_enumeration=2**5) == 3
-    assert min_distance(code_walk, max_enumeration=2**5) == 5
+            min_distance(code)
+    monkeypatch.setattr(constructions, "WORK_BUDGET", 2**5)
+    assert min_distance(dual_walk) == 3
+    assert min_distance(code_walk) == 5
     f = BaseField(1)
     zero = LinearCode.from_parity(f, Matrix.from_rows(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     with pytest.raises(ValueError):
         min_distance(zero)
     whole = LinearCode.from_parity(f, Matrix(f, 0, 3, []))  # k = n
-    assert (whole.k, min_distance(whole, max_enumeration=1)) == (3, 1)
+    monkeypatch.setattr(constructions, "WORK_BUDGET", 1)
+    assert (whole.k, min_distance(whole)) == (3, 1)
 
 
 def _walk_counts(code):
@@ -167,7 +170,7 @@ def test_erasure_trials_takes_a_given_distance_and_keeps_the_budget(monkeypatch)
     assert erasure_trials(code, 3, 100, 1, distance=4) == 100
     assert erasure_trials(code, 4, 100, 1, distance=4) == _sampled_successes(code, 4, 100, 1)
     # 1,600 words at 100 trials, but past a 2^4 budget: drawn
-    monkeypatch.setattr(analysis, "ENUMERATION_BUDGET", 2**4)
+    monkeypatch.setattr(constructions, "WORK_BUDGET", 2**4)
     assert erasure_trials(code, 3, 100, 1) == 100
     for e in (-1, code.n + 1):
         with pytest.raises(ValueError, match="need 0 <= e <= n"):
@@ -251,11 +254,13 @@ def test_monte_carlo_deterministic():
     assert (a.successes, a.min_survivor_rank) == (b.successes, b.min_survivor_rank)
 
 
-def test_monte_carlo_rank_criterion_matches_decoder():
+def test_monte_carlo_rank_criterion_matches_decoder(monkeypatch):
     # force a full decode on every trial and compare with rank-only runs
     code = concat_code()
-    full = erasure_monte_carlo(code, 20, trials=40, seed=5, decode_every=1)
-    ranks = erasure_monte_carlo(code, 20, trials=40, seed=5, decode_every=10**9)
+    monkeypatch.setattr(analysis, "FULL_DECODE_EVERY", 1)
+    full = erasure_monte_carlo(code, 20, trials=40, seed=5)
+    monkeypatch.setattr(analysis, "FULL_DECODE_EVERY", 10**9)
+    ranks = erasure_monte_carlo(code, 20, trials=40, seed=5)
     # decode consumes rng state, so the patterns differ after the first
     # failure; compare each against the rank invariant instead
     assert full.successes <= full.trials
@@ -280,11 +285,6 @@ def test_monte_carlo_guards():
         for trials in (0, -1):
             with pytest.raises(ValueError, match="need trials >= 1"):
                 erasure_monte_carlo(composite, 2, trials=trials, seed=0)
-        # trial % decode_every would divide by zero
-        for decode_every in (0, -3):
-            with pytest.raises(ValueError, match="need decode_every >= 1"):
-                erasure_monte_carlo(composite, 2, trials=5, seed=0,
-                                    decode_every=decode_every)
 
 
 @pytest.mark.parametrize("build,erasures", [(concat_code, (17, 18, 20)),

@@ -861,9 +861,14 @@ def test_shorten_reports_sets_and_bounds(tmp_path, capsys):
         assert row["size_Cl"] >= min(row["cl_floor"], 6)
 
 
-def test_shorten_at_r1_walks_no_codeword(tmp_path, capsys):
-    # parity [I_24 | I_24]: k = n - k = 24, so d would cost 2^24 words, past
-    # the budget; at r = 1 the report has no bounds and never reads d
+def test_shorten_at_r1_walks_no_codeword(tmp_path, capsys, monkeypatch):
+    # parity [I_24 | I_24]: k = n - k = 24, so d would cost 2^24 words, and
+    # the local checks take the support walk; at r = 1 the report has no
+    # bounds and never reads d, so no codeword walk starts
+    def no_walk(self):
+        raise AssertionError("codeword walk started")
+
+    monkeypatch.setattr(LinearCode, "codewords", no_walk)
     path = tmp_path / "raw.json"
     parity = [[int(j % 24 == i) for j in range(48)] for i in range(24)]
     path.write_text(json.dumps({

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import listalg
 from listalg import ListMatrix
+from lrcav import constructions
 from lrcav.analysis import min_distance, verify_availability
 from lrcav.constructions import (BipartiteGraph, CompositeCode, LinearCode,
-                                 assemble_concatenated,
+                                 _has_girth, assemble_concatenated,
                                  assemble_expander_code, build_expander_parity,
                                  build_wzl, check_expansion,
                                  composite_erasure_decode, encode_composite,
@@ -63,7 +64,7 @@ def test_sample_biregular_degrees():
     assert all(len(a) == 2 for a in g.adj)
     right = g.right_adjacency()
     assert all(len(a) == 3 for a in right)
-    assert g.is_simple_girth_gt4()
+    assert _has_girth(g.adj, 6)
 
 
 def _configuration_graph(rng):
@@ -78,8 +79,12 @@ def _configuration_graph(rng):
                                        for v in range(n)])
 
 
+def _simple_brute_force(g):
+    return not any(nbrs.count(c) > 1 for nbrs in g.adj for c in nbrs)
+
+
 def _girth_gt4_brute_force(g):
-    if any(nbrs.count(c) > 1 for nbrs in g.adj for c in nbrs):
+    if not _simple_brute_force(g):
         return False
     return all(sum(c in g.adj[u] and c in g.adj[v] for c in range(g.n_right)) < 2
                for u, v in combinations(range(g.n_left), 2))
@@ -90,20 +95,24 @@ def test_is_simple_girth_gt4_matches_brute_force():
     verdicts, repeated = [], 0
     for _ in range(300):
         g = _configuration_graph(rng)
-        verdicts.append(g.is_simple_girth_gt4())
+        verdicts.append(_has_girth(g.adj, 6))
         assert verdicts[-1] == _girth_gt4_brute_force(g)
-        repeated += not g.is_simple()
+        simple = _has_girth(g.adj, 4)
+        assert simple == _simple_brute_force(g)
+        repeated += not simple
     assert repeated and any(verdicts) and not all(verdicts)
 
 
-def test_sample_biregular_relaxed_girth():
+def test_sample_biregular_relaxed_girth(monkeypatch):
     # (t, r+1) = (3, 7) at n = 14: every left pair budget exceeds the
     # number of distinct right pairs, so girth > 4 is unachievable and
     # only the simple-graph relaxation can succeed.
-    with pytest.raises(ValueError):
-        sample_biregular(14, 3, 7, seed=7, max_tries=50, min_girth=6)
+    with monkeypatch.context() as patch:
+        patch.setattr(constructions, "SAMPLE_TRIES", 50)
+        with pytest.raises(ValueError):
+            sample_biregular(14, 3, 7, seed=7, min_girth=6)
     g = sample_biregular(14, 3, 7, seed=7, min_girth=4)
-    assert g.is_simple()
+    assert _has_girth(g.adj, 4)
     assert all(len(a) == 3 for a in g.adj)
     assert all(len(a) == 7 for a in g.right_adjacency())
 
@@ -161,11 +170,12 @@ def test_sample_biregular_keeps_its_draws_over_a_seed_sweep(n, t, rp1, girth):
 
 
 @pytest.mark.parametrize("seed,max_tries", [(0, 10**4), (1, 10**4), (2, 7)])
-def test_sample_biregular_failure_message(seed, max_tries):
+def test_sample_biregular_failure_message(monkeypatch, seed, max_tries):
     # 18 left vertices need 18 distinct right pairs, and 6 rights have 15:
     # no try can pass
+    monkeypatch.setattr(constructions, "SAMPLE_TRIES", max_tries)
     with pytest.raises(ValueError) as exc:
-        sample_biregular(18, 2, 6, seed=seed, max_tries=max_tries, min_girth=6)
+        sample_biregular(18, 2, 6, seed=seed, min_girth=6)
     assert str(exc.value) == (f"no girth>=6 simple sample in {max_tries} tries; "
                               "parameters too dense")
 
@@ -189,6 +199,24 @@ def test_check_expansion_budget():
     g = BipartiteGraph(60, 40, [[0, 1] for _ in range(60)])
     with pytest.raises(ValueError):
         check_expansion(g, 0.9, 0.5)
+
+
+def test_check_expansion_refuses_a_walk_past_the_budget_before_it_starts(monkeypatch):
+    # 100 left vertices at alpha = 0.2: subsets of size <= 20, about
+    # 7.1e20 of them, a walk that never ends; refused before any is built
+    g = BipartiteGraph(100, 50, [[v % 50, (v + 1) % 50] for v in range(100)])
+    small = BipartiteGraph(12, 6, [[v % 6, (v + 1) % 6] for v in range(12)])
+    with monkeypatch.context() as patch:
+        patch.setattr(constructions, "combinations", lambda *args: pytest.fail("walked"))
+        with pytest.raises(ValueError, match="exceeds the exhaustive-check budget"):
+            check_expansion(g, 0.2, 0.5)
+        # the subset count is charged, not the size: the 2^12 - 1
+        # nonempty subsets of 12 vertices against one step fewer
+        patch.setattr(constructions, "WORK_BUDGET", 2**12 - 2)
+        with pytest.raises(ValueError, match="exceeds the exhaustive-check budget"):
+            check_expansion(small, 1.0, 0.0)
+    monkeypatch.setattr(constructions, "WORK_BUDGET", 2**12 - 1)
+    assert check_expansion(small, 1.0, 0.0)
 
 
 def expander_code(seed=7):

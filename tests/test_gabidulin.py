@@ -143,7 +143,7 @@ def test_encode_makes_no_products(monkeypatch, w, m):
     msgs = [[t.rand(rng) for _ in range(m - 1)] for _ in range(3)]
     msgs.append([t.basis_element(2) ^ 7, t.zero] + [t.rand(rng) for _ in range(m - 3)])
     expected = [[lin_eval(t, msg, x) for x in basis(t, m)] for msg in msgs]
-    calls = _count_tower_calls(monkeypatch, "mul", "mul_row", "plane_sum", "_nibble_tables")
+    calls = _count_tower_calls(monkeypatch, "mul", "plane_sum", "_nibble_tables")
     assert [gab_encode(t, msg, m) for msg in msgs] == expected
     assert not calls
 
@@ -320,14 +320,14 @@ def test_interpolate_inverts_once_and_builds_linear_tables(monkeypatch, w, m, in
     # which build no tables, are
     #   pass 1: one a round, paired: c^(q-1) * x^i and (x^q)^i;
     #   pass 2: one per nonzero d_s, on the planes pass 1 took;
-    # so no row goes through mul_row.
+    # so no row product builds its own bit planes.
     t = FieldTower(BaseField(w), m, seed=1)
     rng = random.Random(3)
     k = 6
     pts = _independent_points(t, k, rng)
     vals = [t.rand(rng) for _ in range(k)]
     expected = solve(moore_matrix(t, pts, k), vals)
-    calls = _count_tower_calls(monkeypatch, "mul", "mul_each", "mul_row", "_nibble_tables",
+    calls = _count_tower_calls(monkeypatch, "mul", "mul_each", "_nibble_tables",
                                "inv", "bit_planes", "plane_sum")
     assert moore_interpolate(t, pts, vals) == expected
     chain = 0 if w == 1 else 3

@@ -1,6 +1,6 @@
 import random
 from itertools import product
-from math import comb, inf
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -41,10 +41,11 @@ def test_local_checks_deduplicated():
     assert len(set(checks.checks)) == len(checks.checks)
 
 
-def test_local_checks_budget():
+def test_local_checks_budget(monkeypatch):
     code = build_wzl(4, 2)
+    monkeypatch.setattr(constructions, "WORK_BUDGET", 10)
     with pytest.raises(ValueError):
-        enumerate_local_checks(code, 4, budget=10)
+        enumerate_local_checks(code, 4)
 
 
 def _count_nullspaces(monkeypatch):
@@ -71,10 +72,12 @@ def test_local_checks_budget_bounds_the_cheaper_walk(monkeypatch):
     # per-support estimate C(6, 5) * 5^3 = 750, so one nullspace serves
     code = _identity_parity(BaseField(1), 6)
     calls = _count_nullspaces(monkeypatch)
-    assert len(enumerate_local_checks(code, 4, budget=64).checks) == 62
+    monkeypatch.setattr(constructions, "WORK_BUDGET", 64)
+    assert len(enumerate_local_checks(code, 4).checks) == 62
     assert len(calls) == 1
+    monkeypatch.setattr(constructions, "WORK_BUDGET", 63)
     with pytest.raises(ValueError, match="cost 64 exceeds budget 63"):
-        enumerate_local_checks(code, 4, budget=63)
+        enumerate_local_checks(code, 4)
     assert len(calls) == 1
 
 
@@ -84,10 +87,12 @@ def test_local_checks_budget_bounds_the_support_walk(monkeypatch):
     # nullspace (all of GF(4)^3) adds its 21 projective points
     code = _identity_parity(BaseField(2), 4)
     calls = _count_nullspaces(monkeypatch)
-    assert len(enumerate_local_checks(code, 2, budget=108 + 4 * 21).checks) == 58
+    monkeypatch.setattr(constructions, "WORK_BUDGET", 108 + 4 * 21)
+    assert len(enumerate_local_checks(code, 2).checks) == 58
     assert len(calls) == 4
+    monkeypatch.setattr(constructions, "WORK_BUDGET", 108 + 4 * 21 - 1)
     with pytest.raises(ValueError, match="exceeds budget"):
-        enumerate_local_checks(code, 2, budget=108 + 4 * 21 - 1)
+        enumerate_local_checks(code, 2)
 
 
 def test_high_redundancy_code_takes_the_support_walk(monkeypatch):
@@ -148,7 +153,7 @@ def test_local_checks_match_brute_force_dual_words(data):
 
 def _assert_walks_agree(code, r):
     w = min(r + 1, code.n)
-    assert shortening._span_checks(code, w) == shortening._support_checks(code, w, 0, inf)
+    assert shortening._span_checks(code, w) == shortening._support_checks(code, w, 0)
 
 
 @settings(max_examples=80, deadline=None)
