@@ -35,7 +35,8 @@ def weight_distribution(code: LinearCode) -> List[int]:
     and its dual: the q^k codewords when k <= n - k, ties included, else
     the q^(n-k) words of ``code.dual``, whose weight counts
     ``macwilliams_transform`` turns into the code's.  The q^min(k, n-k)
-    words walked are charged to ``constructions.WORK_BUDGET``.
+    words walked are charged to ``constructions.WORK_BUDGET``: WZL(7,2)
+    and WZL(5,3) cost 2^8 and 2^21 words.
     """
     f, n, k = code.field, code.n, code.k
     if f.q ** min(k, n - k) > constructions.WORK_BUDGET:

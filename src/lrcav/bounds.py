@@ -103,7 +103,8 @@ def yaakobi_distance(n: int, k: int, r: int, t: int, q: int = 2,
 
 def shortening_singleton_distance(n: int, k: int, r: int) -> int:
     """d <= n - (k-1) - s with s = min(floor((k-2)/(r-1)), n-k), the
-    Singleton-instantiated form (s is the largest feasible shortening)."""
+    Singleton-instantiated form (s is the largest feasible shortening):
+    ``shortening_d_bound`` with the Singleton oracle, for every k >= 2."""
     if r < 2 or k < 2:
         raise ValueError("need r >= 2 and k >= 2")
     return n - (k - 1) - min((k - 2) // (r - 1), n - k)
@@ -173,7 +174,8 @@ def _residual_in_gamma(delta: float, t: int, r: int) -> Callable[[float], float]
     gamma-dependent entropies are inlined, since `gamma_for_delta`
     evaluates this some 25 times per point.  Their arguments lie in [0, 1]
     for every admissible gamma > 0, and min(x, 1.0) is written as a
-    conditional (the same value, without a builtin call)."""
+    conditional (the same value, without a builtin call), so each
+    evaluation is float-identical to the whole formula."""
     fixed = (t - 1) / t * binary_entropy(delta)
     r1 = r + 1
     inv_r1 = 1.0 / r1

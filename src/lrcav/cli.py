@@ -153,7 +153,7 @@ def load_artifact(path: str):
         _base_rows(rows, base.q)
     if kind in ("wzl", "raw"):
         code = constructions.LinearCode.from_parity(
-            base, Matrix.from_rows(base, mats["parity"], doc["n"]))
+            Matrix.from_rows(base, mats["parity"], doc["n"]))
     else:
         tower = FieldTower(base, m, _base_rows([f.get("ext_modulus")], base.q)[0])
         if kind == "concat":

@@ -31,7 +31,8 @@ from .linalg import Matrix, RankTracker, nullspace, rref
 
 @dataclass
 class LinearCode:
-    """Length-n code: a (possibly redundant) parity and its rref generator, k x n."""
+    """Length-n code: a (possibly redundant) parity and its rref generator,
+    k x n, both computed once, when the code is made (``from_parity``)."""
 
     field: BaseField
     n: int
@@ -40,9 +41,10 @@ class LinearCode:
     generator: Matrix
 
     @classmethod
-    def from_parity(cls, f: BaseField, parity: Matrix):
-        """The code with this parity; k is the nullspace's dimension."""
-        basis = nullspace(parity)
+    def from_parity(cls, parity: Matrix):
+        """The code with this parity, over the parity's field; k is the
+        nullspace's dimension."""
+        f, basis = parity.field, nullspace(parity)
         generator = rref(Matrix(f, len(basis), parity.cols, basis))[0]
         return cls(f, parity.cols, generator.rows, parity, generator)
 
@@ -111,7 +113,7 @@ def build_wzl(r: int, t: int) -> LinearCode:
     f2 = BaseField(1)
     rows = [sum(1 << index[tuple(sorted(s + (v,)))] for v in universe if v not in s)
             for s in combinations(universe, t - 1)]
-    return LinearCode.from_parity(f2, Matrix(f2, len(rows), n, rows))
+    return LinearCode.from_parity(Matrix(f2, len(rows), n, rows))
 
 
 @dataclass
@@ -162,7 +164,9 @@ def sample_biregular(n: int, t: int, rp1: int, seed: int,
     Left vertex v takes the t right stubs at [v*t, (v+1)*t) of each
     shuffle, and a shuffle is rejected at its first offending vertex,
     before any graph is built.  Raises ValueError, as for any other
-    unusable parameters, when no sample in SAMPLE_TRIES passes.
+    unusable parameters, when no sample in SAMPLE_TRIES passes.  The
+    number rejected is logged at ``logging.DEBUG`` (logger
+    ``lrcav.constructions``).
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -222,7 +226,13 @@ def build_expander_parity(g: BipartiteGraph, base: BaseField, seed: int) -> Matr
 
 @dataclass
 class CompositeCode:
-    """An [n_G, k] Gabidulin code pushed through a base-field outer code's generator."""
+    """An [n_G, k] Gabidulin code pushed through a base-field outer code's generator.
+
+    The code is (tower, outer, k, blocks), blocks None for an expander
+    code; n, n_G = outer.k and a concatenated code's inner sizes
+    n / blocks and n_G / blocks are read off these, not stored.  The
+    outer code must lie over the tower's base field.
+    """
 
     tower: FieldTower
     outer: LinearCode          # its generator G is n_G x n, full row rank
@@ -231,6 +241,9 @@ class CompositeCode:
     beta: List[ExtElement] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.outer.field.w != self.tower.base.w:
+            raise ValueError(f"outer code over GF(2^{self.outer.field.w}) but tower "
+                             f"over GF(2^{self.tower.base.w})")
         if not 1 <= self.k <= self.n_g <= self.tower.m:
             raise ValueError("need 1 <= k <= n <= extension degree m")
         # the Gabidulin code evaluates at the basis 1, x, ..., x^(n_G-1), so
@@ -260,7 +273,7 @@ class CompositeCode:
 
 def assemble_expander_code(tower: FieldTower, parity: Matrix, k: int) -> CompositeCode:
     """Composite of a Gabidulin code with the code defined by an expander parity."""
-    outer = LinearCode.from_parity(tower.base, parity)
+    outer = LinearCode.from_parity(parity)
     if outer.k != parity.cols - parity.rows:
         raise ValueError("expander parity matrix is rank deficient")
     if outer.k > tower.m:

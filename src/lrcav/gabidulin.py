@@ -3,10 +3,14 @@
 A linearized polynomial sum(a_i * x^(q^i)) is GF(q)-linear as a map on
 GF(q^m).  Evaluating one at n linearly independent points gives a
 rank-metric codeword; erasure recovery is linearized interpolation at
-any k independent surviving points.  An [n, k] Gabidulin code is fixed
-by its tower and (n, k): it evaluates at the polynomial basis 1, x, ...,
-x^(n-1), independent exactly when n <= m, where the encoder needs no
-extension-field product (``gab_encode``).
+any k independent surviving points.  A linearized polynomial is its
+coefficient list, low q-degree first: ``gab_encode`` takes one as the
+message and ``moore_interpolate`` returns one, and both refuse, with a
+ValueError, an int that is no field element (``FieldTower.check``).
+An [n, k] Gabidulin code is fixed by its tower and (n, k): it evaluates
+at the polynomial basis 1, x, ..., x^(n-1), independent exactly when
+n <= m, where the encoder needs no extension-field product
+(``gab_encode``).
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from .galois import ExtElement, FieldTower
 
 def gab_encode(tower: FieldTower, message: Sequence[ExtElement], n: int) -> List[ExtElement]:
     """f(x^j) for j < n, f = sum(a_i * X^(q^i)) with k = len(message)
-    coefficients: Horner in the Frobenius map.
+    coefficients: Horner in the Frobenius map.  A ValueError unless
+    1 <= k <= n <= m.
 
     At a basis point a_i * (x^j)^(q^i) = Frob^i(g_i * x^j) with
     g_i = a_i^(q^-i) = Frob^(m-i)(a_i), so the codeword is

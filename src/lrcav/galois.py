@@ -48,7 +48,9 @@ PRIMITIVE_POLY = {
     16: 0b10001000000001011,
 }
 
-TOWER_SIZE_CAP = 1024  # largest extension size m*w, in bits, that FieldTower builds
+# largest extension size m*w, in bits, that FieldTower builds: the modulus
+# search of a 2048-bit tower alone takes minutes
+TOWER_SIZE_CAP = 1024
 
 
 class BaseField:
@@ -97,7 +99,9 @@ class BaseField:
         return [a >> (i * w) & mask for i in range(n)]
 
     def normalize(self, a: int) -> int:
-        """The nonzero packed vector a scaled so its lowest nonzero coordinate is 1."""
+        """The nonzero packed vector a scaled so its lowest nonzero coordinate
+        is 1; a vector whose lowest nonzero coordinate is 1 already comes back
+        as it is, with no inversion."""
         low = ((a & -a).bit_length() - 1) // self.w
         lead = a >> (low * self.w) & (self.q - 1)
         return a if lead == 1 else self.scalar_mul(self.inv(lead), a)
@@ -130,7 +134,8 @@ class BaseField:
 
     def scalar_mul(self, lam: int, a: int) -> int:
         """lam times each w-bit coordinate of the packed vector a: the sum of
-        alpha^s * a over lam's set bits s, lane doubling a up to the top one."""
+        alpha^s * a over lam's set bits s, lane doubling a up to the top one.
+        A scalar 0 or 1 returns at once."""
         if lam <= 1:
             return a if lam else 0
         w, low, ones = self.w, self.modulus ^ self.q, self.lane_ones(a)
@@ -186,7 +191,8 @@ class FieldTower:
 
     Extension elements are packed integers (see the module docstring), so
     zero is 0, one is 1, addition is XOR and an element is nonzero iff it
-    is truthy.  A tower holds only tables fixed by its modulus.  Products
+    is truthy.  A tower holds only tables fixed by its modulus, so one
+    tower may be shared, between threads too.  Products
     that share an operand go through ``mul_each``; GF(q)-linear maps of
     every element of a packed row (a product a*row, the Frobenius)
     through ``plane_sum``, one lane-parallel pass; and sums of row
@@ -195,6 +201,17 @@ class FieldTower:
 
     def __init__(self, base: BaseField, m: int, ext_modulus: Sequence[int] | None = None,
                  seed: int = 0):
+        """The tower modulo ext_modulus, or, without one, modulo the first of
+        seeded monic candidates that is irreducible (a degree-1 one always is).
+
+        Each candidate meets the cheapest test first: the root test of
+        ``_set_modulus`` (the first step of Rabin's test), which stops 60 of
+        the 75 candidates drawn at (w, m) = (8, 12), seed 0.  Only a
+        candidate that passes it gets its Frobenius byte tables, built from
+        the x^q the root test took, and then ``is_irreducible`` decides.  The
+        search logs its rejections at ``logging.DEBUG`` (logger
+        ``lrcav.galois``).
+        """
         if m < 1:
             raise ValueError("extension degree must be >= 1")
         if m * base.w > TOWER_SIZE_CAP:
@@ -208,9 +225,6 @@ class FieldTower:
         self._full = (1 << self._top) - 1
         self._ones = self._full // (base.q - 1)
         self._window = max(1, 4 // base.w) * base.w
-        # without a modulus, seeded draws of monic candidates until one is
-        # irreducible (a degree-1 candidate always is); the root test of
-        # _set_modulus rejects most of them before any byte table is built
         rng = random.Random(seed)
         rejected = by_root = 0
         while True:
@@ -264,7 +278,9 @@ class FieldTower:
         return True
 
     def _build_square_tables(self) -> List[List[ExtElement]]:
-        """Byte tables of a -> a^2: alpha^s -> alpha^(2s) and x^i -> (x^2)^i."""
+        """Byte tables of a -> a^2: alpha^s -> alpha^(2s) and x^i -> (x^2)^i.
+        Squaring is GF(2)-linear, so it is tabulated as the Frobenius map is,
+        once the modulus is chosen, for ``frobenius_ratio``."""
         return self._linear_byte_tables(self._power_chain(self.mul(self.x, self.x)), 2)
 
     def _power_chain(self, step: ExtElement) -> List[ExtElement]:
@@ -475,24 +491,36 @@ class FieldTower:
     def inv(self, a: ExtElement) -> ExtElement:
         """Itoh-Tsujii: a^-1 = a^(r-1) / N(a) with r = (q^m-1)/(q-1).
 
-        b_k = a^(1+q+...+q^(k-1)) follows an addition chain on m-1 by
-        b_2k = b_k * frob^k(b_k) and b_(k+1) = frob(b_k) * a; then
-        a^(r-1) = frob(b_(m-1)) and the norm N(a) = a^r lies in GF(q).
+        ``_itoh_tsujii`` over the Frobenius map gives b_(m-1) =
+        a^(1+q+...+q^(m-2)), so a^(r-1) = frob(b_(m-1)), and the norm
+        N(a) = a^r lies in GF(q): one base-field inversion, after O(log m)
+        products and Frobenius maps.
         """
         if not a:
             raise ZeroDivisionError("inversion of zero field element")
         rest = self.one
         if self.m > 1:
-            b, k = a, 1
-            for bit in bin(self.m - 1)[3:]:
-                b = self.mul(b, self.frobenius(b, k))
-                k *= 2
-                if bit == "1":
-                    b = self.mul(self.frobenius(b, 1), a)
-                    k += 1
-            rest = self.frobenius(b, 1)
+            rest = self.frobenius(self._itoh_tsujii(a, self.m - 1, self.frobenius), 1)
         norm = self.mul(a, rest)
         return self.base.scalar_mul(self.base.inv(norm), rest)
+
+    def _itoh_tsujii(self, a: ExtElement, n: int, power) -> ExtElement:
+        """b_n = a^(1+p+...+p^(n-1)) for n >= 1, where power(b, k) = b^(p^k)
+        is GF(2)-linear (the Frobenius map, p = q, or squaring, p = 2).
+
+        An addition chain on n (Itoh and Tsujii 1988): b_2k = b_k *
+        power(b_k, k) and b_(k+1) = power(b_k, 1) * a, one step per bit of
+        n below its top bit, so floor(log2 n) products plus one per further
+        set bit of n.
+        """
+        b, k = a, 1
+        for bit in bin(n)[3:]:
+            b = self.mul(b, power(b, k))
+            k *= 2
+            if bit == "1":
+                b = self.mul(power(b, 1), a)
+                k += 1
+        return b
 
     def frobenius(self, a: ExtElement, i: int) -> ExtElement:
         """a^(q^i), as the one-element row ``frobenius_row((a,), i)``."""
@@ -531,18 +559,12 @@ class FieldTower:
     def frobenius_ratio(self, c: ExtElement) -> ExtElement:
         """c^(q-1), which is frob(c)/c for nonzero c, without an inversion.
 
-        Itoh-Tsujii over squaring: b_k = c^(2^k - 1) follows an addition
-        chain on w by b_2k = b_k * b_k^(2^k) and b_(k+1) = c * b_k^2, the
-        squarings by byte tables.  At w = 1 the chain is empty: c itself.
+        c^(q-1) = c^(1+2+...+2^(w-1)): ``_itoh_tsujii`` on w over squaring,
+        where k squarings are k passes of the squaring byte tables, w - 1
+        passes in all.  At w = 1 the chain is empty: c itself.
         """
-        b, k = c, 1
-        for bit in bin(self.base.w)[3:]:
-            b = self.mul(b, _apply_byte_tables(self._square_tables, (b,), k)[0])
-            k *= 2
-            if bit == "1":
-                b = self.mul(c, _apply_byte_tables(self._square_tables, (b,), 1)[0])
-                k += 1
-        return b
+        return self._itoh_tsujii(
+            c, self.base.w, lambda b, k: _apply_byte_tables(self._square_tables, (b,), k)[0])
 
 
 def _apply_byte_tables(tables: List[List[ExtElement]], row: Sequence[ExtElement],

@@ -23,6 +23,8 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field, rows: Sequence[Sequence[int]], cols: int | None = None):
+        """The matrix of these coordinate lists.  An entry outside [0, q) is
+        refused: packed, it would spill into the next coordinate."""
         rows = [list(r) for r in rows]
         if cols is None:
             cols = len(rows[0]) if rows else 0
@@ -34,6 +36,7 @@ class Matrix:
         return cls(field, len(rows), cols, [field.pack(r) for r in rows])
 
     def to_lists(self) -> List[List[int]]:
+        """The rows as coordinate lists, as JSON stores them."""
         return [self.field.unpack(row, self.cols) for row in self.data]
 
     def transpose(self) -> "Matrix":
@@ -86,7 +89,8 @@ def nullspace(M: Matrix) -> List[int]:
 
 
 def rank_over_base(tower, vectors) -> int:
-    """Rank of extension-field elements viewed as base-field coordinate rows."""
+    """Rank of extension-field elements viewed as base-field coordinate
+    rows: the rank weight of a vector over GF(q^m)."""
     tracker = RankTracker(tower.base)
     for v in vectors:
         tracker.add(v)

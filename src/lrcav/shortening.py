@@ -69,7 +69,8 @@ def enumerate_local_checks(code: LinearCode, r: int) -> LocalCheckSet:
 
 
 def _span_checks(code: LinearCode, w: int) -> List[int]:
-    """The checks of weight <= w from one Gray walk over ``code.dual``.
+    """The checks of weight <= w from one Gray walk over ``code.dual``,
+    which the code keeps, so a distance walk in the same run reuses it.
 
     The kept words are those whose lowest nonzero coordinate is 1, sorted
     into the per-support walk's order: a check first appears on the first
@@ -156,13 +157,15 @@ def closure(code: LinearCode, I: Sequence[int]) -> Set[int]:
 
 @dataclass
 class ShorteningResult:
+    """The greedy pass at s: the checks X picked so far, the set I, the
+    covered coordinates J and the step counters (s1, j)."""
+
     X: List[int]
     I: List[int]
     J: List[int]
     s: int
     s1: int
     j: int
-    l: int
 
 
 def build_shortening_set(checks: LocalCheckSet) -> List[ShorteningResult]:
@@ -175,7 +178,9 @@ def build_shortening_set(checks: LocalCheckSet) -> List[ShorteningResult]:
     result for s, and the pass stops at the rank of all checks.  I is J
     minus the pivot columns of X, padded up to 1+(r-1)s coordinates; all
     removed coordinates are recoverable from I through the checks, so
-    Cl(I) covers J.
+    Cl(I) covers J.  On the WZL codes |I| <= 1+(r-1)s and |Cl(I)| >=
+    min(1+rs, n), the sizes the shortening bound needs
+    (``tests/test_shortening.py``).
     """
     if not checks.checks:
         raise ValueError("no local checks available")
@@ -208,5 +213,5 @@ def build_shortening_set(checks: LocalCheckSet) -> List[ShorteningResult]:
             fresh = [c for c in range(n) if c not in J]
             I = sorted(I + (fresh + pivots)[:pad])
         results.append(ShorteningResult(X=list(X), I=I, J=sorted(J), s=s,
-                                        s1=s1, j=j_rec, l=len(X)))
+                                        s1=s1, j=j_rec))
     return results

@@ -21,7 +21,7 @@ from lrcav.linalg import Matrix, rank_over_base, rref
 def repetition_code(n):
     f = BaseField(1)
     rows = [[1 if j in (0, i) else 0 for j in range(n)] for i in range(1, n)]
-    return LinearCode.from_parity(f, Matrix.from_rows(f, rows, n))
+    return LinearCode.from_parity(Matrix.from_rows(f, rows, n))
 
 
 def test_min_distance_repetition():
@@ -46,10 +46,10 @@ def test_min_distance_budget_and_zero_code(monkeypatch):
     assert min_distance(dual_walk) == 3
     assert min_distance(code_walk) == 5
     f = BaseField(1)
-    zero = LinearCode.from_parity(f, Matrix.from_rows(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    zero = LinearCode.from_parity(Matrix.from_rows(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     with pytest.raises(ValueError):
         min_distance(zero)
-    whole = LinearCode.from_parity(f, Matrix(f, 0, 3, []))  # k = n
+    whole = LinearCode.from_parity(Matrix(f, 0, 3, []))  # k = n
     monkeypatch.setattr(constructions, "WORK_BUDGET", 1)
     assert (whole.k, min_distance(whole)) == (3, 1)
 
@@ -61,7 +61,7 @@ def _walk_counts(code):
 
 def _both_walks(code):
     """(the code's own walk, the MacWilliams transform of its dual's walk)."""
-    dual = LinearCode.from_parity(code.field, code.generator)
+    dual = LinearCode.from_parity(code.generator)
     return (_walk_counts(code),
             macwilliams_transform(_walk_counts(dual), code.field.q, dual.k))
 
@@ -82,7 +82,7 @@ def test_both_walks_give_the_same_distribution(data):
     n = data.draw(st.integers(1, 12 if f.w == 1 else 8), label="n")
     rows = data.draw(st.lists(st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n),
                               max_size=n), label="parity")
-    code = LinearCode.from_parity(f, Matrix.from_rows(f, rows, n))
+    code = LinearCode.from_parity(Matrix.from_rows(f, rows, n))
     own, transformed = _both_walks(code)
     assert own == transformed == weight_distribution(code)
 
@@ -90,7 +90,7 @@ def test_both_walks_give_the_same_distribution(data):
 @pytest.mark.parametrize("r,t", [(3, 2), (3, 3), (2, 4)])
 def test_transform_of_the_code_is_the_dual(r, t):
     code = build_wzl(r, t)
-    dual = LinearCode.from_parity(code.field, code.generator)
+    dual = LinearCode.from_parity(code.generator)
     assert macwilliams_transform(_walk_counts(code), 2, code.k) == _walk_counts(dual)
 
 
@@ -197,9 +197,8 @@ def test_erasure_correctable_matches_the_masked_parity_rank():
     g = sample_biregular(14, 3, 7, seed=7, min_girth=4)
     f4, rng = BaseField(2), random.Random(5)
     raw = [[rng.randrange(f4.q) for _ in range(9)] for _ in range(4)]
-    for code in (LinearCode.from_parity(BaseField(4),
-                                        build_expander_parity(g, BaseField(4), seed=7)),
-                 LinearCode.from_parity(f4, Matrix.from_rows(f4, raw, 9))):
+    for code in (LinearCode.from_parity(build_expander_parity(g, BaseField(4), seed=7)),
+                 LinearCode.from_parity(Matrix.from_rows(f4, raw, 9))):
         verdicts = set()
         for _ in range(300):
             erased = [rng.randrange(code.n) for _ in range(rng.randrange(code.n - code.k + 3))]

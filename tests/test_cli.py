@@ -192,6 +192,20 @@ def test_construct_expander_too_dense_for_girth6(tmp_path, capsys):
         assert not path.exists()
 
 
+def test_construct_expander_over_gf2_refuses_even_t(tmp_path, capsys):
+    # over GF(2) every parity entry is 1, so each column holds t ones and at
+    # even t the rows sum to zero: the parity is rank deficient; the same
+    # graph over GF(4) gives a parity of full rank
+    path = tmp_path / "x.json"
+    argv = ["construct", "expander", "--n", "20", "--r", "4", "--t", "2",
+            "--seed", "3", "--out", str(path)]
+    code, out, err = run(capsys, *argv, "--w", "1")
+    assert (code, out, err) == (2, "", "error: expander parity matrix is rank deficient\n")
+    assert not path.exists()
+    code, out, err = run(capsys, *argv, "--w", "2")
+    assert (code, err) == (0, "") and path.exists()
+
+
 @pytest.mark.parametrize("r,t", [("-1", "3"), ("-2", "3"), ("6", "0")],
                          ids=["r=-1", "r=-2", "t=0"])
 def test_construct_expander_rejects_r_or_t_below_one(tmp_path, capsys, r, t):
@@ -357,7 +371,7 @@ def test_verify_erasing_every_coordinate_is_a_failure(tmp_path, capsys):
 
 def _raw_artifact(path, w, n, rows, r=1):
     f = BaseField(w)
-    code = LinearCode.from_parity(f, Matrix.from_rows(f, rows, n))
+    code = LinearCode.from_parity(Matrix.from_rows(f, rows, n))
     path.write_text(json.dumps(cli.to_artifact(code, "raw", r, 1, {})))
     return code
 

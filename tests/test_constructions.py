@@ -414,7 +414,7 @@ def test_from_parity_matches_list_oracle(data):
                      label="rows")
     rows += data.draw(st.lists(st.sampled_from(rows + [[0] * n]), max_size=3),
                       label="zero or repeated rows")
-    code = LinearCode.from_parity(f, Matrix.from_rows(f, rows, n))
+    code = LinearCode.from_parity(Matrix.from_rows(f, rows, n))
     H = ListMatrix.from_rows(f, rows, n)
     basis = listalg.nullspace(H)
     assert (code.n, code.k) == (n, n - listalg.rref(H)[1])
@@ -482,6 +482,15 @@ def test_assemble_expander_guards():
         assemble_expander_code(FieldTower(BaseField(4), 7, seed=1), parity, k=4)
     with pytest.raises(ValueError, match="k exceeds n_G"):
         assemble_expander_code(FieldTower(BaseField(4), 8, seed=1), parity, k=9)
+
+
+def test_composite_refuses_an_outer_code_over_another_base_field():
+    # a GF(2^8) parity next to a GF(2^4) tower: its entries are no GF(16)
+    # elements, so the composite is refused rather than built from misread rows
+    g = sample_biregular(14, 3, 7, seed=7, min_girth=4)
+    parity = build_expander_parity(g, BaseField(8), seed=8)
+    with pytest.raises(ValueError, match=r"outer code over GF\(2\^8\) but tower over GF\(2\^4\)"):
+        assemble_expander_code(FieldTower(BaseField(4), 8), parity, 4)
 
 
 def test_assemble_guards():
@@ -554,7 +563,7 @@ def test_concatenated_outer_code_is_the_code_of_its_parity(r, t, blocks):
     assert code.blocks == blocks
     assert (outer.n, outer.k) == (code.n, code.n_g) == (blocks * inner.n,
                                                         blocks * inner.k)
-    rebuilt = LinearCode.from_parity(outer.field, outer.parity)
+    rebuilt = LinearCode.from_parity(outer.parity)
     assert rebuilt.generator.to_lists() == outer.generator.to_lists()
     H = ListMatrix.from_rows(outer.field, outer.parity.to_lists(), outer.n)
     for g in outer.generator.to_lists():
