@@ -88,9 +88,12 @@ def min_distance(code: LinearCode) -> int:
 
 @dataclass
 class AvailabilityReport:
-    ok: bool
     recovering_sets: Dict[int, List[Set[int]]]
     failed_coordinates: List[int]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failed_coordinates
 
 
 def verify_availability(code: LinearCode, r: int, t: int) -> AvailabilityReport:
@@ -101,12 +104,11 @@ def verify_availability(code: LinearCode, r: int, t: int) -> AvailabilityReport:
         for i in supp:
             per_coord[i].append([j for j in supp if j != i])
 
-    report = AvailabilityReport(True, {}, [])
+    report = AvailabilityReport({}, [])
     for i in range(code.n):
         candidates = per_coord[i]
         found = _disjoint_sets(candidates, t)
         if found is None:
-            report.ok = False
             report.failed_coordinates.append(i)
         else:
             report.recovering_sets[i] = [set(s) for s in found]

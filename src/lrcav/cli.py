@@ -251,9 +251,9 @@ def cmd_construct(args) -> int:
         parameters = {"r": args.r, "t": args.t, "blocks": args.blocks,
                       "d": args.d, "k": k, "m": m}
     else:
+        base = BaseField(args.w)  # before sampling, so a bad --w fails at once
         g = constructions.sample_biregular(args.n, args.t, args.r + 1, args.seed,
                                            min_girth=args.min_girth)
-        base = BaseField(args.w)
         parity = constructions.build_expander_parity(g, base, args.seed + 1)
         n_g = args.n - rref(parity)[1]
         m = args.m if args.m is not None else n_g

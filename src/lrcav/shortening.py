@@ -181,27 +181,54 @@ def build_shortening_set(checks: LocalCheckSet) -> List[ShorteningResult]:
     Cl(I) covers J.  On the WZL codes |I| <= 1+(r-1)s and |Cl(I)| >=
     min(1+rs, n), the sizes the shortening bound needs
     (``tests/test_shortening.py``).
+
+    Each check's overlap with J is kept as a count, raised by one for
+    every check containing a coordinate as it joins J, and the checks
+    sit in one min-heap of indices per overlap value (an entry whose
+    count has since moved is skipped when it surfaces).  A pick is then
+    the lowest index of the highest non-empty heap, so the pass costs
+    about the checks' total support size times a heap step, not a scan
+    of every remaining check per pick.
     """
     if not checks.checks:
         raise ValueError("no local checks available")
+    from heapq import heappop, heappush  # here, as logging is: off the import path
     f, n, r = checks.field, checks.n, checks.r
     full = RankTracker(f)
     for h in checks.checks:
         full.add(h)
-    supports = [set(sup) for sup in checks.supports()]
-    remaining = list(range(len(checks.checks)))
+    supports = checks.supports()
+    containing: List[List[int]] = [[] for _ in range(n)]
+    for idx, sup in enumerate(supports):
+        for c in sup:
+            containing[c].append(idx)
+    overlap = [0] * len(supports)  # |J & support|, -1 once picked
+    buckets: List[List[int]] = [[] for _ in range(max(map(len, supports)) + 1)]
+    buckets[0] = list(range(len(supports)))  # sorted, so already a heap
     tracker = RankTracker(f)
     X: List[int] = []
     J: Set[int] = set()
     s1 = j_rec = 0
     results: List[ShorteningResult] = []
     while tracker.rank < full.rank:
-        best = max(remaining, key=lambda idx: (len(J & supports[idx]), -idx))
-        remaining.remove(best)
-        if J and not s1 and not J & supports[best]:
+        for v in range(len(buckets) - 1, -1, -1):
+            heap = buckets[v]
+            while heap and overlap[heap[0]] != v:
+                heappop(heap)
+            if heap:
+                break
+        best = heappop(heap)
+        overlap[best] = -1
+        if J and not s1 and not v:
             s1, j_rec = tracker.rank, len(X)
         X.append(checks.checks[best])
-        J |= supports[best]
+        for c in supports[best]:
+            if c not in J:
+                J.add(c)
+                for idx in containing[c]:
+                    if overlap[idx] >= 0:
+                        overlap[idx] += 1
+                        heappush(buckets[overlap[idx]], idx)
         if not tracker.add(checks.checks[best]):
             continue
         s = tracker.rank

@@ -229,6 +229,23 @@ def test_construct_expander_rejects_n_below_one(tmp_path, capsys, n):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("w", ["0", "17"])
+@pytest.mark.parametrize("girth_flag", [[], ["--min-girth", "4"]], ids=["girth6", "girth4"])
+def test_construct_expander_checks_w_before_sampling(tmp_path, capsys, monkeypatch,
+                                                     w, girth_flag):
+    def sampler(*args, **kwargs):
+        raise AssertionError("sampled a graph for an unusable field width")
+
+    monkeypatch.setattr(cli.constructions, "sample_biregular", sampler)
+    path = tmp_path / "x.json"
+    code, out, err = run(capsys, "construct", "expander", "--n", "14", "--r", "6",
+                         "--t", "3", "--w", w, "--seed", "7", *girth_flag,
+                         "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: unsupported field width w={w}; need 1 <= w <= 16\n"
+    assert not path.exists()
+
+
 def test_verify_wzl_distance_and_availability(tmp_path, capsys):
     path = tmp_path / "wzl.json"
     run(capsys, "construct", "wzl", "--r", "2", "--t", "2", "--out", str(path))

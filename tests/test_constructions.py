@@ -1,14 +1,20 @@
 import hashlib
+import json
 import logging
+import os
 import random
+import shutil
+import subprocess
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import listalg
+import shuffle_reference
 from listalg import ListMatrix
 from lrcav import constructions
 from lrcav.analysis import min_distance, verify_availability
@@ -185,6 +191,34 @@ def test_sample_biregular_logs_its_rejections(caplog):
         sample_biregular(20, 2, 5, seed=3, min_girth=6)
     assert [r.getMessage() for r in caplog.records] == [
         "sample_biregular(n=20, t=2, r+1=5): rejected 3969 samples"]
+
+
+# every PINNED_GRAPHS and PINNED_SWEEPS draw, and the girth-6 decode bench
+# graph one try short of the one it accepts, so that it runs out of tries
+SHUFFLE_CASES = ([[*key, constructions.SAMPLE_TRIES] for key in sorted(PINNED_GRAPHS)]
+                 + [[n, t, rp1, seed, girth, constructions.SAMPLE_TRIES]
+                    for n, t, rp1, girth in sorted(PINNED_SWEEPS) for seed in range(20)]
+                 + [[20, 2, 5, 3, 6, 3969]])
+
+
+def test_sample_biregular_draws_as_random_shuffle():
+    assert shuffle_reference.reference(20, 2, 5, 3, 6, 3969) is None
+    assert shuffle_reference.mismatches(SHUFFLE_CASES) == []
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_sample_biregular_draws_as_random_shuffle_under(python):
+    # the sampler restates CPython's private _randbelow_with_getrandbits, so
+    # every supported interpreter found on PATH must draw the same graphs
+    exe = shutil.which(python)
+    if exe is None or subprocess.run([exe, "-c", ""], capture_output=True).returncode:
+        pytest.skip(f"no runnable {python} on PATH")
+    tests = Path(__file__).resolve().parent
+    out = subprocess.run([exe, str(tests / "shuffle_reference.py")],
+                         input=json.dumps(SHUFFLE_CASES), capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(tests.parent / "src")),
+                         check=True)
+    assert json.loads(out.stdout) == []
 
 
 def test_check_expansion_complete_bipartite():

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listalg import ListMatrix, rref
-from lrcav import constructions, shortening
+from lrcav import cli, constructions, shortening
 from lrcav.analysis import verify_availability
 from lrcav.constructions import LinearCode, build_wzl
 from lrcav.galois import BaseField
-from lrcav.linalg import Matrix, nullspace
+from lrcav.linalg import Matrix, RankTracker, nullspace
 from lrcav.shortening import (LocalCheckSet, ShorteningResult,
                               build_shortening_set, closure,
                               enumerate_local_checks)
@@ -305,6 +305,55 @@ def _greedy_rref_oracle(checks, s):
     return ShorteningResult(X=list(X), I=I, J=sorted(J), s=s, s1=s1, j=j_rec)
 
 
+def _greedy_scan_oracle(checks):
+    """Every result of the greedy pass, each pick a ``max`` of (overlap
+    with J, -index) over all remaining checks and a ``list.remove``."""
+    f, n, r = checks.field, checks.n, checks.r
+    full = RankTracker(f)
+    for h in checks.checks:
+        full.add(h)
+    supports = [set(sup) for sup in checks.supports()]
+    remaining = list(range(len(checks.checks)))
+    tracker = RankTracker(f)
+    X, J = [], set()
+    s1 = j_rec = 0
+    results = []
+    while tracker.rank < full.rank:
+        best = max(remaining, key=lambda idx: (len(J & supports[idx]), -idx))
+        remaining.remove(best)
+        if J and not s1 and not J & supports[best]:
+            s1, j_rec = tracker.rank, len(X)
+        X.append(checks.checks[best])
+        J |= supports[best]
+        if not tracker.add(checks.checks[best]):
+            continue
+        s = tracker.rank
+        pivots = sorted(tracker.basis)
+        I = sorted(J.difference(pivots))
+        pad = 1 + (r - 1) * s - len(I)
+        if pad > 0:
+            fresh = [c for c in range(n) if c not in J]
+            I = sorted(I + (fresh + pivots)[:pad])
+        results.append(ShorteningResult(X=list(X), I=I, J=sorted(J), s=s,
+                                        s1=s1, j=j_rec))
+    return results
+
+
+def test_shortening_set_matches_the_scan_on_a_dense_gf256_code(tmp_path):
+    # the [5,1] code over GF(256) spanned by (1, 2, 3, 7, 200), loaded from a
+    # raw artifact: once J covers all 5 coordinates every check ties on
+    # overlap, and dependent checks are picked one by one until the rank rises
+    spanned = LinearCode.from_parity(Matrix.from_rows(BaseField(8), [[1, 2, 3, 7, 200]], 5)).dual
+    path = tmp_path / "raw.json"
+    cli.save_artifact(cli.to_artifact(spanned, "raw", 2, 1, {}), str(path))
+    _, code = cli.load_artifact(str(path))
+    checks = enumerate_local_checks(code, 2)
+    assert (code.k, len(checks.checks)) == (1, 2550)
+    results = build_shortening_set(checks)
+    assert [len(res.X) for res in results] == [1, 2, 258, 1022]
+    assert results == _greedy_scan_oracle(checks)
+
+
 def _assert_matches_greedy_oracle(code, r):
     checks = enumerate_local_checks(code, r)
     if not checks.checks:
@@ -317,7 +366,7 @@ def _assert_matches_greedy_oracle(code, r):
         if res is None:
             break
         expect.append(res)
-    assert build_shortening_set(checks) == expect
+    assert build_shortening_set(checks) == expect == _greedy_scan_oracle(checks)
 
 
 @pytest.mark.parametrize("r,t", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
