@@ -13,8 +13,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from math import ceil, comb
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from math import ceil, comb, log
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import constructions
 from .bounds import rate_cap
@@ -152,7 +153,8 @@ def erasure_trials(code: LinearCode, e: int, trials: int, seed: int,
     """How many of `trials` seeded e-erasure patterns the code corrects.
 
     The patterns are ``random.Random(seed)``'s successive
-    ``sample(range(n), e)`` draws, each checked by ``erasure_correctable``.
+    ``sample(range(n), e)`` draws, written out by ``_range_samples``, each
+    checked by ``erasure_correctable``.
     The count is proven without drawing any of them where it can be:
     a linear code corrects every pattern of fewer than d erasures
     (MacWilliams-Sloane ch. 1), and the zero code (k = 0) every pattern,
@@ -164,15 +166,17 @@ def erasure_trials(code: LinearCode, e: int, trials: int, seed: int,
     is the same either way.
 
     The cost rule rests on measured costs (Python 3.11, 2-vCPU VM): a
-    sampled trial takes 4.4-5.7 us on WZL(3,2) to WZL(4,3), and a walked
-    word 0.11-0.15 us (1,024 words of WZL(3,3) in 0.14 ms, 2^15 of
-    WZL(4,3) in 5.1 ms).  At 16 words per trial a walk that proves
-    nothing (e >= d) adds about a third of the trials' time, while at
+    sampled trial takes 4.0-4.7 us on WZL(3,2) to WZL(4,3), and a walked
+    word 0.15-0.17 us (1,024 words of WZL(3,3) in 0.16 ms, 2^15 of
+    WZL(4,3) in 5.7 ms).  At 16 words per trial a walk that proves
+    nothing (e >= d) adds about 60% to the trials' time, while at
     e < d it replaces them: WZL(3,3) at 200 trials walks 2^10 words,
     WZL(4,3) (2^15) and WZL(5,3) (2^21) keep sampling.
     """
     if not 0 <= e <= code.n:
         raise ValueError("need 0 <= e <= n")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     if code.k == 0:
         return trials
     walk = code.field.q ** min(code.k, code.n - code.k)
@@ -181,9 +185,52 @@ def erasure_trials(code: LinearCode, e: int, trials: int, seed: int,
         distance = min_distance(code)
     if distance is not None and e < distance:
         return trials
-    rng = random.Random(seed)
-    return sum(erasure_correctable(code, rng.sample(range(code.n), e))
-               for _ in range(trials))
+    patterns = _range_samples(random.Random(seed).getrandbits, code.n, e)
+    return sum(erasure_correctable(code, erased) for erased in islice(patterns, trials))
+
+
+def _range_samples(draw: Callable[[int], int], n: int, e: int) -> Iterator[List[int]]:
+    """Successive ``rng.sample(range(n), e)`` lists, where draw is
+    ``rng.getrandbits``: the same draws, so the same lists, and rng is
+    left as ``sample`` leaves it.  0 <= e <= n.
+
+    CPython's ``Random.sample`` (the same on 3.10-3.13) written out.  It
+    keeps a pool of the values not yet picked when an n-entry list is
+    smaller than an e-entry set, n <= setsize = 21 (+ 4^ceil(log_4(3e))
+    when e > 5), and otherwise the set of values picked, redrawing a
+    repeat.  Each pick below a bound is ``_randbelow_with_getrandbits``:
+    getrandbits(k) with k = bound.bit_length(), redrawn while >= bound.
+    Inline, with the bounds and their k taken once for every list,
+    because ``sample``'s checks and per-pick ``_randbelow`` calls cost
+    about as much as the rank test of a composite trial (5.1 and 5.4 us
+    at n = 30, e = 14, against 2.0 us for a list drawn here; CPython
+    3.11, 2-vCPU VM).  A list is drawn only when it is asked for, so
+    other draws from rng between two lists fall between them, as between
+    two ``sample`` calls.
+    """
+    setsize = 21
+    if e > 5:
+        setsize += 4 ** ceil(log(e * 3, 4))
+    if n <= setsize:
+        steps = [(size, size.bit_length()) for size in range(n, n - e, -1)]
+        while True:
+            pool, picked = list(range(n)), []
+            for size, k in steps:
+                j = draw(k)
+                while j >= size:
+                    j = draw(k)
+                picked.append(pool[j])
+                pool[j] = pool[size - 1]  # the last unpicked value fills the gap
+            yield picked
+    k = n.bit_length()
+    while True:
+        seen = {}  # a dict keeps the picks in order
+        for _ in range(e):
+            j = draw(k)
+            while j >= n or j in seen:
+                j = draw(k)
+            seen[j] = None
+        yield list(seen)
 
 
 def partial_block_rank_bound(e: int, r: int, t: int) -> int:
@@ -247,8 +294,8 @@ def erasure_monte_carlo(code: CompositeCode, e: int, trials: int,
         raise ValueError("need trials >= 1")
     rng = random.Random(seed)
     successes, min_rank = 0, code.n  # a survivor rank is at most n_G <= n
-    for trial in range(trials):
-        erased = rng.sample(range(code.n), e)
+    # range(trials) first: zip stops there without drawing one more pattern
+    for trial, erased in zip(range(trials), _range_samples(rng.getrandbits, code.n, e)):
         ok, rank = _trial(code, erased, rng, full_decode=trial % FULL_DECODE_EVERY == 0)
         successes += ok
         min_rank = min(min_rank, rank)

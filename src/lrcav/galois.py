@@ -326,7 +326,19 @@ class FieldTower:
         return 1 << (i * self.base.w)
 
     def rand(self, rng: random.Random) -> ExtElement:
-        return self.base.pack([rng.randrange(self.base.q) for _ in range(self.m)])
+        """A random element: its m coordinates, lowest first, are the draws
+        ``rng.randrange(q)`` would make.  Each is getrandbits(w + 1),
+        redrawn while >= q (CPython's ``_randbelow_with_getrandbits``
+        written out, the same on 3.10-3.13), so a seed gives the same
+        elements, and leaves rng in the same state, as those calls."""
+        draw, bits, q = rng.getrandbits, self.base.w + 1, self.base.q
+        a = 0
+        for shift in range(0, self._top, self.base.w):
+            c = draw(bits)
+            while c >= q:
+                c = draw(bits)
+            a |= c << shift
+        return a
 
     # -- arithmetic -----------------------------------------------------------
 

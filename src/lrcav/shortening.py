@@ -23,11 +23,16 @@ from .linalg import Matrix, RankTracker, nullspace
 
 @dataclass
 class LocalCheckSet:
-    """Dual codewords of weight <= r+1, packed, deduplicated, leading entry 1."""
+    """Dual codewords of weight <= r+1, packed, deduplicated, leading entry 1.
+
+    dual_dim is n - k, the dimension of the dual code the checks lie in,
+    so no set of them has a larger rank.
+    """
 
     field: object
     n: int
     r: int
+    dual_dim: int
     checks: List[int]
 
     def supports(self) -> List[Tuple[int, ...]]:
@@ -65,7 +70,7 @@ def enumerate_local_checks(code: LinearCode, r: int) -> LocalCheckSet:
         checks = _span_checks(code, w)
     else:
         checks = _support_checks(code, w, cost)
-    return LocalCheckSet(code.field, n, r, checks)
+    return LocalCheckSet(code.field, n, r, n - code.k, checks)
 
 
 def _span_checks(code: LinearCode, w: int) -> List[int]:
@@ -175,7 +180,8 @@ def build_shortening_set(checks: LocalCheckSet) -> List[ShorteningResult]:
     lowest index).  A zero-overlap pick starts a fresh component: the
     step counters (s1, j) are recorded at its first occurrence.  The
     pick that raises the rank of the picked checks X to s closes the
-    result for s, and the pass stops at the rank of all checks.  I is J
+    result for s, and the pass stops at the rank of all checks (ranked up
+    front only until it reaches ``dual_dim``, the most it can be).  I is J
     minus the pivot columns of X, padded up to 1+(r-1)s coordinates; all
     removed coordinates are recoverable from I through the checks, so
     Cl(I) covers J.  On the WZL codes |I| <= 1+(r-1)s and |Cl(I)| >=
@@ -196,6 +202,8 @@ def build_shortening_set(checks: LocalCheckSet) -> List[ShorteningResult]:
     f, n, r = checks.field, checks.n, checks.r
     full = RankTracker(f)
     for h in checks.checks:
+        if full.rank == checks.dual_dim:
+            break
         full.add(h)
     supports = checks.supports()
     containing: List[List[int]] = [[] for _ in range(n)]

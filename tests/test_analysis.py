@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shuffle_reference
 from lrcav import analysis, constructions
-from lrcav.analysis import (concatenated_dimension, erasure_correctable,
+from lrcav.analysis import (ErasureTrialStats, concatenated_dimension, erasure_correctable,
                             erasure_monte_carlo, erasure_trials, macwilliams_transform,
                             min_distance, partial_block_rank_bound,
                             verify_availability, weight_distribution)
 from lrcav.constructions import (LinearCode, assemble_concatenated,
                                  assemble_expander_code, build_expander_parity,
-                                 build_wzl, sample_biregular, survivor_rank)
+                                 build_wzl, composite_erasure_decode, encode_composite,
+                                 sample_biregular, survivor_rank)
 from lrcav.galois import BaseField, FieldTower
 from lrcav.linalg import Matrix, rank_over_base, rref
 
@@ -175,6 +177,15 @@ def test_erasure_trials_takes_a_given_distance_and_keeps_the_budget(monkeypatch)
     for e in (-1, code.n + 1):
         with pytest.raises(ValueError, match="need 0 <= e <= n"):
             erasure_trials(code, e, 100, 1)
+    # no trial is no count, as in erasure_monte_carlo, even where every
+    # pattern would be proven correctable
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="need trials >= 1"):
+            erasure_trials(code, 2, trials, 1)
+
+
+def test_erasure_patterns_draw_as_random_sample():
+    assert shuffle_reference.mismatches("samples", shuffle_reference.SAMPLE_CASES) == []
 
 
 def _masked_parity_rank_correctable(code, erased):
@@ -284,6 +295,65 @@ def test_monte_carlo_guards():
         for trials in (0, -1):
             with pytest.raises(ValueError, match="need trials >= 1"):
                 erasure_monte_carlo(composite, 2, trials=trials, seed=0)
+
+
+def small_concat():
+    return assemble_concatenated(FieldTower(BaseField(1), 6), 2, 2, blocks=2, k=3)
+
+
+def small_expander(w):
+    g = sample_biregular(10, 2, 5, seed=1, min_girth=4)
+    parity = build_expander_parity(g, BaseField(w), seed=2)
+    return assemble_expander_code(FieldTower(BaseField(w), 6), parity, k=3)
+
+
+def _stdlib_monte_carlo(code, e, trials, seed):
+    """``erasure_monte_carlo``'s loop with the stdlib draws it restates: each
+    pattern is ``rng.sample(range(n), e)`` and each message coordinate
+    ``rng.randrange(q)``, lowest first."""
+    rng = random.Random(seed)
+    tower = code.tower
+
+    def trial(erased, full_decode):
+        erased = set(erased)
+        survivors = [j for j in range(code.n) if j not in erased]
+        rank = survivor_rank(code, survivors)
+        if not full_decode:
+            return rank >= code.k, rank
+        message = [tower.base.pack([rng.randrange(tower.base.q) for _ in range(tower.m)])
+                   for _ in range(code.k)]
+        cw = encode_composite(code, message)
+        return composite_erasure_decode(code, [(j, cw[j]) for j in survivors]) == message, rank
+
+    successes, min_rank = 0, code.n
+    for i in range(trials):
+        ok, rank = trial(rng.sample(range(code.n), e), i % analysis.FULL_DECODE_EVERY == 0)
+        successes += ok
+        min_rank = min(min_rank, rank)
+    stats = ErasureTrialStats(trials, successes, min_rank, seed)
+    if code.blocks is not None:
+        ok, rank = trial(list(range(e)), True)
+        stats.adversarial_success = ok
+        stats.min_survivor_rank = min(min_rank, rank)
+    return stats
+
+
+@pytest.mark.parametrize("build", [concat_code, readme_expander, small_concat,
+                                   lambda: small_expander(2), lambda: small_expander(8)],
+                         ids=["bench_concat", "bench_expander", "small_concat",
+                              "small_expander_gf4", "small_expander_gf256"])
+def test_monte_carlo_draws_as_the_stdlib_loop(build):
+    # the bench's verify artifacts (the README's) and small composites over
+    # GF(2), GF(4), GF(16) and GF(256): e from one erasure to n - 1, so
+    # trials succeed and fail, full decodes included
+    code = build()
+    verdicts = set()
+    for e in sorted({1, code.n // 3, code.n // 2, code.n - code.k, code.n - 1}):
+        for seed in range(6):
+            stats = erasure_monte_carlo(code, e, trials=60, seed=seed)
+            assert stats == _stdlib_monte_carlo(code, e, 60, seed)
+            verdicts.add(stats.successes == stats.trials)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("build,erasures", [(concat_code, (17, 18, 20)),

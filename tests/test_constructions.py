@@ -203,22 +203,42 @@ SHUFFLE_CASES = ([[*key, constructions.SAMPLE_TRIES] for key in sorted(PINNED_GR
 
 def test_sample_biregular_draws_as_random_shuffle():
     assert shuffle_reference.reference(20, 2, 5, 3, 6, 3969) is None
-    assert shuffle_reference.mismatches(SHUFFLE_CASES) == []
+    assert shuffle_reference.mismatches("shuffles", SHUFFLE_CASES) == []
+
+
+def _runnable(python):
+    """python on PATH if it runs, else the first runnable pyenv install of
+    its version, ``$(pyenv root)/versions/3.X.*/bin/python3.X``: a PATH
+    entry can be a pyenv shim that refuses a version not selected."""
+    candidates = [shutil.which(python)]
+    pyenv = shutil.which("pyenv")
+    if pyenv is not None:
+        root = subprocess.run([pyenv, "root"], capture_output=True, text=True).stdout.strip()
+        if root:
+            version = python.removeprefix("python")
+            candidates += sorted(map(str, Path(root).glob(f"versions/{version}.*/bin/{python}")))
+    for exe in candidates:
+        if exe and subprocess.run([exe, "-c", ""], capture_output=True).returncode == 0:
+            return exe
+    return None
 
 
 @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
-def test_sample_biregular_draws_as_random_shuffle_under(python):
-    # the sampler restates CPython's private _randbelow_with_getrandbits, so
-    # every supported interpreter found on PATH must draw the same graphs
-    exe = shutil.which(python)
-    if exe is None or subprocess.run([exe, "-c", ""], capture_output=True).returncode:
-        pytest.skip(f"no runnable {python} on PATH")
+def test_draws_match_the_stdlib_under(python):
+    # the graph sampler, the erasure patterns and the tower elements restate
+    # CPython's private _randbelow_with_getrandbits, so every supported
+    # interpreter found must draw as its random module does
+    exe = _runnable(python)
+    if exe is None:
+        pytest.skip(f"no runnable {python} on PATH or under pyenv")
     tests = Path(__file__).resolve().parent
+    cases = {"shuffles": SHUFFLE_CASES, "samples": shuffle_reference.SAMPLE_CASES,
+             "elements": shuffle_reference.ELEMENT_CASES}
     out = subprocess.run([exe, str(tests / "shuffle_reference.py")],
-                         input=json.dumps(SHUFFLE_CASES), capture_output=True, text=True,
+                         input=json.dumps(cases), capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(tests.parent / "src")),
                          check=True)
-    assert json.loads(out.stdout) == []
+    assert json.loads(out.stdout) == {kind: [] for kind in cases}
 
 
 def test_check_expansion_complete_bipartite():

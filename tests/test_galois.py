@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shuffle_reference
 from lrcav.galois import (PRIMITIVE_POLY, TOWER_SIZE_CAP, BaseField, FieldTower,
                           _poly_gcd, is_irreducible)
 
@@ -628,14 +629,12 @@ def test_lane_operations_match_per_coordinate_oracles(w, data):
         assert f.normalize(a) == f.pack([f.mul(f.inv(low), c) for c in coords])
 
 
-@pytest.mark.parametrize("w,m", [(1, 18), (4, 5), (8, 3)])
+@pytest.mark.parametrize("w,m", shuffle_reference.ELEMENT_SHAPES)
 def test_rand_draws_coordinates_in_order(w, m):
-    # seeded messages and trials depend on this draw order
-    t = FieldTower(BaseField(w), m)
-    for s in range(20):
-        rng = random.Random(s)
-        expected = [rng.randrange(t.base.q) for _ in range(m)]
-        assert t.base.unpack(t.rand(random.Random(s)), m) == expected
+    # seeded messages and trials depend on this draw order: successive
+    # elements are m randrange(q) coordinates each, lowest first, and leave
+    # the generator where those calls leave it
+    assert shuffle_reference.mismatches("elements", [[w, m, s, 5] for s in range(20)]) == []
 
 
 def test_frobenius_identity_and_power(tower):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 from math import comb
 
@@ -249,9 +250,9 @@ def test_shortening_set_needs_enough_checks():
     # the pass stops at the rank of the checks: one check gives s = 1 only
     code = build_wzl(2, 2)
     checks = enumerate_local_checks(code, 2)
-    one = LocalCheckSet(checks.field, checks.n, checks.r, checks.checks[:1])
+    one = LocalCheckSet(checks.field, checks.n, checks.r, checks.dual_dim, checks.checks[:1])
     assert [res.s for res in build_shortening_set(one)] == [1]
-    none = LocalCheckSet(checks.field, checks.n, checks.r, [])
+    none = LocalCheckSet(checks.field, checks.n, checks.r, checks.dual_dim, [])
     with pytest.raises(ValueError, match="no local checks available"):
         build_shortening_set(none)
 
@@ -339,7 +340,7 @@ def _greedy_scan_oracle(checks):
     return results
 
 
-def test_shortening_set_matches_the_scan_on_a_dense_gf256_code(tmp_path):
+def test_shortening_set_matches_the_scan_on_a_dense_gf256_code(tmp_path, monkeypatch):
     # the [5,1] code over GF(256) spanned by (1, 2, 3, 7, 200), loaded from a
     # raw artifact: once J covers all 5 coordinates every check ties on
     # overlap, and dependent checks are picked one by one until the rank rises
@@ -348,9 +349,20 @@ def test_shortening_set_matches_the_scan_on_a_dense_gf256_code(tmp_path):
     cli.save_artifact(cli.to_artifact(spanned, "raw", 2, 1, {}), str(path))
     _, code = cli.load_artifact(str(path))
     checks = enumerate_local_checks(code, 2)
-    assert (code.k, len(checks.checks)) == (1, 2550)
+    assert (code.k, checks.dual_dim, len(checks.checks)) == (1, 4, 2550)
+    adds = Counter()  # per tracker
+
+    class CountingTracker(RankTracker):
+        def add(self, v):
+            adds[id(self)] += 1
+            return super().add(v)
+
+    monkeypatch.setattr(shortening, "RankTracker", CountingTracker)
     results = build_shortening_set(checks)
     assert [len(res.X) for res in results] == [1, 2, 258, 1022]
+    # the up-front rank stops at n - k = 4, after 514 of the 2,550 checks;
+    # the pass adds each of its 1,022 picks
+    assert sorted(adds.values()) == [514, 1022]
     assert results == _greedy_scan_oracle(checks)
 
 
