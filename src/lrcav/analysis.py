@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 from math import ceil, comb, log
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import constructions
 from .bounds import rate_cap
@@ -29,7 +29,7 @@ WALK_WORDS_PER_TRIAL = 16  # distance-walk words erasure_trials spends per trial
 FULL_DECODE_EVERY = 25  # erasure_monte_carlo trials per full decode; the rest rank only
 
 
-def weight_distribution(code: LinearCode) -> List[int]:
+def weight_distribution(code: LinearCode) -> list[int]:
     """[A_0, ..., A_n]: the number of codewords of each Hamming weight, exactly.
 
     One Gray walk (``LinearCode.codewords``) over the smaller of the code
@@ -49,7 +49,7 @@ def weight_distribution(code: LinearCode) -> List[int]:
     return counts if walked is code else macwilliams_transform(counts, f.q, n - k)
 
 
-def macwilliams_transform(counts: Sequence[int], q: int, dim: int) -> List[int]:
+def macwilliams_transform(counts: Sequence[int], q: int, dim: int) -> list[int]:
     """The weight counts of the dual of a code over GF(q) of dimension dim
     whose weight counts are counts[0..n].
 
@@ -89,8 +89,8 @@ def min_distance(code: LinearCode) -> int:
 
 @dataclass
 class AvailabilityReport:
-    recovering_sets: Dict[int, List[Set[int]]]
-    failed_coordinates: List[int]
+    recovering_sets: dict[int, list[set[int]]]
+    failed_coordinates: list[int]
 
     @property
     def ok(self) -> bool:
@@ -100,7 +100,7 @@ class AvailabilityReport:
 def verify_availability(code: LinearCode, r: int, t: int) -> AvailabilityReport:
     """Search t pairwise disjoint recovering sets of size <= r per coordinate."""
     checks = enumerate_local_checks(code, r)
-    per_coord: Dict[int, List[List[int]]] = {i: [] for i in range(code.n)}
+    per_coord: dict[int, list[list[int]]] = {i: [] for i in range(code.n)}
     for supp in checks.supports():
         for i in supp:
             per_coord[i].append([j for j in supp if j != i])
@@ -116,10 +116,10 @@ def verify_availability(code: LinearCode, r: int, t: int) -> AvailabilityReport:
     return report
 
 
-def _disjoint_sets(candidates: List[List[int]], t: int) -> Optional[List[List[int]]]:
+def _disjoint_sets(candidates: list[list[int]], t: int) -> list[list[int]] | None:
     """Backtracking search for t pairwise disjoint candidate sets."""
-    chosen: List[List[int]] = []
-    used: Set[int] = set()
+    chosen: list[list[int]] = []
+    used: set[int] = set()
 
     def rec(start: int) -> bool:
         if len(chosen) == t:
@@ -149,7 +149,7 @@ def erasure_correctable(code: LinearCode, erased: Sequence[int]) -> bool:
 
 
 def erasure_trials(code: LinearCode, e: int, trials: int, seed: int,
-                   distance: Optional[int] = None) -> int:
+                   distance: int | None = None) -> int:
     """How many of `trials` seeded e-erasure patterns the code corrects.
 
     The patterns are ``random.Random(seed)``'s successive
@@ -189,7 +189,7 @@ def erasure_trials(code: LinearCode, e: int, trials: int, seed: int,
     return sum(erasure_correctable(code, erased) for erased in islice(patterns, trials))
 
 
-def _range_samples(draw: Callable[[int], int], n: int, e: int) -> Iterator[List[int]]:
+def _range_samples(draw: Callable[[int], int], n: int, e: int) -> Iterator[list[int]]:
     """Successive ``rng.sample(range(n), e)`` lists, where draw is
     ``rng.getrandbits``: the same draws, so the same lists, and rng is
     left as ``sample`` leaves it.  0 <= e <= n.
@@ -262,8 +262,7 @@ class ErasureTrialStats:
     trials: int
     successes: int
     min_survivor_rank: int
-    seed: int
-    adversarial_success: Optional[bool] = None
+    adversarial_success: bool | None = None
 
     @property
     def success_rate(self) -> float:
@@ -271,7 +270,7 @@ class ErasureTrialStats:
 
 
 def _trial(code: CompositeCode, erased: Sequence[int], rng: random.Random,
-           full_decode: bool) -> Tuple[bool, int]:
+           full_decode: bool) -> tuple[bool, int]:
     erased = set(erased)
     survivors = [j for j in range(code.n) if j not in erased]
     rank = survivor_rank(code, survivors)
@@ -299,11 +298,10 @@ def erasure_monte_carlo(code: CompositeCode, e: int, trials: int,
         ok, rank = _trial(code, erased, rng, full_decode=trial % FULL_DECODE_EVERY == 0)
         successes += ok
         min_rank = min(min_rank, rank)
-    stats = ErasureTrialStats(trials, successes, min_rank, seed)
+    adversarial = None
     if code.blocks is not None:
         # a concatenated code: block b holds coordinates [b*n_I, (b+1)*n_I),
         # so the first e coordinates cover whole inner blocks first
-        ok, rank = _trial(code, list(range(e)), rng, full_decode=True)
-        stats.adversarial_success = ok
-        stats.min_survivor_rank = min(stats.min_survivor_rank, rank)
-    return stats
+        adversarial, rank = _trial(code, list(range(e)), rng, full_decode=True)
+        min_rank = min(min_rank, rank)
+    return ErasureTrialStats(trials, successes, min_rank, adversarial)

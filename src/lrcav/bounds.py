@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, inf, log2
-from typing import Callable, List, Optional
+from collections.abc import Callable
 
 
 def rate_cap(r: int, t: int) -> Fraction:
@@ -383,7 +383,7 @@ def expander_rate(delta: float, t: int, r: int) -> float:
     return base - max(delta * (1.0 - t * gamma), 0.0)
 
 
-def rate_curves(r: int, t: int, grid: int) -> List[CurveRow]:
+def rate_curves(r: int, t: int, grid: int) -> list[CurveRow]:
     """Uniform delta grid of all four asymptotic curves plus the rate cap."""
     if grid < 2:
         raise ValueError("need at least 2 grid points")
@@ -405,7 +405,7 @@ def rate_curves(r: int, t: int, grid: int) -> List[CurveRow]:
     return rows
 
 
-def concat_expander_crossover(rows: List[CurveRow]) -> Optional[float]:
+def concat_expander_crossover(rows: list[CurveRow]) -> float | None:
     """First delta where the expander lower bound overtakes the concatenated one."""
     prev = None
     for row in rows:

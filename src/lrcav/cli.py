@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from typing import List
 
 from . import analysis, bounds, constructions, shortening
 from .galois import BaseField, FieldTower
@@ -314,7 +313,7 @@ def cmd_verify(args) -> int:
             "success_rate": stats.success_rate,
             "min_survivor_rank": stats.min_survivor_rank,
             "adversarial_success": stats.adversarial_success,
-            "seed": stats.seed,
+            "seed": args.seed,
         }
         failed |= stats.successes != stats.trials or stats.adversarial_success is False
     print(json.dumps(report, indent=1, sort_keys=True))
@@ -424,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv: List[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -18,11 +18,11 @@ points and interpolates.
 from __future__ import annotations
 
 import random
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
 
 from .galois import BaseField, ExtElement, FieldTower
 from .gabidulin import moore_interpolate
@@ -31,51 +31,62 @@ from .linalg import Matrix, RankTracker, nullspace, rref
 
 @dataclass
 class LinearCode:
-    """Length-n code: a (possibly redundant) parity and its rref generator,
-    k x n, both computed once, when the code is made (``from_parity``)."""
+    """A code given by a (possibly redundant) parity and a generator of
+    full row rank, k x n; ``from_parity`` makes the generator once, in
+    rref.  The field, n and k are the parity's field, its column count
+    and the generator's row count, read off the two matrices.
+    """
 
-    field: BaseField
-    n: int
-    k: int
     parity: Matrix
     generator: Matrix
 
+    @property
+    def field(self) -> BaseField:
+        return self.parity.field
+
+    @property
+    def n(self) -> int:
+        return self.parity.cols
+
+    @property
+    def k(self) -> int:
+        return self.generator.rows
+
     @classmethod
     def from_parity(cls, parity: Matrix):
-        """The code with this parity, over the parity's field; k is the
-        nullspace's dimension."""
-        f, basis = parity.field, nullspace(parity)
-        generator = rref(Matrix(f, len(basis), parity.cols, basis))[0]
-        return cls(f, parity.cols, generator.rows, parity, generator)
+        """The code with this parity: its generator is the rref of a
+        nullspace basis."""
+        generator = rref(Matrix(parity.field, parity.cols, nullspace(parity)))[0]
+        return cls(parity, generator)
 
     @cached_property
-    def dual(self) -> "LinearCode":
+    def dual(self) -> LinearCode:
         """The dual code, built once per code: its parity is this generator,
         and its generator is a nullspace basis of it, not reduced to rref,
         as its walks need only a basis."""
-        basis = nullspace(self.generator)
-        return LinearCode(self.field, self.n, len(basis), self.generator,
-                          Matrix(self.field, len(basis), self.n, basis))
+        return LinearCode(self.generator,
+                          Matrix(self.field, self.n, nullspace(self.generator)))
 
     @cached_property
-    def parity_columns(self) -> List[int]:
+    def parity_columns(self) -> list[int]:
         """The parity's columns as packed vectors, transposed once per code."""
         return self.parity.transpose().data
 
     @cached_property
-    def generator_columns(self) -> List[int]:
+    def generator_columns(self) -> list[int]:
         """The generator's columns as packed vectors, transposed once per code."""
         return self.generator.transpose().data
 
     @cached_property
-    def rref_view(self) -> Tuple[List[int], List[int]]:
+    def rref_view(self) -> tuple[list[int], list[int]]:
         """(lanes, columns) of the generator's rref R, built on first use.
 
         columns[j] is column j of R, packed; lanes[j] is the lane mask
         (q - 1) << (i*w) when j is row i's pivot column, so that column
         is the unit vector of lane i, and 0 otherwise.  Row operations
-        keep the rank of every column subset, so ``survivor_rank``
-        reads it off R.
+        keep every linear relation among the columns, so
+        ``select_independent_survivors`` picks independent columns of
+        the generator by reading R.
         """
         f = self.field
         R, _, pivots = rref(self.generator)
@@ -113,19 +124,22 @@ def build_wzl(r: int, t: int) -> LinearCode:
     f2 = BaseField(1)
     rows = [sum(1 << index[tuple(sorted(s + (v,)))] for v in universe if v not in s)
             for s in combinations(universe, t - 1)]
-    return LinearCode.from_parity(Matrix(f2, len(rows), n, rows))
+    return LinearCode.from_parity(Matrix(f2, n, rows))
 
 
 @dataclass
 class BipartiteGraph:
     """(t, r+1)-biregular bipartite graph; adjacency by left vertex."""
 
-    n_left: int
     n_right: int
-    adj: List[List[int]]
+    adj: list[list[int]]
 
-    def right_adjacency(self) -> List[List[int]]:
-        out: List[List[int]] = [[] for _ in range(self.n_right)]
+    @property
+    def n_left(self) -> int:
+        return len(self.adj)
+
+    def right_adjacency(self) -> list[list[int]]:
+        out: list[list[int]] = [[] for _ in range(self.n_right)]
         for v, nbrs in enumerate(self.adj):
             for c in nbrs:
                 out[c].append(v)
@@ -200,8 +214,8 @@ def sample_biregular(n: int, t: int, rp1: int, seed: int,
             import logging  # here, as in FieldTower.__init__: off the import path
             logging.getLogger(__name__).debug(
                 "sample_biregular(n=%d, t=%d, r+1=%d): rejected %d samples", n, t, rp1, tries)
-            return BipartiteGraph(n, n_right, [sorted(right_stubs[v * t:(v + 1) * t])
-                                               for v in range(n)])
+            return BipartiteGraph(n_right, [sorted(right_stubs[v * t:(v + 1) * t])
+                                            for v in range(n)])
     raise ValueError(f"no girth>={min_girth} simple sample in {SAMPLE_TRIES} tries; "
                      "parameters too dense")
 
@@ -212,15 +226,16 @@ def check_expansion(g: BipartiteGraph, alpha, gamma) -> bool:
     The walk visits at most sum_(1 <= s <= alpha*n) C(n, s) subsets, one
     step of ``WORK_BUDGET`` each, and that sum is checked before it starts.
     """
-    max_size = int(alpha * g.n_left)
+    n = g.n_left
+    max_size = int(alpha * n)
     subsets = 0
     for size in range(1, max_size + 1):
-        subsets += comb(g.n_left, size)
+        subsets += comb(n, size)
         if subsets > WORK_BUDGET:
             raise ValueError("subset count exceeds the exhaustive-check budget")
     t = len(g.adj[0]) if g.adj else 0
     for size in range(1, max_size + 1):
-        for sub in combinations(range(g.n_left), size):
+        for sub in combinations(range(n), size):
             if len(set().union(*(g.adj[v] for v in sub))) <= t * gamma * size:
                 return False
     return True
@@ -251,8 +266,8 @@ class CompositeCode:
     tower: FieldTower
     outer: LinearCode          # its generator G is n_G x n, full row rank
     k: int
-    blocks: Optional[int] = None  # inner codes of a concatenated code
-    beta: List[ExtElement] = field(init=False, repr=False)
+    blocks: int | None = None  # inner codes of a concatenated code
+    beta: list[ExtElement] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.outer.field.w != self.tower.base.w:
@@ -266,7 +281,7 @@ class CompositeCode:
         self.beta = self.outer.generator_columns
 
     @cached_property
-    def frobenius_rows(self) -> List[int]:
+    def frobenius_rows(self) -> list[int]:
         """[pack(Frob^i(beta)) for i < k], built on first encode: k - 1
         ``frobenius_row`` passes over the n points, kept as k packed rows."""
         tower, points = self.tower, self.beta
@@ -313,14 +328,13 @@ def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
         raise ValueError("k exceeds n_G")
     # block b holds the inner code on coordinates [b*n_I, (b+1)*n_I), w = 1;
     # the block-diagonal of an rref generator is in rref: no elimination
-    parity, generator = (Matrix(tower.base, blocks * mat.rows, blocks * n_i,
+    parity, generator = (Matrix(tower.base, blocks * n_i,
                                 [row << (b * n_i) for b in range(blocks) for row in mat.data])
                          for mat in (inner.parity, inner.generator))
-    outer = LinearCode(tower.base, blocks * n_i, n_g, parity, generator)
-    return CompositeCode(tower, outer, k, blocks)
+    return CompositeCode(tower, LinearCode(parity, generator), k, blocks)
 
 
-def encode_composite(code: CompositeCode, message: Sequence[ExtElement]) -> List[ExtElement]:
+def encode_composite(code: CompositeCode, message: Sequence[ExtElement]) -> list[ExtElement]:
     """y_j = f(beta_j) for f = sum(a_i * X^(q^i)), as one row sum.
 
     f is GF(q)-linear and beta_j = sum_i G[i][j] * x^i, so evaluating f
@@ -336,68 +350,67 @@ def encode_composite(code: CompositeCode, message: Sequence[ExtElement]) -> List
     return tower.unpack(tower.dot_row(message, code.frobenius_rows), code.n)
 
 
-def select_independent_survivors(code: CompositeCode,
-                                 indices: Sequence[int]) -> List[int]:
-    """Greedy (by index) subset of survivors with base-independent betas."""
+def select_independent_survivors(code: CompositeCode, indices: Collection[int],
+                                 stop: int) -> list[int]:
+    """Survivors among indices (distinct, each in [0, n)) whose betas are
+    independent over the base field: as many as their rank, or stop.
+
+    The betas are the columns of the outer generator G, so this reads the
+    rref R of G (``LinearCode.rref_view``), whose columns keep G's linear
+    relations.  With pivot columns pi and E the rows whose pivot column
+    is not in S, rank(G_S) = (n_G - |E|) + rank(R[E, S \\ pi]): the
+    surviving pivot columns are the unit vectors of the other rows and
+    are taken first, with no rank work, and projecting them out leaves
+    the surviving non-pivot columns restricted to E.  So only those
+    columns, masked to E's lanes, go through a rank tracker, and one is
+    taken when it raises the rank.  The decoder stops at k;
+    ``survivor_rank`` counts all of them.
+    """
+    lanes, columns = code.outer.rref_view
+    chosen = [j for j in indices if lanes[j]]
+    if len(chosen) >= stop:
+        return chosen[:stop]
+    erased = (1 << (code.n_g * code.tower.base.w)) - 1  # E's lanes
+    for j in chosen:
+        erased ^= lanes[j]
     tracker = RankTracker(code.tower.base)
-    chosen: List[int] = []
     for j in indices:
-        if tracker.add(code.beta[j]):
+        if not lanes[j] and tracker.add(columns[j] & erased):
             chosen.append(j)
-            if len(chosen) == code.k:
+            if len(chosen) == stop:
                 break
     return chosen
 
 
 def survivor_rank(code: CompositeCode, indices: Sequence[int]) -> int:
-    """Base-field rank of the betas at indices: the rank of G's columns S.
-
-    On the outer generator's rref R (``LinearCode.rref_view``), with
-    pivot columns pi and E the rows whose pivot column is not in S,
-    rank(G_S) = (n_G - |E|) + rank(R[E, S \\ pi]): the surviving pivot
-    columns are the unit vectors of the other rows, and projecting them
-    out leaves the surviving non-pivot columns restricted to E.  So
-    only those columns, masked to E's lanes, go through a rank tracker.
-    """
+    """Base-field rank of the betas at distinct indices, the rank of G's
+    columns S: the number of survivors ``select_independent_survivors``
+    takes when it may take all n_G."""
     if indices:
         low, high = min(indices), max(indices)
         if low < 0 or high >= code.n:
             raise ValueError(f"surviving index {low if low < 0 else high} "
                              f"must lie in [0, n) with n = {code.n}")
-    lanes, columns = code.outer.rref_view
-    base = code.tower.base
-    erased = (1 << (code.n_g * base.w)) - 1  # every row's lane, until its pivot survives
-    free = []
-    for j in indices:
-        if lanes[j]:
-            erased &= ~lanes[j]
-        else:
-            free.append(columns[j])
-    if not erased:
-        return code.n_g
-    tracker = RankTracker(base)
-    for column in free:
-        tracker.add(column & erased)
-    return code.n_g - erased.bit_count() // base.w + tracker.rank
+    return len(select_independent_survivors(code, indices, code.n_g))
 
 
 def composite_erasure_decode(code: CompositeCode,
-                             received: Sequence[Tuple[int, ExtElement]]):
+                             received: Sequence[tuple[int, ExtElement]]):
     """Recover the message from surviving (index, value) pairs, or None.
 
     Succeeds exactly when k of the surviving coordinates correspond to
-    base-field independent evaluation points.
+    base-field independent evaluation points.  Any k such points give the
+    same message, as the Gabidulin code is MRD, so the order of received
+    does not change it.
     """
-    seen = set()
-    for j, _ in received:
-        if not 0 <= j < code.n:
-            raise ValueError(f"surviving index {j} must lie in [0, n) with n = {code.n}")
-        if j in seen:
+    n, values = code.n, {}
+    for j, y in received:
+        if not 0 <= j < n:
+            raise ValueError(f"surviving index {j} must lie in [0, n) with n = {n}")
+        if j in values:
             raise ValueError(f"duplicate surviving index {j}")
-        seen.add(j)
-    values: Dict[int, ExtElement] = dict(received)
-    order = sorted(values)
-    chosen = select_independent_survivors(code, order)
+        values[j] = y
+    chosen = select_independent_survivors(code, values, code.k)
     if len(chosen) < code.k:
         return None
     return moore_interpolate(code.tower, [code.beta[j] for j in chosen],

@@ -15,12 +15,12 @@ n <= m, where the encoder needs no extension-field product
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from collections.abc import Sequence
 
 from .galois import ExtElement, FieldTower
 
 
-def gab_encode(tower: FieldTower, message: Sequence[ExtElement], n: int) -> List[ExtElement]:
+def gab_encode(tower: FieldTower, message: Sequence[ExtElement], n: int) -> list[ExtElement]:
     """f(x^j) for j < n, f = sum(a_i * X^(q^i)) with k = len(message)
     coefficients: Horner in the Frobenius map.  A ValueError unless
     1 <= k <= n <= m.
@@ -46,7 +46,7 @@ def gab_encode(tower: FieldTower, message: Sequence[ExtElement], n: int) -> List
 
 
 def moore_interpolate(tower: FieldTower, points: Sequence[ExtElement],
-                      values: Sequence[ExtElement]) -> List[ExtElement]:
+                      values: Sequence[ExtElement]) -> list[ExtElement]:
     """The unique f of q-degree < k through k independent (point, value) pairs.
 
     Newton interpolation in two passes on packed rows (``FieldTower.pack``:

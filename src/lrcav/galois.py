@@ -20,7 +20,7 @@ Primitive polynomials used for the base fields (one per width w):
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, Tuple
+from collections.abc import Sequence
 
 from .linalg import RankTracker
 
@@ -68,8 +68,8 @@ class BaseField:
             # every coordinate is one bit: the weight is the popcount
             self.weight = int.bit_count
 
-        self.exp: List[int] = [0] * self.q
-        self.log: List[int] = [0] * self.q
+        self.exp: list[int] = [0] * self.q
+        self.log: list[int] = [0] * self.q
         val = 1
         for i in range(self.q - 1):
             self.exp[i] = val
@@ -93,7 +93,7 @@ class BaseField:
         w = self.w
         return sum(c << (i * w) for i, c in enumerate(coords))
 
-    def unpack(self, a: int, n: int) -> List[int]:
+    def unpack(self, a: int, n: int) -> list[int]:
         """The first n coordinates of the packed vector a."""
         w, mask = self.w, self.q - 1
         return [a >> (i * w) & mask for i in range(n)]
@@ -117,7 +117,7 @@ class BaseField:
         """Bit 0 of every w-bit coordinate that the packed vector a reaches."""
         return ((1 << (-(-a.bit_length() // self.w) * self.w)) - 1) // (self.q - 1)
 
-    def alpha_multiples(self, a: int, ones: int, count: int) -> List[int]:
+    def alpha_multiples(self, a: int, ones: int, count: int) -> list[int]:
         """[a, alpha*a, ..., alpha^(count-1)*a]: every coordinate of a times alpha^s.
 
         Each step doubles every w-bit lane at once: shift left by one, clear
@@ -277,13 +277,13 @@ class FieldTower:
         self._frob_tables = self._linear_byte_tables(self.frobenius_images, 1)
         return True
 
-    def _build_square_tables(self) -> List[List[ExtElement]]:
+    def _build_square_tables(self) -> list[list[ExtElement]]:
         """Byte tables of a -> a^2: alpha^s -> alpha^(2s) and x^i -> (x^2)^i.
         Squaring is GF(2)-linear, so it is tabulated as the Frobenius map is,
         once the modulus is chosen, for ``frobenius_ratio``."""
         return self._linear_byte_tables(self._power_chain(self.mul(self.x, self.x)), 2)
 
-    def _power_chain(self, step: ExtElement) -> List[ExtElement]:
+    def _power_chain(self, step: ExtElement) -> list[ExtElement]:
         """[step^i for i < m]: step's product tables serve every link."""
         col, tables = self.one, self._nibble_tables(step, self._fold_tables[0])
         chain = [col]
@@ -292,7 +292,7 @@ class FieldTower:
             chain.append(col)
         return chain
 
-    def _linear_byte_tables(self, chain: List[ExtElement], stride: int) -> List[List[ExtElement]]:
+    def _linear_byte_tables(self, chain: list[ExtElement], stride: int) -> list[list[ExtElement]]:
         """One table per byte of a packed element: byte value -> its image.
 
         The map is GF(2)-linear and takes the bit for base value 2^s in
@@ -306,7 +306,7 @@ class FieldTower:
         return [[hi ^ lo for hi in high for lo in low]
                 for low, high in zip(nibbles[::2], nibbles[1::2])]
 
-    def _nibble_tables(self, a: ExtElement, fold: tuple) -> List[tuple]:
+    def _nibble_tables(self, a: ExtElement, fold: tuple) -> list[tuple]:
         """Tables of c*a, one per nibble of a Horner window of mul.
 
         Bit p of a window stands for alpha^(p mod w) * x^(p div w): lane
@@ -346,12 +346,12 @@ class FieldTower:
         """a*b by a windowed Horner loop over b, with a's tables built for it."""
         return self._horner(self._nibble_tables(a, self._fold_tables[0]), b)
 
-    def mul_each(self, a: ExtElement, bs: Sequence[ExtElement]) -> List[ExtElement]:
+    def mul_each(self, a: ExtElement, bs: Sequence[ExtElement]) -> list[ExtElement]:
         """[a*b for b in bs], a's tables built once for every product."""
         tables = self._nibble_tables(a, self._fold_tables[0])
         return [self._horner(tables, b) for b in bs]
 
-    def _horner(self, nibbles: List[tuple], b: ExtElement) -> ExtElement:
+    def _horner(self, nibbles: list[tuple], b: ExtElement) -> ExtElement:
         """a*b, a given by its nibble tables: windowed Horner over b, top
         window first, acc = acc*x^c + (window of b)*a.
 
@@ -379,7 +379,7 @@ class FieldTower:
                 hi >>= 4
         return acc
 
-    def bit_planes(self, row: int) -> Tuple[int, List[List[int]]]:
+    def bit_planes(self, row: int) -> tuple[int, list[list[int]]]:
         """The m*w bit planes of a packed row, for ``plane_sum``.
 
         Plane (i, s) is (row >> (i*w+s)) & ones, ones the bit 0 of every
@@ -393,8 +393,8 @@ class FieldTower:
         return ones * self._ones, [[row >> shift & ones for shift in range(s, top, w)]
                                    for s in range(w)]
 
-    def plane_sum(self, planes: Tuple[int, List[List[int]]], images: Sequence[ExtElement],
-                  images2: Sequence[ExtElement] | None = None) -> int | Tuple[int, int]:
+    def plane_sum(self, planes: tuple[int, list[list[int]]], images: Sequence[ExtElement],
+                  images2: Sequence[ExtElement] | None = None) -> int | tuple[int, int]:
         """The GF(q)-linear map with images[i] = the image of x^i, applied
         to every lane of the row whose ``bit_planes`` these are.
 
@@ -495,7 +495,7 @@ class FieldTower:
         top = self._top
         return sum(a << (j * top) for j, a in enumerate(elements))
 
-    def unpack(self, row: int, n: int) -> List[ExtElement]:
+    def unpack(self, row: int, n: int) -> list[ExtElement]:
         """The first n elements of the packed row."""
         top, full = self._top, self._full
         return [row >> (j * top) & full for j in range(n)]
@@ -538,13 +538,13 @@ class FieldTower:
         """a^(q^i), as the one-element row ``frobenius_row((a,), i)``."""
         return self.frobenius_row((a,), i)[0]
 
-    def frobenius_row(self, bs: Sequence[ExtElement], i: int = 1) -> List[ExtElement]:
+    def frobenius_row(self, bs: Sequence[ExtElement], i: int = 1) -> list[ExtElement]:
         """[b^(q^i) for b in bs] by i passes of byte-table lookups; i = m is the identity."""
         if i < 0:
             raise ValueError("Frobenius power must be nonnegative")
         return _apply_byte_tables(self._frob_tables, bs, i % self.m)
 
-    def basis_row(self, a: ExtElement, n: int) -> List[ExtElement]:
+    def basis_row(self, a: ExtElement, n: int) -> list[ExtElement]:
         """[a * x^j for j < n], no product: a chain of one-coordinate shifts.
 
         The coordinate each shift pushes past the top folds back through
@@ -579,8 +579,8 @@ class FieldTower:
             c, self.base.w, lambda b, k: _apply_byte_tables(self._square_tables, (b,), k)[0])
 
 
-def _apply_byte_tables(tables: List[List[ExtElement]], row: Sequence[ExtElement],
-                       passes: int) -> List[ExtElement]:
+def _apply_byte_tables(tables: list[list[ExtElement]], row: Sequence[ExtElement],
+                       passes: int) -> list[ExtElement]:
     """passes applications, to each element of row, of the linear map whose
     byte tables these are."""
     row = list(row)
@@ -598,7 +598,7 @@ def _apply_byte_tables(tables: List[List[ExtElement]], row: Sequence[ExtElement]
     return row
 
 
-def _subset_tables(images: List[int]) -> List[tuple]:
+def _subset_tables(images: list[int]) -> list[tuple]:
     """One 16-entry table per four images: index c -> XOR of the images at c's set bits."""
     tables = []
     for a0, a1, a2, a3 in zip(*[iter(images + [0, 0, 0])] * 4):

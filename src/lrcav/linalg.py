@@ -10,16 +10,22 @@ operations are pure and deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
 class Matrix:
+    """A matrix over a base field: its rows as packed vectors of cols
+    coordinates each."""
+
     field: object
-    rows: int
     cols: int
-    data: List[int]
+    data: list[int]
+
+    @property
+    def rows(self) -> int:
+        return len(self.data)
 
     @classmethod
     def from_rows(cls, field, rows: Sequence[Sequence[int]], cols: int | None = None):
@@ -33,9 +39,9 @@ class Matrix:
                 raise ValueError("ragged rows")
             if not all(0 <= x < field.q for x in r):
                 raise ValueError(f"matrix entries must lie in [0, {field.q})")
-        return cls(field, len(rows), cols, [field.pack(r) for r in rows])
+        return cls(field, cols, [field.pack(r) for r in rows])
 
-    def to_lists(self) -> List[List[int]]:
+    def to_lists(self) -> list[list[int]]:
         """The rows as coordinate lists, as JSON stores them."""
         return [self.field.unpack(row, self.cols) for row in self.data]
 
@@ -43,7 +49,7 @@ class Matrix:
         w, mask = self.field.w, self.field.q - 1
         data = [sum((row >> (j * w) & mask) << (i * w) for i, row in enumerate(self.data))
                 for j in range(self.cols)]
-        return Matrix(self.field, self.cols, self.rows, data)
+        return Matrix(self.field, self.rows, data)
 
 
 def rref(M: Matrix):
@@ -61,16 +67,16 @@ def rref(M: Matrix):
             c = rows[i] >> (col * w) & mask
             if c:
                 rows[i] ^= f.scalar_mul(c, lower)
-    return Matrix(f, M.rows, M.cols, rows + [0] * (M.rows - len(rows))), len(pivots), pivots
+    return Matrix(f, M.cols, rows + [0] * (M.rows - len(rows))), len(pivots), pivots
 
 
-def solve(A: Matrix, b: int) -> Optional[int]:
+def solve(A: Matrix, b: int) -> int | None:
     """One solution x of Ax = b (free variables zero), or None if inconsistent."""
     w = A.field.w
     if b >> (A.rows * w):
         raise ValueError("dimension mismatch")
     mask, top = A.field.q - 1, A.cols * w
-    aug = Matrix(A.field, A.rows, A.cols + 1,
+    aug = Matrix(A.field, A.cols + 1,
                  [row | (b >> (i * w) & mask) << top for i, row in enumerate(A.data)])
     R, rk, pivots = rref(aug)
     if A.cols in pivots:
@@ -78,7 +84,7 @@ def solve(A: Matrix, b: int) -> Optional[int]:
     return sum((row >> top) << (col * w) for row, col in zip(R.data, pivots))
 
 
-def nullspace(M: Matrix) -> List[int]:
+def nullspace(M: Matrix) -> list[int]:
     """Basis of the right nullspace (cols - rank vectors)."""
     w, mask = M.field.w, M.field.q - 1
     R, rk, pivots = rref(M)
@@ -109,7 +115,7 @@ class RankTracker:
 
     def __init__(self, base):
         self.base = base
-        self.basis: Dict[int, int] = {}
+        self.basis: dict[int, int] = {}
 
     @property
     def rank(self) -> int:
@@ -119,7 +125,7 @@ class RankTracker:
         """Row minus its projection on the basis: 0 iff row is in the span."""
         return self._reduce(row)[0]
 
-    def _reduce(self, row: int) -> Tuple[int, int, int]:
+    def _reduce(self, row: int) -> tuple[int, int, int]:
         """(the reduced row, its lowest nonzero coordinate, that coordinate's
         value); (0, 0, 0) iff row is in the span."""
         base, w, mask = self.base, self.base.w, self.base.q - 1

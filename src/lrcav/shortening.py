@@ -11,10 +11,10 @@ proves are evaluated in ``bounds``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import List, Sequence, Set, Tuple
 
 from . import constructions
 from .constructions import LinearCode
@@ -23,20 +23,21 @@ from .linalg import Matrix, RankTracker, nullspace
 
 @dataclass
 class LocalCheckSet:
-    """Dual codewords of weight <= r+1, packed, deduplicated, leading entry 1.
+    """Dual codewords of code of weight <= r+1, packed, deduplicated,
+    leading entry 1, over the code's field and of its length n."""
 
-    dual_dim is n - k, the dimension of the dual code the checks lie in,
-    so no set of them has a larger rank.
-    """
-
-    field: object
-    n: int
+    code: LinearCode
     r: int
-    dual_dim: int
-    checks: List[int]
+    checks: list[int]
 
-    def supports(self) -> List[Tuple[int, ...]]:
-        unpack, n = self.field.unpack, self.n
+    @property
+    def dual_dim(self) -> int:
+        """n - k, the dimension of the dual code the checks lie in, so no
+        set of them has a larger rank."""
+        return self.code.n - self.code.k
+
+    def supports(self) -> list[tuple[int, ...]]:
+        unpack, n = self.code.field.unpack, self.code.n
         return [tuple(i for i, x in enumerate(unpack(h, n)) if x) for h in self.checks]
 
 
@@ -70,10 +71,10 @@ def enumerate_local_checks(code: LinearCode, r: int) -> LocalCheckSet:
         checks = _span_checks(code, w)
     else:
         checks = _support_checks(code, w, cost)
-    return LocalCheckSet(code.field, n, r, n - code.k, checks)
+    return LocalCheckSet(code, r, checks)
 
 
-def _span_checks(code: LinearCode, w: int) -> List[int]:
+def _span_checks(code: LinearCode, w: int) -> list[int]:
     """The checks of weight <= w from one Gray walk over ``code.dual``,
     which the code keeps, so a distance walk in the same run reuses it.
 
@@ -110,7 +111,7 @@ def _span_checks(code: LinearCode, w: int) -> List[int]:
     return checks
 
 
-def _support_checks(code: LinearCode, w: int, cost: int) -> List[int]:
+def _support_checks(code: LinearCode, w: int, cost: int) -> list[int]:
     """The checks of weight <= w from one nullspace per w-support.
 
     The dual words supported inside a w-support are the span of its
@@ -123,13 +124,13 @@ def _support_checks(code: LinearCode, w: int, cost: int) -> List[int]:
     rows = code.generator.data
     fw, mask = f.w, f.q - 1
     seen = set()
-    checks: List[int] = []
+    checks: list[int] = []
     for support in combinations(range(n), w):
         shifts = [j * fw for j in support]
         # the generator's columns on the support, as coordinates 0..w-1
         cols = [sum((row >> s & mask) << (i * fw) for i, s in enumerate(shifts))
                 for row in rows]
-        basis = nullspace(Matrix(f, len(rows), w, cols))
+        basis = nullspace(Matrix(f, w, cols))
         cost += (f.q ** len(basis) - 1) // (f.q - 1)
         if cost > budget:
             raise ValueError(f"local-check enumeration exceeds budget {budget}")
@@ -147,7 +148,7 @@ def _support_checks(code: LinearCode, w: int, cost: int) -> List[int]:
     return checks
 
 
-def closure(code: LinearCode, I: Sequence[int]) -> Set[int]:
+def closure(code: LinearCode, I: Sequence[int]) -> set[int]:
     """Coordinates determined by the values on I.
 
     Coordinate j is determined iff the generator's column j lies in the
@@ -165,23 +166,23 @@ class ShorteningResult:
     """The greedy pass at s: the checks X picked so far, the set I, the
     covered coordinates J and the step counters (s1, j)."""
 
-    X: List[int]
-    I: List[int]
-    J: List[int]
+    X: list[int]
+    I: list[int]
+    J: list[int]
     s: int
     s1: int
     j: int
 
 
-def build_shortening_set(checks: LocalCheckSet) -> List[ShorteningResult]:
+def build_shortening_set(checks: LocalCheckSet) -> list[ShorteningResult]:
     """One greedy pass over the local checks; entry s-1 is the result for s.
 
     Checks are picked by largest overlap with the covered set J (ties by
     lowest index).  A zero-overlap pick starts a fresh component: the
     step counters (s1, j) are recorded at its first occurrence.  The
     pick that raises the rank of the picked checks X to s closes the
-    result for s, and the pass stops at the rank of all checks (ranked up
-    front only until it reaches ``dual_dim``, the most it can be).  I is J
+    result for s, and the pass stops when that rank reaches ``dual_dim``,
+    the most it can be, or no check is left.  I is J
     minus the pivot columns of X, padded up to 1+(r-1)s coordinates; all
     removed coordinates are recoverable from I through the checks, so
     Cl(I) covers J.  On the WZL codes |I| <= 1+(r-1)s and |Cl(I)| >=
@@ -199,26 +200,23 @@ def build_shortening_set(checks: LocalCheckSet) -> List[ShorteningResult]:
     if not checks.checks:
         raise ValueError("no local checks available")
     from heapq import heappop, heappush  # here, as logging is: off the import path
-    f, n, r = checks.field, checks.n, checks.r
-    full = RankTracker(f)
-    for h in checks.checks:
-        if full.rank == checks.dual_dim:
-            break
-        full.add(h)
+    n, r, dual_dim = checks.code.n, checks.r, checks.dual_dim
     supports = checks.supports()
-    containing: List[List[int]] = [[] for _ in range(n)]
+    containing: list[list[int]] = [[] for _ in range(n)]
     for idx, sup in enumerate(supports):
         for c in sup:
             containing[c].append(idx)
     overlap = [0] * len(supports)  # |J & support|, -1 once picked
-    buckets: List[List[int]] = [[] for _ in range(max(map(len, supports)) + 1)]
+    buckets: list[list[int]] = [[] for _ in range(max(map(len, supports)) + 1)]
     buckets[0] = list(range(len(supports)))  # sorted, so already a heap
-    tracker = RankTracker(f)
-    X: List[int] = []
-    J: Set[int] = set()
+    tracker = RankTracker(checks.code.field)
+    X: list[int] = []
+    J: set[int] = set()
     s1 = j_rec = 0
-    results: List[ShorteningResult] = []
-    while tracker.rank < full.rank:
+    results: list[ShorteningResult] = []
+    for _ in supports:  # one pick per check, until none is left
+        if tracker.rank == dual_dim:
+            break
         for v in range(len(buckets) - 1, -1, -1):
             heap = buckets[v]
             while heap and overlap[heap[0]] != v:

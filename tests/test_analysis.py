@@ -51,7 +51,7 @@ def test_min_distance_budget_and_zero_code(monkeypatch):
     zero = LinearCode.from_parity(Matrix.from_rows(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     with pytest.raises(ValueError):
         min_distance(zero)
-    whole = LinearCode.from_parity(Matrix(f, 0, 3, []))  # k = n
+    whole = LinearCode.from_parity(Matrix(f, 3, []))  # k = n
     monkeypatch.setattr(constructions, "WORK_BUDGET", 1)
     assert (whole.k, min_distance(whole)) == (3, 1)
 
@@ -192,7 +192,7 @@ def _masked_parity_rank_correctable(code, erased):
     """The rref rank of the parity masked to the erased coordinates is |E|."""
     f, H, erased = code.field, code.parity, set(erased)
     mask = sum((f.q - 1) << (j * f.w) for j in erased)
-    return rref(Matrix(f, H.rows, H.cols, [row & mask for row in H.data]))[1] == len(erased)
+    return rref(Matrix(f, H.cols, [row & mask for row in H.data]))[1] == len(erased)
 
 
 def test_erasure_correctable_matches_the_masked_parity_rank():
@@ -330,7 +330,7 @@ def _stdlib_monte_carlo(code, e, trials, seed):
         ok, rank = trial(rng.sample(range(code.n), e), i % analysis.FULL_DECODE_EVERY == 0)
         successes += ok
         min_rank = min(min_rank, rank)
-    stats = ErasureTrialStats(trials, successes, min_rank, seed)
+    stats = ErasureTrialStats(trials, successes, min_rank)
     if code.blocks is not None:
         ok, rank = trial(list(range(e)), True)
         stats.adversarial_success = ok

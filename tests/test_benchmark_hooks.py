@@ -50,17 +50,22 @@ def test_one_block_passes_its_checks(tmp_path, workload, classes):
     assert failures == []
 
 
-def test_decode_bench_codes_never_build_the_survivor_rank_view(tmp_path):
-    # the decoder picks its survivors with select_independent_survivors,
-    # so a round trip on every code the decode benchmark builds leaves
-    # the outer generator's cached rref view, read only by survivor_rank,
-    # unbuilt
+def test_decode_bench_block_builds_each_survivor_rref_view_once(tmp_path, monkeypatch):
+    # select_independent_survivors reads LinearCode.rref_view, cached on
+    # the outer code: one decode block, which decodes every code several
+    # times, builds each code's view on its first decode and never again
+    from lrcav.constructions import LinearCode
+    builds = []
+    build = LinearCode.rref_view.func
+    counted = cached_property(lambda code: builds.append(code) or build(code))
+    counted.__set_name__(LinearCode, "rref_view")
+    monkeypatch.setattr(LinearCode, "rref_view", counted)
     bench = workloads.Decode()
     bench.setup(str(tmp_path))
     for op in bench.block(seed=1, b=0):
         assert op.check(op.call()) is None
     for cls, code in bench.codes.items():
-        assert "rref_view" not in code.outer.__dict__, cls
+        assert sum(built is code.outer for built in builds) == 1, cls
 
 
 def test_decode_bench_block_builds_each_frobenius_row_table_once(tmp_path, monkeypatch):

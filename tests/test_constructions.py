@@ -3,7 +3,6 @@ import json
 import logging
 import os
 import random
-import shutil
 import subprocess
 from itertools import combinations
 from math import comb
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import interpreters
 import listalg
 import shuffle_reference
 from listalg import ListMatrix
@@ -81,8 +81,8 @@ def _configuration_graph(rng):
     n_right = n * t // rp1
     right_stubs = [c for c in range(n_right) for _ in range(rp1)]
     rng.shuffle(right_stubs)
-    return BipartiteGraph(n, n_right, [sorted(right_stubs[v * t:(v + 1) * t])
-                                       for v in range(n)])
+    return BipartiteGraph(n_right, [sorted(right_stubs[v * t:(v + 1) * t])
+                                    for v in range(n)])
 
 
 def _simple_brute_force(g):
@@ -206,29 +206,12 @@ def test_sample_biregular_draws_as_random_shuffle():
     assert shuffle_reference.mismatches("shuffles", SHUFFLE_CASES) == []
 
 
-def _runnable(python):
-    """python on PATH if it runs, else the first runnable pyenv install of
-    its version, ``$(pyenv root)/versions/3.X.*/bin/python3.X``: a PATH
-    entry can be a pyenv shim that refuses a version not selected."""
-    candidates = [shutil.which(python)]
-    pyenv = shutil.which("pyenv")
-    if pyenv is not None:
-        root = subprocess.run([pyenv, "root"], capture_output=True, text=True).stdout.strip()
-        if root:
-            version = python.removeprefix("python")
-            candidates += sorted(map(str, Path(root).glob(f"versions/{version}.*/bin/{python}")))
-    for exe in candidates:
-        if exe and subprocess.run([exe, "-c", ""], capture_output=True).returncode == 0:
-            return exe
-    return None
-
-
-@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+@pytest.mark.parametrize("python", interpreters.PYTHONS)
 def test_draws_match_the_stdlib_under(python):
     # the graph sampler, the erasure patterns and the tower elements restate
     # CPython's private _randbelow_with_getrandbits, so every supported
     # interpreter found must draw as its random module does
-    exe = _runnable(python)
+    exe = interpreters.runnable(python)
     if exe is None:
         pytest.skip(f"no runnable {python} on PATH or under pyenv")
     tests = Path(__file__).resolve().parent
@@ -244,13 +227,13 @@ def test_draws_match_the_stdlib_under(python):
 def test_check_expansion_complete_bipartite():
     # K_{2,3} as a 3-regular-left graph: every single vertex has all 3
     # neighbours, so expansion holds at gamma just under 1 for size 1.
-    g = BipartiteGraph(2, 3, [[0, 1, 2], [0, 1, 2]])
+    g = BipartiteGraph(3, [[0, 1, 2], [0, 1, 2]])
     assert check_expansion(g, 0.5, 0.9)
     assert not check_expansion(g, 1.0, 0.9)  # both vertices share all rights
 
 
 def test_check_expansion_budget():
-    g = BipartiteGraph(60, 40, [[0, 1] for _ in range(60)])
+    g = BipartiteGraph(40, [[0, 1] for _ in range(60)])
     with pytest.raises(ValueError):
         check_expansion(g, 0.9, 0.5)
 
@@ -258,8 +241,8 @@ def test_check_expansion_budget():
 def test_check_expansion_refuses_a_walk_past_the_budget_before_it_starts(monkeypatch):
     # 100 left vertices at alpha = 0.2: subsets of size <= 20, about
     # 7.1e20 of them, a walk that never ends; refused before any is built
-    g = BipartiteGraph(100, 50, [[v % 50, (v + 1) % 50] for v in range(100)])
-    small = BipartiteGraph(12, 6, [[v % 6, (v + 1) % 6] for v in range(12)])
+    g = BipartiteGraph(50, [[v % 50, (v + 1) % 50] for v in range(100)])
+    small = BipartiteGraph(6, [[v % 6, (v + 1) % 6] for v in range(12)])
     with monkeypatch.context() as patch:
         patch.setattr(constructions, "combinations", lambda *args: pytest.fail("walked"))
         with pytest.raises(ValueError, match="exceeds the exhaustive-check budget"):
@@ -382,15 +365,24 @@ def test_encode_rejects_symbols_outside_the_field(build):
                 encode_composite(code, message)
 
 
+SMALL_CODES = {"concat_one_block": lambda: concat_code(m=6, blocks=1, k=3),
+               "expander_n14": lambda: expander_code()[0]}
+
+
 def test_select_independent_survivors_matches_rank():
-    code, _ = expander_code()
-    rank = lambda sub: rank_over_base(code.tower, [code.beta[j] for j in sub])
-    rng = random.Random(9)
-    for _ in range(50):
-        sub = sorted(rng.sample(range(code.n), rng.randrange(1, code.n)))
-        chosen = select_independent_survivors(code, sub)
-        assert rank(chosen) == len(chosen)
-        assert len(chosen) == min(code.k, rank(sub))
+    # on every subset of both small codes: at stop = n_G the survivors
+    # taken are a basis of the subset's betas, and at stop = k (the
+    # decoder's) k independent ones, or all of a basis when fewer
+    for name, build in SMALL_CODES.items():
+        code = build()
+        rank = lambda sub: rank_over_base(code.tower, [code.beta[j] for j in sub])
+        for size in range(code.n + 1):
+            for sub in combinations(range(code.n), size):
+                expected = rank(sub)
+                for stop in (code.n_g, code.k):
+                    chosen = select_independent_survivors(code, sub, stop)
+                    assert set(chosen) <= set(sub) and len(set(chosen)) == len(chosen)
+                    assert len(chosen) == rank(chosen) == min(stop, expected), (name, sub, stop)
 
 
 def _assert_survivor_rank_is_the_rank_of_the_betas(code, subsets):
@@ -399,9 +391,7 @@ def _assert_survivor_rank_is_the_rank_of_the_betas(code, subsets):
         assert survivor_rank(code, sub) == expected, sub
 
 
-@pytest.mark.parametrize("build", [lambda: concat_code(m=6, blocks=1, k=3),
-                                   lambda: expander_code()[0]],
-                         ids=["concat_one_block", "expander_n14"])
+@pytest.mark.parametrize("build", SMALL_CODES.values(), ids=SMALL_CODES.keys())
 def test_survivor_rank_matches_rank_over_base_on_every_subset(build):
     code = build()
     _assert_survivor_rank_is_the_rank_of_the_betas(
@@ -432,13 +422,20 @@ def test_survivor_rank_on_an_outer_generator_not_in_rref():
     rows = code.outer.generator.data[::-1]
     rows[0] ^= rows[1]
     outer = code.outer
-    mixed = LinearCode(outer.field, outer.n, outer.k, outer.parity,
-                       Matrix(outer.field, outer.k, outer.n, rows))
+    mixed = LinearCode(outer.parity, Matrix(outer.field, outer.n, rows))
     assert rref(mixed.generator)[0].data != mixed.generator.data
     composite = CompositeCode(code.tower, mixed, code.k, code.blocks)
     rng = random.Random(5)
     _assert_survivor_rank_is_the_rank_of_the_betas(
         composite, (rng.sample(range(code.n), rng.randrange(code.n + 1)) for _ in range(500)))
+    # the decoder selects through the same view: a round trip on this
+    # generator returns the message from every pattern of rank >= k
+    for _ in range(200):
+        message = [code.tower.rand(rng) for _ in range(code.k)]
+        cw = encode_composite(composite, message)
+        survivors = rng.sample(range(code.n), rng.randrange(code.n + 1))
+        expected = message if survivor_rank(composite, survivors) >= code.k else None
+        assert composite_erasure_decode(composite, [(j, cw[j]) for j in survivors]) == expected
 
 
 def test_survivor_rank_rejects_indices_outside_the_code():
@@ -529,7 +526,7 @@ def test_concatenated_rejects_nonbinary_base():
 
 def test_assemble_expander_guards():
     _, parity = expander_code()  # 6 x 14 of full rank: n_G = 8
-    repeated = Matrix(parity.field, 7, 14, parity.data + parity.data[:1])
+    repeated = Matrix(parity.field, 14, parity.data + parity.data[:1])
     with pytest.raises(ValueError, match="rank deficient"):
         assemble_expander_code(FieldTower(BaseField(4), 8, seed=1), repeated, k=4)
     with pytest.raises(ValueError, match="n_G exceeds the extension degree m"):

@@ -1,4 +1,5 @@
 import ast
+import functools
 import os
 import re
 import subprocess
@@ -39,13 +40,27 @@ def test_bounds_imports_only_the_standard_library():
     assert [m for m in imported if m.split(".")[0] not in sys.stdlib_module_names] == []
 
 
+@functools.cache
+def _modules_loaded_by_importing_the_cli() -> frozenset:
+    """Every module a fresh interpreter holds once it has imported lrcav.cli.
+    -S skips site, whose .pth files may load modules (typing among them)
+    before lrcav is imported."""
+    probe = "import sys, lrcav.cli; print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
+    return frozenset(out.stdout.split())
+
+
 def test_importing_the_cli_does_not_load_logging():
     # logging costs every process about 0.5 MB; only the samplers load it
-    src = str(PACKAGE.parent)
-    probe = "import sys, lrcav.cli; print('logging' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "False"
+    assert "logging" not in _modules_loaded_by_importing_the_cli()
+
+
+def test_importing_the_cli_does_not_load_typing():
+    # typing costs every fresh process milliseconds of import; annotations
+    # use builtin generics and collections.abc, which the stdlib modules
+    # the CLI imports load anyway
+    assert "typing" not in _modules_loaded_by_importing_the_cli()
 
 
 def test_package_parses_at_the_declared_python_floor():

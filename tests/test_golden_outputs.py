@@ -6,16 +6,21 @@ relative file names so that no absolute path enters an output.  Each
 run's exit code and the SHA-256 of its stdout and of the file it writes
 are compared with recorded digests, so a change that must keep the
 behaviour keeps this test passing as it stands; a change meant to alter
-an output updates its digest here and says why.
+an output updates its digest here and says why.  The same runs, each a
+``python -m lrcav`` process, must give the same digests under every
+other supported interpreter installed (``interpreters.PYTHONS``).
 """
 
 import contextlib
 import hashlib
 import io
 import os
+import subprocess
+from pathlib import Path
 
 import pytest
 
+import interpreters
 from lrcav import cli
 
 # (id, argv, exit code, stdout digest, file written or None, its digest)
@@ -89,3 +94,21 @@ def test_output_matches_recorded_digest(outputs, run_id, argv, exit_code, stdout
     assert (code, err) == (exit_code, "")
     assert _sha256(out.encode()) == stdout_sha
     assert digest == file_sha
+
+
+@pytest.mark.parametrize("python", interpreters.PYTHONS)
+def test_outputs_match_recorded_digests_under(python, tmp_path):
+    exe = interpreters.runnable(python)
+    if exe is None:
+        pytest.skip(f"no runnable {python} on PATH or under pyenv")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    differ = []
+    for run_id, argv, exit_code, stdout_sha, written, file_sha in RUNS:
+        out = subprocess.run([exe, "-m", "lrcav", *argv.split()], cwd=tmp_path, env=env,
+                             capture_output=True)
+        digest = _sha256((tmp_path / written).read_bytes()) if written else None
+        if (out.returncode, out.stderr, _sha256(out.stdout), digest) != (
+                exit_code, b"", stdout_sha, file_sha):
+            differ.append(run_id)
+    assert differ == []

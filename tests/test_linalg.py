@@ -107,7 +107,7 @@ def test_nullspace_dimension_and_annihilation():
         for v in basis:
             assert ListMatrix.from_rows(F16, M.to_lists()).mul_vec(F16.unpack(v, 7)) == [0] * 4
         if basis:
-            assert rank(Matrix(F16, len(basis), 7, basis)) == len(basis)
+            assert rank(Matrix(F16, 7, basis)) == len(basis)
 
 
 def test_wzl22_generator_dimension():

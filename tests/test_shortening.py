@@ -23,7 +23,7 @@ def test_local_checks_are_dual_words():
     checks = enumerate_local_checks(code, 3)
     G = code.generator.to_lists()
     for h in checks.checks:
-        h = checks.field.unpack(h, code.n)
+        h = code.field.unpack(h, code.n)
         assert sum(1 for x in h if x) <= 4
         for g in G:
             assert sum(g[j] * h[j] for j in range(code.n)) % 2 == 0
@@ -181,7 +181,7 @@ def test_supports_match_checks():
     code = build_wzl(2, 2)
     checks = enumerate_local_checks(code, 2)
     for h, sup in zip(checks.checks, checks.supports()):
-        h = checks.field.unpack(h, code.n)
+        h = code.field.unpack(h, code.n)
         assert all(h[j] != 0 for j in sup)
         assert sum(1 for x in h if x) == len(sup)
 
@@ -250,9 +250,9 @@ def test_shortening_set_needs_enough_checks():
     # the pass stops at the rank of the checks: one check gives s = 1 only
     code = build_wzl(2, 2)
     checks = enumerate_local_checks(code, 2)
-    one = LocalCheckSet(checks.field, checks.n, checks.r, checks.dual_dim, checks.checks[:1])
+    one = LocalCheckSet(checks.code, checks.r, checks.checks[:1])
     assert [res.s for res in build_shortening_set(one)] == [1]
-    none = LocalCheckSet(checks.field, checks.n, checks.r, checks.dual_dim, [])
+    none = LocalCheckSet(checks.code, checks.r, [])
     with pytest.raises(ValueError, match="no local checks available"):
         build_shortening_set(none)
 
@@ -260,11 +260,11 @@ def test_shortening_set_needs_enough_checks():
 def _greedy_rref_oracle(checks, s):
     """The shortening set for one s, from a greedy pass that runs the list
     rref on the picked checks after every overlapping pick and for the pivots."""
-    n, r = checks.n, checks.r
+    n, r = checks.code.n, checks.r
 
     def rref_of(X):
-        return rref(ListMatrix.from_rows(checks.field,
-                                         [checks.field.unpack(h, n) for h in X], n))
+        return rref(ListMatrix.from_rows(checks.code.field,
+                                         [checks.code.field.unpack(h, n) for h in X], n))
 
     remaining = list(range(len(checks.checks)))
     supports = checks.supports()
@@ -309,7 +309,7 @@ def _greedy_rref_oracle(checks, s):
 def _greedy_scan_oracle(checks):
     """Every result of the greedy pass, each pick a ``max`` of (overlap
     with J, -index) over all remaining checks and a ``list.remove``."""
-    f, n, r = checks.field, checks.n, checks.r
+    f, n, r = checks.code.field, checks.code.n, checks.r
     full = RankTracker(f)
     for h in checks.checks:
         full.add(h)
@@ -360,9 +360,9 @@ def test_shortening_set_matches_the_scan_on_a_dense_gf256_code(tmp_path, monkeyp
     monkeypatch.setattr(shortening, "RankTracker", CountingTracker)
     results = build_shortening_set(checks)
     assert [len(res.X) for res in results] == [1, 2, 258, 1022]
-    # the up-front rank stops at n - k = 4, after 514 of the 2,550 checks;
-    # the pass adds each of its 1,022 picks
-    assert sorted(adds.values()) == [514, 1022]
+    # one tracker, the pass's own: it adds each of its 1,022 picks and
+    # stops when the rank reaches n - k = 4
+    assert sorted(adds.values()) == [1022]
     assert results == _greedy_scan_oracle(checks)
 
 
