@@ -11,9 +11,8 @@ and seeded Monte-Carlo erasure trials against the composite decoder.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import islice
 from math import ceil, comb, log
 
@@ -87,10 +86,14 @@ def min_distance(code: LinearCode) -> int:
     return next(j for j in range(1, code.n + 1) if counts[j])
 
 
-@dataclass
 class AvailabilityReport:
-    recovering_sets: dict[int, list[set[int]]]
-    failed_coordinates: list[int]
+    """Per coordinate, its t disjoint recovering sets or its place in
+    failed_coordinates."""
+
+    def __init__(self, recovering_sets: dict[int, list[set[int]]],
+                 failed_coordinates: list[int]):
+        self.recovering_sets = recovering_sets
+        self.failed_coordinates = failed_coordinates
 
     @property
     def ok(self) -> bool:
@@ -257,12 +260,13 @@ def concatenated_dimension(n: int, d: int, r: int, t: int) -> int:
     return k_i * full + k_i - e_i + partial_block_rank_bound(e_i, r, t)
 
 
-@dataclass
-class ErasureTrialStats:
-    trials: int
-    successes: int
-    min_survivor_rank: int
-    adversarial_success: bool | None = None
+class ErasureTrialStats(namedtuple("ErasureTrialStats", "trials successes min_survivor_rank "
+                                   "adversarial_success", defaults=(None,))):
+    """A Monte-Carlo run's counts, compared by value.  The verify report
+    prints its fields; adversarial_success is None where no adversarial
+    pattern is tried (an expander code)."""
+
+    __slots__ = ()
 
     @property
     def success_rate(self) -> float:

@@ -11,10 +11,10 @@ module imports nothing from the rest of the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, inf, log2
+from collections import namedtuple
 from collections.abc import Callable
+from fractions import Fraction
+from math import inf, log2
 
 
 def rate_cap(r: int, t: int) -> Fraction:
@@ -65,7 +65,7 @@ def wang_rawat_distance(n: int, k: int, r: int, t: int) -> int:
     """d <= n - k + 2 - ceil((t(k-1)+1) / (t(r-1)+1))."""
     if t < 1:
         raise ValueError("need t >= 1")
-    return n - k + 2 - ceil(Fraction(t * (k - 1) + 1, t * (r - 1) + 1))
+    return n - k + 2 + -(t * (k - 1) + 1) // (t * (r - 1) + 1)  # - ceil(a/b) = (-a) // b
 
 
 def tbf_distance(n: int, k: int, r: int, t: int) -> int:
@@ -86,7 +86,7 @@ def yaakobi_distance(n: int, k: int, r: int, t: int, q: int = 2,
     if t < 1:
         raise ValueError("need t >= 1")
     best = None
-    x_max = ceil(Fraction(k - 1, (r - 1) * t + 1))
+    x_max = -(-(k - 1) // ((r - 1) * t + 1))
     for x in range(1, max(x_max, 1) + 1):
         for ysum in range(x, t * x + 1):
             a = (r - 1) * ysum + x
@@ -360,14 +360,9 @@ def gamma_for_delta(delta: float, t: int, r: int) -> float:
 # rate-vs-distance curves
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CurveRow:
-    delta: float
-    upper_new: float
-    upper_tbf: float
-    lower_expander: float
-    lower_concat: float
-    rate_cap: float
+# one delta of the curve table; the fields are the curve CSV's columns, in order
+CurveRow = namedtuple("CurveRow", "delta upper_new upper_tbf lower_expander lower_concat "
+                                  "rate_cap")
 
 
 def _clamp01(x: float) -> float:

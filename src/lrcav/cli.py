@@ -207,11 +207,8 @@ def cmd_bounds(args) -> int:
 
 def write_curves_csv(rows, path) -> None:
     """Write rate_curves rows as the curve CSV table (12 significant digits)."""
-    lines = ["delta,upper_new,upper_tbf,lower_expander,lower_concat,rate_cap"]
-    for row in rows:
-        lines.append(",".join(f"{v:.12g}" for v in (
-            row.delta, row.upper_new, row.upper_tbf, row.lower_expander,
-            row.lower_concat, row.rate_cap)))
+    lines = [",".join(bounds.CurveRow._fields)]
+    lines += [",".join(f"{v:.12g}" for v in row) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -307,14 +304,8 @@ def cmd_verify(args) -> int:
     elif args.erasures is not None:
         stats = analysis.erasure_monte_carlo(code, args.erasures,
                                              args.trials, args.seed)
-        report["erasures"] = {
-            "e": args.erasures, "trials": stats.trials,
-            "successes": stats.successes,
-            "success_rate": stats.success_rate,
-            "min_survivor_rank": stats.min_survivor_rank,
-            "adversarial_success": stats.adversarial_success,
-            "seed": args.seed,
-        }
+        report["erasures"] = {"e": args.erasures, **stats._asdict(),
+                              "success_rate": stats.success_rate, "seed": args.seed}
         failed |= stats.successes != stats.trials or stats.adversarial_success is False
     print(json.dumps(report, indent=1, sort_keys=True))
     return 1 if failed else 0

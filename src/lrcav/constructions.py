@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Collection, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -29,7 +28,6 @@ from .gabidulin import moore_interpolate
 from .linalg import Matrix, RankTracker, nullspace, rref
 
 
-@dataclass
 class LinearCode:
     """A code given by a (possibly redundant) parity and a generator of
     full row rank, k x n; ``from_parity`` makes the generator once, in
@@ -37,8 +35,8 @@ class LinearCode:
     and the generator's row count, read off the two matrices.
     """
 
-    parity: Matrix
-    generator: Matrix
+    def __init__(self, parity: Matrix, generator: Matrix):
+        self.parity, self.generator = parity, generator
 
     @property
     def field(self) -> BaseField:
@@ -127,12 +125,11 @@ def build_wzl(r: int, t: int) -> LinearCode:
     return LinearCode.from_parity(Matrix(f2, n, rows))
 
 
-@dataclass
 class BipartiteGraph:
     """(t, r+1)-biregular bipartite graph; adjacency by left vertex."""
 
-    n_right: int
-    adj: list[list[int]]
+    def __init__(self, n_right: int, adj: list[list[int]]):
+        self.n_right, self.adj = n_right, adj
 
     @property
     def n_left(self) -> int:
@@ -253,32 +250,30 @@ def build_expander_parity(g: BipartiteGraph, base: BaseField, seed: int) -> Matr
     return Matrix.from_rows(base, rows, g.n_left)
 
 
-@dataclass
 class CompositeCode:
     """An [n_G, k] Gabidulin code pushed through a base-field outer code's generator.
 
     The code is (tower, outer, k, blocks), blocks None for an expander
     code; n, n_G = outer.k and a concatenated code's inner sizes
     n / blocks and n_G / blocks are read off these, not stored.  The
-    outer code must lie over the tower's base field.
+    outer code (its generator G is n_G x n, full row rank) must lie over
+    the tower's base field.  beta[j], the point coordinate j evaluates
+    at, is set here.
     """
 
-    tower: FieldTower
-    outer: LinearCode          # its generator G is n_G x n, full row rank
-    k: int
-    blocks: int | None = None  # inner codes of a concatenated code
-    beta: list[ExtElement] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.outer.field.w != self.tower.base.w:
-            raise ValueError(f"outer code over GF(2^{self.outer.field.w}) but tower "
-                             f"over GF(2^{self.tower.base.w})")
-        if not 1 <= self.k <= self.n_g <= self.tower.m:
+    def __init__(self, tower: FieldTower, outer: LinearCode, k: int,
+                 blocks: int | None = None):
+        if outer.field.w != tower.base.w:
+            raise ValueError(f"outer code over GF(2^{outer.field.w}) but tower "
+                             f"over GF(2^{tower.base.w})")
+        if not 1 <= k <= outer.k <= tower.m:
             raise ValueError("need 1 <= k <= n <= extension degree m")
+        self.tower, self.outer, self.k = tower, outer, k
+        self.blocks = blocks  # inner codes of a concatenated code
         # the Gabidulin code evaluates at the basis 1, x, ..., x^(n_G-1), so
         # coordinate j evaluates at sum_i G[i][j] x^i, column j of G; bound
         # once, as the decoder reads it per survivor
-        self.beta = self.outer.generator_columns
+        self.beta: list[ExtElement] = outer.generator_columns
 
     @cached_property
     def frobenius_rows(self) -> list[int]:

@@ -62,8 +62,6 @@ class BaseField:
         self.w = w
         self.q = 1 << w
         self.modulus = PRIMITIVE_POLY[w]
-        self.zero = 0
-        self.one = 1
         if w == 1:
             # every coordinate is one bit: the weight is the popcount
             self.weight = int.bit_count

@@ -11,17 +11,14 @@ operations are pure and deterministic.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 
-@dataclass
 class Matrix:
     """A matrix over a base field: its rows as packed vectors of cols
     coordinates each."""
 
-    field: object
-    cols: int
-    data: list[int]
+    def __init__(self, field, cols: int, data: list[int]):
+        self.field, self.cols, self.data = field, cols, data
 
     @property
     def rows(self) -> int:

@@ -11,8 +11,8 @@ proves are evaluated in ``bounds``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
@@ -21,14 +21,12 @@ from .constructions import LinearCode
 from .linalg import Matrix, RankTracker, nullspace
 
 
-@dataclass
 class LocalCheckSet:
     """Dual codewords of code of weight <= r+1, packed, deduplicated,
     leading entry 1, over the code's field and of its length n."""
 
-    code: LinearCode
-    r: int
-    checks: list[int]
+    def __init__(self, code: LinearCode, r: int, checks: list[int]):
+        self.code, self.r, self.checks = code, r, checks
 
     @property
     def dual_dim(self) -> int:
@@ -161,17 +159,9 @@ def closure(code: LinearCode, I: Sequence[int]) -> set[int]:
     return {j for j, col in enumerate(columns) if not tracker.reduce(col)}
 
 
-@dataclass
-class ShorteningResult:
-    """The greedy pass at s: the checks X picked so far, the set I, the
-    covered coordinates J and the step counters (s1, j)."""
-
-    X: list[int]
-    I: list[int]
-    J: list[int]
-    s: int
-    s1: int
-    j: int
+# the greedy pass at s, a value: the checks X picked so far, the set I,
+# the covered coordinates J and the step counters (s1, j)
+ShorteningResult = namedtuple("ShorteningResult", "X I J s s1 j")
 
 
 def build_shortening_set(checks: LocalCheckSet) -> list[ShorteningResult]:

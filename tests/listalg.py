@@ -1,8 +1,8 @@
 """List-based Gaussian elimination over any field object: the test oracle.
 
-A "field" here is anything with ``zero``, ``one``, ``mul`` and ``inv``
-whose elements are ints that add by XOR and are nonzero iff truthy
-(both BaseField and FieldTower qualify: characteristic 2 throughout).
+A "field" here is anything with ``mul`` and ``inv`` whose elements are
+ints that add by XOR, with 0 its zero and 1 its one (both BaseField and
+FieldTower qualify: characteristic 2 throughout).
 Matrices are plain row-major lists of field elements.  This is the
 elimination ``lrcav.linalg`` ran before its rows became packed ints; the
 tests keep it as the oracle for the packed ``rref``, ``nullspace`` and
@@ -42,7 +42,7 @@ class ListMatrix:
             raise ValueError("dimension mismatch")
         out = []
         for row in self.data:
-            acc = f.zero
+            acc = 0
             for a, x in zip(row, v):
                 if a and x:
                     acc ^= f.mul(a, x)
@@ -66,7 +66,7 @@ def rref(M: ListMatrix):
             continue
         R.data[prow], R.data[pr] = R.data[pr], R.data[prow]
         inv = f.inv(R.data[prow][col])
-        if inv != f.one:
+        if inv != 1:
             R.data[prow] = [f.mul(inv, x) for x in R.data[prow]]
         for i in range(R.rows):
             if i != prow and R.data[i][col]:
@@ -89,7 +89,7 @@ def solve(A: ListMatrix, b: Sequence[object]):
     R, rk, pivots = rref(aug)
     if A.cols in pivots:
         return None
-    x = [f.zero] * A.cols
+    x = [0] * A.cols
     for i, col in enumerate(pivots):
         x[col] = R.data[i][A.cols]
     return x
@@ -97,13 +97,12 @@ def solve(A: ListMatrix, b: Sequence[object]):
 
 def nullspace(M: ListMatrix) -> List[List[object]]:
     """Basis of the right nullspace (cols - rank vectors)."""
-    f = M.field
     R, rk, pivots = rref(M)
     free = [j for j in range(M.cols) if j not in set(pivots)]
     basis = []
     for fc in free:
-        v = [f.zero] * M.cols
-        v[fc] = f.one
+        v = [0] * M.cols
+        v[fc] = 1
         for i, pc in enumerate(pivots):
             # char 2: negation is identity
             v[pc] = R.data[i][fc]

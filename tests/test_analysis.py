@@ -330,12 +330,11 @@ def _stdlib_monte_carlo(code, e, trials, seed):
         ok, rank = trial(rng.sample(range(code.n), e), i % analysis.FULL_DECODE_EVERY == 0)
         successes += ok
         min_rank = min(min_rank, rank)
-    stats = ErasureTrialStats(trials, successes, min_rank)
+    adversarial = None
     if code.blocks is not None:
-        ok, rank = trial(list(range(e)), True)
-        stats.adversarial_success = ok
-        stats.min_survivor_rank = min(min_rank, rank)
-    return stats
+        adversarial, rank = trial(list(range(e)), True)
+        min_rank = min(min_rank, rank)
+    return ErasureTrialStats(trials, successes, min_rank, adversarial)
 
 
 @pytest.mark.parametrize("build", [concat_code, readme_expander, small_concat,

@@ -85,8 +85,9 @@ def _clmul(f, a, b):
 
 def _pow(f, a, e):
     # square-and-multiply on f.mul: the oracle for Frobenius, inversion and
-    # the multiplicative order (works for a BaseField and a FieldTower alike)
-    result = f.one
+    # the multiplicative order (works for a BaseField and a FieldTower alike,
+    # as 1 is the one of both)
+    result = 1
     while e:
         if e & 1:
             result = f.mul(result, a)

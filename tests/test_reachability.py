@@ -34,8 +34,8 @@ UNREACHED = {
     "bounds._expansion_residual": BENCH_SPAN,
     "bounds.griesmer_d": GRIESMER,
     "bounds.griesmer_k": GRIESMER,
-    "constructions.check_expansion": "acceptance criterion 7's expansion audit "
-                                     "(ROADMAP item 5)",
+    "constructions.check_expansion": "acceptance criterion 7's expansion audit, until "
+                                     "construct expander reports it (ROADMAP item 19)",
 }
 
 # the [5, 1] code spanned by (1, 2, 3, 7, 200) over GF(256): its 256
@@ -73,7 +73,7 @@ def _defined():
 
         def add(name, obj):
             obj = inspect.unwrap(obj) if callable(obj) else obj
-            # dataclass-generated methods have no source file in the package
+            # generated methods (a namedtuple's) have no source file in the package
             if inspect.isfunction(obj) and obj.__code__.co_filename.startswith(root):
                 found[f"{info.name}.{name}"] = obj.__code__
 

@@ -31,8 +31,8 @@ SPANS = [span.split("(")[0] for span in re.findall(r"`([^`\n]+)`", README)]
 
 
 def _members(cls) -> set:
-    """Class attributes, dataclass fields and the attributes its methods set on self."""
-    names = set(dir(cls)) | set(getattr(cls, "__dataclass_fields__", {}))
+    """Class attributes and the attributes its methods set on self."""
+    names = set(dir(cls))
     for node in ast.walk(ast.parse(inspect.getsource(cls))):
         if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
                 and isinstance(node.value, ast.Name) and node.value.id == "self"):
