@@ -80,6 +80,16 @@ def test_a_fresh_cli_process_loads_no_module_it_does_not_use(run, python):
     assert _modules_imported(exe, RUNS[run]) & UNUSED == set()
 
 
+def test_importing_the_cli_does_not_load_logging():
+    # logging costs every process about 0.5 MB; only the samplers load it
+    assert "logging" not in _modules_imported(sys.executable, RUNS["import"])
+
+
+def test_importing_the_cli_does_not_load_typing():
+    # typing costs milliseconds of import; annotations avoid it
+    assert "typing" not in _modules_imported(sys.executable, RUNS["import"])
+
+
 def test_package_parses_at_the_declared_python_floor():
     # pyproject's requires-python is the floor; feature_version makes the
     # parser refuse syntax newer than it (except*, type statements, ...)
