@@ -16,7 +16,7 @@ import sys
 
 from . import analysis, bounds, constructions, shortening
 from .galois import BaseField, FieldTower
-from .linalg import Matrix, rref
+from .linalg import Matrix
 
 FORMAT_VERSION = "1"
 
@@ -251,11 +251,12 @@ def cmd_construct(args) -> int:
         g = constructions.sample_biregular(args.n, args.t, args.r + 1, args.seed,
                                            min_girth=args.min_girth)
         parity = constructions.build_expander_parity(g, base, args.seed + 1)
-        n_g = args.n - rref(parity)[1]
-        m = args.m if args.m is not None else n_g
-        k = args.k if args.k is not None else max(n_g // 2, 1)
+        # the outer code is built once: it sizes the tower and is the composite's
+        outer = constructions.LinearCode.from_parity(parity)
+        m = args.m if args.m is not None else outer.k
+        k = args.k if args.k is not None else max(outer.k // 2, 1)
         tower = FieldTower(base, m)
-        code = constructions.assemble_expander_code(tower, parity, k)
+        code = constructions.CompositeCode(tower, outer, k)
         parameters = {"n": args.n, "r": args.r, "t": args.t,
                       "w": args.w, "k": k, "m": m}
     provenance = {"seed": getattr(args, "seed", None), "parameters": parameters}

@@ -7,7 +7,7 @@ dimension n*r/(r+t), distance t+1, and explicit disjoint recovering sets
 for every coordinate.
 
 A composite code is its tower, a base-field outer code whose n_G x n
-generator G has full row rank, k and, if concatenated, its number of
+generator G is its own rref, k and, if concatenated, its number of
 inner blocks.  The [n_G, k] Gabidulin code at the basis 1, x, ...,
 x^(n_G-1) encodes a message, and G expands it to n coordinates, so
 coordinate j evaluates the message polynomial at column j of G read as
@@ -30,9 +30,11 @@ from .linalg import Matrix, RankTracker, nullspace, rref
 
 class LinearCode:
     """A code given by a (possibly redundant) parity and a generator of
-    full row rank, k x n; ``from_parity`` makes the generator once, in
-    rref.  The field, n and k are the parity's field, its column count
-    and the generator's row count, read off the two matrices.
+    full row rank, k x n.  The generator is its own rref when it comes
+    from ``from_parity`` or from the block-diagonal that
+    ``assemble_concatenated`` builds; a ``dual``'s generator is not.
+    The field, n and k are the parity's field, its column count and the
+    generator's row count, read off the two matrices.
     """
 
     def __init__(self, parity: Matrix, generator: Matrix):
@@ -77,21 +79,20 @@ class LinearCode:
 
     @cached_property
     def rref_view(self) -> tuple[list[int], list[int]]:
-        """(lanes, columns) of the generator's rref R, built on first use.
+        """(lanes, columns) of a generator that is its own rref, read off
+        it with no elimination.
 
-        columns[j] is column j of R, packed; lanes[j] is the lane mask
-        (q - 1) << (i*w) when j is row i's pivot column, so that column
-        is the unit vector of lane i, and 0 otherwise.  Row operations
-        keep every linear relation among the columns, so
-        ``select_independent_survivors`` picks independent columns of
-        the generator by reading R.
+        columns is ``generator_columns``; lanes[j] is the lane mask
+        (q - 1) << (i*w) when j is row i's pivot column, its lowest
+        nonzero lane, and 0 otherwise.  In rref that column is the unit
+        vector of lane i, which ``select_independent_survivors`` relies
+        on; ``CompositeCode`` refuses a generator for which it is not.
         """
         f = self.field
-        R, _, pivots = rref(self.generator)
         lanes = [0] * self.n
-        for i, col in enumerate(pivots):
-            lanes[col] = (f.q - 1) << (i * f.w)
-        return lanes, R.transpose().data
+        for i, row in enumerate(self.generator.data):
+            lanes[((row & -row).bit_length() - 1) // f.w] = (f.q - 1) << (i * f.w)
+        return lanes, self.generator_columns
 
     def codewords(self):
         """All q^k codewords, packed, in Gray order over the generator rows.
@@ -256,9 +257,12 @@ class CompositeCode:
     The code is (tower, outer, k, blocks), blocks None for an expander
     code; n, n_G = outer.k and a concatenated code's inner sizes
     n / blocks and n_G / blocks are read off these, not stored.  The
-    outer code (its generator G is n_G x n, full row rank) must lie over
-    the tower's base field.  beta[j], the point coordinate j evaluates
-    at, is set here.
+    checks both kinds share are made here: the outer code lies over the
+    tower's base field, an expander's parity has full row rank, and
+    1 <= k <= n_G <= m.  The outer generator G (n_G x n) must be its own
+    rref, as ``from_parity`` and ``assemble_concatenated`` build it; any
+    other generator is refused.  beta[j], the point coordinate j
+    evaluates at, is set here.
     """
 
     def __init__(self, tower: FieldTower, outer: LinearCode, k: int,
@@ -266,8 +270,19 @@ class CompositeCode:
         if outer.field.w != tower.base.w:
             raise ValueError(f"outer code over GF(2^{outer.field.w}) but tower "
                              f"over GF(2^{tower.base.w})")
-        if not 1 <= k <= outer.k <= tower.m:
+        if blocks is None and outer.k != outer.n - outer.parity.rows:
+            raise ValueError("expander parity matrix is rank deficient")
+        # n_G <= m comes before k >= 1, so m < n_G is what is reported at any k
+        if outer.k > tower.m:
+            raise ValueError("n_G exceeds the extension degree m")
+        if k > outer.k:
+            raise ValueError("k exceeds n_G")
+        if k < 1:
             raise ValueError("need 1 <= k <= n <= extension degree m")
+        # in rref the pivot columns, in column order, are e_0, ..., e_(n_G-1)
+        pivot_columns = [c for lane, c in zip(*outer.rref_view) if lane]
+        if pivot_columns != [1 << (i * tower.base.w) for i in range(outer.k)]:
+            raise ValueError("the outer generator must be its own rref")
         self.tower, self.outer, self.k = tower, outer, k
         self.blocks = blocks  # inner codes of a concatenated code
         # the Gabidulin code evaluates at the basis 1, x, ..., x^(n_G-1), so
@@ -296,20 +311,19 @@ class CompositeCode:
 
 
 def assemble_expander_code(tower: FieldTower, parity: Matrix, k: int) -> CompositeCode:
-    """Composite of a Gabidulin code with the code defined by an expander parity."""
-    outer = LinearCode.from_parity(parity)
-    if outer.k != parity.cols - parity.rows:
-        raise ValueError("expander parity matrix is rank deficient")
-    if outer.k > tower.m:
-        raise ValueError("n_G exceeds the extension degree m")
-    if k > outer.k:
-        raise ValueError("k exceeds n_G")
-    return CompositeCode(tower, outer, k)
+    """Composite of a Gabidulin code with the code defined by an expander
+    parity, whose generator ``from_parity`` builds in rref;
+    ``CompositeCode`` checks the parity's rank and the sizes."""
+    return CompositeCode(tower, LinearCode.from_parity(parity), k)
 
 
 def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
                           k: int) -> CompositeCode:
-    """Gabidulin outer code with per-group binary WZL inner encoding."""
+    """Gabidulin outer code with per-group binary WZL inner encoding.
+
+    Checks only what is its own (a GF(2) base, a block, n_G <= m in its
+    own words); ``CompositeCode`` checks k.
+    """
     if tower.base.w != 1:
         raise ValueError("concatenated construction needs a GF(2) base field")
     if blocks < 1:
@@ -319,8 +333,6 @@ def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
     n_g = blocks * k_i
     if n_g > tower.m:
         raise ValueError("n_G = blocks*k_I exceeds the extension degree m")
-    if k > n_g:
-        raise ValueError("k exceeds n_G")
     # block b holds the inner code on coordinates [b*n_I, (b+1)*n_I), w = 1;
     # the block-diagonal of an rref generator is in rref: no elimination
     parity, generator = (Matrix(tower.base, blocks * n_i,
@@ -350,13 +362,13 @@ def select_independent_survivors(code: CompositeCode, indices: Collection[int],
     """Survivors among indices (distinct, each in [0, n)) whose betas are
     independent over the base field: as many as their rank, or stop.
 
-    The betas are the columns of the outer generator G, so this reads the
-    rref R of G (``LinearCode.rref_view``), whose columns keep G's linear
-    relations.  With pivot columns pi and E the rows whose pivot column
-    is not in S, rank(G_S) = (n_G - |E|) + rank(R[E, S \\ pi]): the
-    surviving pivot columns are the unit vectors of the other rows and
-    are taken first, with no rank work, and projecting them out leaves
-    the surviving non-pivot columns restricted to E.  So only those
+    The betas are the columns of the outer generator G, which is its own
+    rref, so this reads G itself (``LinearCode.rref_view``).  With pivot
+    columns pi and E the rows whose pivot column is not in S,
+    rank(G_S) = (n_G - |E|) + rank(G[E, S \\ pi]): the surviving pivot
+    columns are the unit vectors of the other rows and are taken first,
+    with no rank work, and projecting them out leaves the surviving
+    non-pivot columns restricted to E.  So only those
     columns, masked to E's lanes, go through a rank tracker, and one is
     taken when it raises the rank.  The decoder stops at k;
     ``survivor_rank`` counts all of them.

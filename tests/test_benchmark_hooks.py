@@ -52,8 +52,9 @@ def test_one_block_passes_its_checks(tmp_path, workload, classes):
 
 def test_decode_bench_block_builds_each_survivor_rref_view_once(tmp_path, monkeypatch):
     # select_independent_survivors reads LinearCode.rref_view, cached on
-    # the outer code: one decode block, which decodes every code several
-    # times, builds each code's view on its first decode and never again
+    # the outer code: the set-up and one decode block, which decodes every
+    # code several times, build each code's view once, when CompositeCode
+    # checks its generator, and never again
     from lrcav.constructions import LinearCode
     builds = []
     build = LinearCode.rref_view.func

@@ -206,6 +206,22 @@ def test_construct_expander_over_gf2_refuses_even_t(tmp_path, capsys):
     assert (code, err) == (0, "") and path.exists()
 
 
+@pytest.mark.parametrize("w,message", [
+    ("1", "expander parity matrix is rank deficient"),
+    ("2", "extension degree must be >= 1"),
+], ids=["gf2-rank-deficient", "gf4-full-rank"])
+def test_construct_expander_on_a_parity_with_at_least_n_rows(tmp_path, capsys, w, message):
+    # t = r + 1 gives a 4 x 4 parity: over GF(2) its rows sum to zero, so it
+    # has rank 3 and n_G = 1 builds a tower before the rank check refuses
+    # it; over GF(4) it has full rank, so n_G = 0 and the default m = 0
+    # refuses the tower first
+    path = tmp_path / "x.json"
+    code, out, err = run(capsys, "construct", "expander", "--n", "4", "--r", "1",
+                         "--t", "2", "--w", w, "--seed", "0", "--out", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("r,t", [("-1", "3"), ("-2", "3"), ("6", "0")],
                          ids=["r=-1", "r=-2", "t=0"])
 def test_construct_expander_rejects_r_or_t_below_one(tmp_path, capsys, r, t):
@@ -641,8 +657,11 @@ def test_verify_outer_map_of_another_shape_is_stale(tmp_path, capsys, kind, muta
     ("concat", ["--k", "19"], "k exceeds n_G"),
     ("expander", ["--k", "9"], "k exceeds n_G"),
     ("concat", ["--m", "1025"], "m*w = 1025 bits exceeds the tower size cap 1024"),
+    ("concat", ["--k", "0", "--m", "17"], "n_G = blocks*k_I exceeds the extension degree m"),
+    ("expander", ["--k", "0", "--m", "7"], "n_G exceeds the extension degree m"),
 ], ids=["concat-m-below-n_G", "expander-m-below-n_G", "concat-k-above-n_G",
-        "expander-k-above-n_G", "concat-m-above-the-tower-cap"])
+        "expander-k-above-n_G", "concat-m-above-the-tower-cap",
+        "concat-k-0-and-m-below-n_G", "expander-k-0-and-m-below-n_G"])
 def test_construct_composite_outside_its_parameters_is_input_error(tmp_path, capsys,
                                                                    kind, flags, message):
     # n_G = 18 (concat) and 8 (expander); the last flag wins over the k or m

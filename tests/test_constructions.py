@@ -415,27 +415,24 @@ def test_survivor_rank_matches_rank_over_base_on_seeded_subsets(build):
         code, (rng.sample(range(code.n), rng.randrange(code.n + 1)) for _ in range(2000)))
 
 
-def test_survivor_rank_on_an_outer_generator_not_in_rref():
-    # rows permuted, then one row added into another: the same code, but
-    # its generator is no longer its own rref
+def test_composite_refuses_an_outer_generator_not_in_rref(outer_code_cases):
+    # the same code as the README concat, but its generator no longer its
+    # own rref: rows reversed, or one row added into another
     code = concat_code()
-    rows = code.outer.generator.data[::-1]
-    rows[0] ^= rows[1]
     outer = code.outer
-    mixed = LinearCode(outer.parity, Matrix(outer.field, outer.n, rows))
-    assert rref(mixed.generator)[0].data != mixed.generator.data
-    composite = CompositeCode(code.tower, mixed, code.k, code.blocks)
-    rng = random.Random(5)
-    _assert_survivor_rank_is_the_rank_of_the_betas(
-        composite, (rng.sample(range(code.n), rng.randrange(code.n + 1)) for _ in range(500)))
-    # the decoder selects through the same view: a round trip on this
-    # generator returns the message from every pattern of rank >= k
-    for _ in range(200):
-        message = [code.tower.rand(rng) for _ in range(code.k)]
-        cw = encode_composite(composite, message)
-        survivors = rng.sample(range(code.n), rng.randrange(code.n + 1))
-        expected = message if survivor_rank(composite, survivors) >= code.k else None
-        assert composite_erasure_decode(composite, [(j, cw[j]) for j in survivors]) == expected
+    reversed_rows = outer.generator.data[::-1]
+    added = list(outer.generator.data)
+    added[0] ^= added[1]
+    for rows in (reversed_rows, added):
+        mixed = LinearCode(outer.parity, Matrix(outer.field, outer.n, rows))
+        assert rref(mixed.generator)[0].data != mixed.generator.data
+        with pytest.raises(ValueError, match="the outer generator must be its own rref"):
+            CompositeCode(code.tower, mixed, code.k, code.blocks)
+    # the README and bench composites build: their generators are in rref
+    assert CompositeCode(code.tower, outer, code.k, code.blocks).n_g == 18
+    assert readme_expander().n_g == 8
+    for case, _ in outer_code_cases.values():
+        assert case.outer.generator.data == rref(case.outer.generator)[0].data
 
 
 def test_survivor_rank_rejects_indices_outside_the_code():

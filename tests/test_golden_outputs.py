@@ -112,3 +112,54 @@ def test_outputs_match_recorded_digests_under(python, tmp_path):
                 exit_code, b"", stdout_sha, file_sha):
             differ.append(run_id)
     assert differ == []
+
+
+# (eliminations, transposes) of each run: calls of linalg.rref, through
+# every module's binding of it, and of Matrix.transpose
+WORK = {
+    "construct-wzl32": (2, 0),
+    "construct-wzl33": (2, 0),
+    # 2 builds of the inner WZL code, each an rref after its nullspace's:
+    # the double WZL build of construct concat (CHANGES.md FOUND)
+    "construct-concat": (4, 1),
+    "construct-expander": (2, 1),
+    # the dual re-eliminates the rref generator (CHANGES.md FOUND)
+    "verify-wzl32": (3, 1),
+    "erasures-wzl33": (2, 0),
+    "erasures-concat": (2, 1),
+    "erasures-expander": (2, 1),
+    # the dual re-eliminates the rref generator (CHANGES.md FOUND)
+    "shorten-wzl32": (3, 1),
+    "curves": (0, 0),
+    "bounds": (0, 0),
+}
+
+
+def test_each_run_eliminates_and_transposes_as_recorded(tmp_path, monkeypatch):
+    # a composite reads its outer generator's pivots off the generator,
+    # which is its own rref, and construct expander eliminates its parity
+    # once; the counts are by run, in a fresh directory and in RUNS' order
+    from lrcav import analysis, constructions, linalg
+    counts = {}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    cli_imports_rref = hasattr(cli, "rref")
+    rref = counted("rref", linalg.rref)
+    for module in (linalg, constructions, cli, analysis):
+        monkeypatch.setattr(module, "rref", rref, raising=False)
+    monkeypatch.setattr(linalg.Matrix, "transpose",
+                        counted("transpose", linalg.Matrix.transpose))
+    monkeypatch.chdir(tmp_path)
+    work = {}
+    for run_id, argv, *_ in RUNS:
+        counts.update(rref=0, transpose=0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv.split())
+        work[run_id] = (counts["rref"], counts["transpose"])
+    assert work == WORK
+    assert not cli_imports_rref
