@@ -86,20 +86,13 @@ def _base_rows(rows, q: int) -> list:
     return rows
 
 
-def _same_rows(rows, M: Matrix) -> bool:
-    """Do the stored rows (None, or checked by _base_rows) hold matrix M?"""
-    return (rows is not None and len(rows) == M.rows
-            and all(len(row) == M.cols for row in rows)
-            and list(map(M.field.pack, rows)) == M.data)
-
-
 def _check_rebuild(doc: dict, rebuilt: dict) -> None:
     """Each fact the rebuilt code's artifact (``_artifact``) states must
     equal doc's copy: n, k, every field fact, matrix and param, and the
     provenance parity an older expander artifact holds.
 
     A stored parity is the matrix the code was rebuilt from, so it is not
-    compared with itself; a derived matrix (outer_map) is compared packed.
+    compared with itself; a derived matrix (outer_map) is compared as lists.
     """
     pairs = [(key, doc[key] == rebuilt[key]) for key in ("n", "k")]
     for group in ("field", "matrices", "params"):
@@ -109,7 +102,7 @@ def _check_rebuild(doc: dict, rebuilt: dict) -> None:
             if group != "matrices":
                 pairs.append((key, stored.get(key) == val))
             elif key != "parity":
-                pairs.append((key, _same_rows(stored.get(key), val)))
+                pairs.append((key, stored.get(key) == val.to_lists()))
     prov = doc.get("provenance")
     if isinstance(prov, dict) and prov.get("parity") is not None:
         source = doc["matrices"]["parity"] if "parity" in rebuilt["matrices"] else None
@@ -229,36 +222,36 @@ def cmd_curves(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    parameters = {"r": args.r, "t": args.t}
     if args.subkind == "wzl":
         code = constructions.build_wzl(args.r, args.t)
-        parameters = {"r": args.r, "t": args.t}
-    elif args.subkind == "concat":
-        if args.blocks < 1:  # before the default m = blocks * k_I builds a tower
-            raise InputError("need at least one block")
-        if args.k is None and args.d is None:
-            raise InputError("concat needs --k or a target --d")
-        inner = constructions.build_wzl(args.r, args.t)
-        k = args.k if args.k is not None else analysis.concatenated_dimension(
-            args.blocks * inner.n, args.d, args.r, args.t)
-        m = args.m if args.m is not None else args.blocks * inner.k
-        tower = FieldTower(BaseField(1), m)
-        code = constructions.assemble_concatenated(tower, args.r, args.t,
-                                                   args.blocks, k)
-        parameters = {"r": args.r, "t": args.t, "blocks": args.blocks,
-                      "d": args.d, "k": k, "m": m}
     else:
-        base = BaseField(args.w)  # before sampling, so a bad --w fails at once
-        g = constructions.sample_biregular(args.n, args.t, args.r + 1, args.seed,
-                                           min_girth=args.min_girth)
-        parity = constructions.build_expander_parity(g, base, args.seed + 1)
-        # the outer code is built once: it sizes the tower and is the composite's
-        outer = constructions.LinearCode.from_parity(parity)
+        if args.subkind == "concat":
+            # concatenated_outer checks blocks too, but only after the --k/--d
+            # check: checked first here, a run with both faults keeps
+            # reporting the missing block
+            if args.blocks < 1:
+                raise InputError("need at least one block")
+            if args.k is None and args.d is None:
+                raise InputError("concat needs --k or a target --d")
+            base = BaseField(1)
+            outer = constructions.concatenated_outer(base, args.r, args.t, args.blocks)
+            k = args.k if args.k is not None else analysis.concatenated_dimension(
+                outer.n, args.d, args.r, args.t)
+            parameters.update(blocks=args.blocks, d=args.d)
+        else:
+            base = BaseField(args.w)  # before sampling, so a bad --w fails at once
+            g = constructions.sample_biregular(args.n, args.t, args.r + 1, args.seed,
+                                               min_girth=args.min_girth)
+            parity = constructions.build_expander_parity(g, base, args.seed + 1)
+            outer = constructions.LinearCode.from_parity(parity)
+            k = args.k if args.k is not None else max(outer.k // 2, 1)
+            parameters.update(n=args.n, w=args.w)
+        # each kind builds its outer code once: it sizes the tower and is the composite's
         m = args.m if args.m is not None else outer.k
-        k = args.k if args.k is not None else max(outer.k // 2, 1)
-        tower = FieldTower(base, m)
-        code = constructions.CompositeCode(tower, outer, k)
-        parameters = {"n": args.n, "r": args.r, "t": args.t,
-                      "w": args.w, "k": k, "m": m}
+        code = constructions.CompositeCode(FieldTower(base, m), outer, k,
+                                           getattr(args, "blocks", None))
+        parameters.update(k=k, m=m)
     provenance = {"seed": getattr(args, "seed", None), "parameters": parameters}
     save_artifact(to_artifact(code, args.subkind, args.r, args.t, provenance), args.out)
     print(f"wrote {args.subkind} artifact n={code.n} k={code.k} to {args.out}")

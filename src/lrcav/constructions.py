@@ -31,8 +31,8 @@ from .linalg import Matrix, RankTracker, nullspace, rref
 class LinearCode:
     """A code given by a (possibly redundant) parity and a generator of
     full row rank, k x n.  The generator is its own rref when it comes
-    from ``from_parity`` or from the block-diagonal that
-    ``assemble_concatenated`` builds; a ``dual``'s generator is not.
+    from ``from_parity`` or ``concatenated_outer``; a ``dual``'s
+    generator is not.
     The field, n and k are the parity's field, its column count and the
     generator's row count, read off the two matrices.
     """
@@ -257,11 +257,11 @@ class CompositeCode:
     The code is (tower, outer, k, blocks), blocks None for an expander
     code; n, n_G = outer.k and a concatenated code's inner sizes
     n / blocks and n_G / blocks are read off these, not stored.  The
-    checks both kinds share are made here: the outer code lies over the
-    tower's base field, an expander's parity has full row rank, and
-    1 <= k <= n_G <= m.  The outer generator G (n_G x n) must be its own
-    rref, as ``from_parity`` and ``assemble_concatenated`` build it; any
-    other generator is refused.  beta[j], the point coordinate j
+    checks both kinds share are made here, in this order: the outer code
+    lies over the tower's base field, an expander's parity has full row
+    rank, n_G <= m (in each kind's words), k <= n_G, k >= 1, and the
+    outer generator G (n_G x n) is its own rref, as ``from_parity`` and
+    ``concatenated_outer`` build it.  beta[j], the point coordinate j
     evaluates at, is set here.
     """
 
@@ -274,7 +274,8 @@ class CompositeCode:
             raise ValueError("expander parity matrix is rank deficient")
         # n_G <= m comes before k >= 1, so m < n_G is what is reported at any k
         if outer.k > tower.m:
-            raise ValueError("n_G exceeds the extension degree m")
+            raise ValueError("n_G exceeds the extension degree m" if blocks is None
+                             else "n_G = blocks*k_I exceeds the extension degree m")
         if k > outer.k:
             raise ValueError("k exceeds n_G")
         if k < 1:
@@ -317,28 +318,29 @@ def assemble_expander_code(tower: FieldTower, parity: Matrix, k: int) -> Composi
     return CompositeCode(tower, LinearCode.from_parity(parity), k)
 
 
-def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
-                          k: int) -> CompositeCode:
-    """Gabidulin outer code with per-group binary WZL inner encoding.
-
-    Checks only what is its own (a GF(2) base, a block, n_G <= m in its
-    own words); ``CompositeCode`` checks k.
-    """
-    if tower.base.w != 1:
+def concatenated_outer(base: BaseField, r: int, t: int, blocks: int) -> LinearCode:
+    """The block-diagonal of ``blocks`` WZL(r, t) codes over base, a
+    concatenated code's outer code.  Checks a GF(2) base, then a block,
+    then (``build_wzl``) r and t; the generator is in rref, as each
+    block's is."""
+    if base.w != 1:
         raise ValueError("concatenated construction needs a GF(2) base field")
     if blocks < 1:
         raise ValueError("need at least one block")
     inner = build_wzl(r, t)
-    n_i, k_i = inner.n, inner.k
-    n_g = blocks * k_i
-    if n_g > tower.m:
-        raise ValueError("n_G = blocks*k_I exceeds the extension degree m")
-    # block b holds the inner code on coordinates [b*n_I, (b+1)*n_I), w = 1;
-    # the block-diagonal of an rref generator is in rref: no elimination
-    parity, generator = (Matrix(tower.base, blocks * n_i,
-                                [row << (b * n_i) for b in range(blocks) for row in mat.data])
+    # block b holds the inner code on coordinates [b*n_I, (b+1)*n_I), w = 1
+    parity, generator = (Matrix(base, blocks * inner.n,
+                                [row << (b * inner.n) for b in range(blocks) for row in mat.data])
                          for mat in (inner.parity, inner.generator))
-    return CompositeCode(tower, LinearCode(parity, generator), k, blocks)
+    return LinearCode(parity, generator)
+
+
+def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
+                          k: int) -> CompositeCode:
+    """Gabidulin code through ``concatenated_outer`` over the tower's base,
+    which checks the base, blocks, r and t; ``CompositeCode`` then checks
+    n_G <= m and k."""
+    return CompositeCode(tower, concatenated_outer(tower.base, r, t, blocks), k, blocks)
 
 
 def encode_composite(code: CompositeCode, message: Sequence[ExtElement]) -> list[ExtElement]:

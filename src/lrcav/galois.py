@@ -179,9 +179,9 @@ def is_irreducible(tower: FieldTower) -> bool:
         a = tower.frobenius(a, 1)
     if a != tower.x:
         return False
-    tracker = RankTracker(tower.base)
-    return all(tracker.add(tower.frobenius(e, 1) ^ e)
-               for e in map(tower.basis_element, range(1, tower.m)))
+    tracker = RankTracker(tower.base)  # frobenius_images[i] is (x^i)^q
+    return all(tracker.add(tower.frobenius_images[i] ^ tower.basis_element(i))
+               for i in range(1, tower.m))
 
 
 class FieldTower:

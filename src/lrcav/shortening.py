@@ -92,7 +92,7 @@ def _span_checks(code: LinearCode, w: int) -> list[int]:
     free_columns = {}
 
     def order(h):
-        values = [h >> (j * fw) & mask for j in range(n)]
+        values = f.unpack(h, n)
         outside = [j for j, x in enumerate(values) if not x]
         support = tuple(sorted([j for j, x in enumerate(values) if x]
                                + outside[:w - (n - len(outside))]))

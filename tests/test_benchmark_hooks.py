@@ -7,6 +7,7 @@ would only show as the run's error rate.  These guards catch both in
 the tier-1 suite instead of in a benchmark run.
 """
 
+import contextlib
 import sys
 from functools import cached_property
 from pathlib import Path
@@ -32,21 +33,30 @@ def test_bindings_read_by_the_benchmark_tests_exist():
     assert callable(analysis.rref) and callable(shortening.nullspace)
 
 
-@pytest.mark.parametrize("workload,classes", [
-    (workloads.Decode, {cls for cls, *_ in workloads.Decode.CLASSES}),
-    (workloads.Verify, {cls for cls, *_ in workloads.Verify.CLASSES}),
-    (workloads.Curves, {"bounds", "curves_g10", "curves_g20", "curves_g30",
-                        "curves_g45", "curves_g200"}),
-], ids=["decode", "verify", "curves"])
-def test_one_block_passes_its_checks(tmp_path, workload, classes):
+BLOCKS = {
+    "decode": (workloads.Decode, {cls for cls, *_ in workloads.Decode.CLASSES}),
+    "verify": (workloads.Verify, {cls for cls, *_ in workloads.Verify.CLASSES}),
+    "curves": (workloads.Curves, {"bounds", "curves_g10", "curves_g20", "curves_g30",
+                                  "curves_g45", "curves_g200"}),
+}
+
+
+@pytest.mark.parametrize("name,traced", [
+    pytest.param(name, traced, id=f"traced-{name}" if traced else name)
+    for traced in (False, True) for name in BLOCKS])
+def test_one_block_passes_its_checks(tmp_path, name, traced):
     # every op class of one seeded block, through the bench's own call and
     # check: composite round trips, in-process verify and shorten on
-    # stored artifacts, curves and bounds tables
-    bench = workload()
-    bench.setup(str(tmp_path))
-    ops = bench.block(seed=1, b=0)
+    # stored artifacts, curves and bounds tables; traced, the set-up and
+    # the block run under the tracer's hooks, so a field they read that
+    # was renamed fails here
+    workload, classes = BLOCKS[name]
+    with tracing.recording(tracing.Tracer()) if traced else contextlib.nullcontext():
+        bench = workload()
+        bench.setup(str(tmp_path))
+        ops = bench.block(seed=1, b=0)
+        failures = [(op.cls, reason) for op in ops if (reason := op.check(op.call()))]
     assert {op.cls for op in ops} == classes
-    failures = [(op.cls, reason) for op in ops if (reason := op.check(op.call()))]
     assert failures == []
 
 

@@ -640,8 +640,8 @@ def _zero_row_outer_map(doc):
 @pytest.mark.parametrize("mutate", [_zero_padded_outer_map, _zero_row_outer_map],
                          ids=["zero-column", "zero-row"])
 def test_verify_outer_map_of_another_shape_is_stale(tmp_path, capsys, kind, mutate):
-    # outer_map is compared packed, and a zero column or row packs to the
-    # same rows: its shape must still match the code's generator
+    # outer_map is compared as lists, so a zero column or row, which
+    # leaves the packed rows as they are, still makes it stale
     path = tmp_path / f"{kind}.json"
     run(capsys, "construct", *COMPOSITE_ARTIFACTS[kind], "--out", str(path))
     path.write_text(json.dumps(mutate(json.loads(path.read_text()))))

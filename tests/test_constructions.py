@@ -22,9 +22,9 @@ from lrcav.constructions import (BipartiteGraph, CompositeCode, LinearCode,
                                  _has_girth, assemble_concatenated,
                                  assemble_expander_code, build_expander_parity,
                                  build_wzl, check_expansion,
-                                 composite_erasure_decode, encode_composite,
-                                 sample_biregular, select_independent_survivors,
-                                 survivor_rank)
+                                 composite_erasure_decode, concatenated_outer,
+                                 encode_composite, sample_biregular,
+                                 select_independent_survivors, survivor_rank)
 from lrcav.gabidulin import gab_encode
 from lrcav.galois import BaseField, FieldTower
 from lrcav.linalg import Matrix, rank_over_base, rref
@@ -547,6 +547,10 @@ def test_assemble_guards():
         assemble_concatenated(tower, 3, 2, blocks=4, k=9)  # n_G = 24 > m
     with pytest.raises(ValueError):
         assemble_concatenated(tower, 3, 2, blocks=3, k=19)  # k > n_G
+    # CompositeCode states n_G <= m in the concatenated code's own words
+    outer = concatenated_outer(BaseField(1), 3, 2, blocks=4)
+    with pytest.raises(ValueError, match=r"^n_G = blocks\*k_I exceeds the extension degree m$"):
+        CompositeCode(tower, outer, 9, blocks=4)
 
 
 @pytest.fixture(scope="module")
@@ -603,19 +607,35 @@ def test_expander_outer_code_is_the_code_of_its_parity(outer_code_cases, name):
                                         (4, 2, 1)])
 def test_concatenated_outer_code_is_the_code_of_its_parity(r, t, blocks):
     # the block-diagonal inner generator, in rref without an elimination,
-    # is the generator from_parity derives from the block-diagonal parity
+    # is the generator from_parity derives from the block-diagonal parity,
+    # whether built alone or as a composite's outer code
     inner = build_wzl(r, t)
     code = assemble_concatenated(FieldTower(BaseField(1), blocks * inner.k), r, t,
                                  blocks, k=1)
-    outer = code.outer
+    alone = concatenated_outer(BaseField(1), r, t, blocks)
     assert code.blocks == blocks
-    assert (outer.n, outer.k) == (code.n, code.n_g) == (blocks * inner.n,
-                                                        blocks * inner.k)
-    rebuilt = LinearCode.from_parity(outer.parity)
-    assert rebuilt.generator.to_lists() == outer.generator.to_lists()
-    H = ListMatrix.from_rows(outer.field, outer.parity.to_lists(), outer.n)
-    for g in outer.generator.to_lists():
-        assert H.mul_vec(g) == [0] * outer.parity.rows
+    assert (code.n, code.n_g) == (blocks * inner.n, blocks * inner.k)
+    for outer in (code.outer, alone):
+        assert (outer.n, outer.k) == (code.n, code.n_g)
+        assert outer.parity.to_lists() == code.outer.parity.to_lists()
+        assert outer.generator.to_lists() == code.outer.generator.to_lists()
+        rebuilt = LinearCode.from_parity(outer.parity)
+        assert rebuilt.generator.to_lists() == outer.generator.to_lists()
+        H = ListMatrix.from_rows(outer.field, outer.parity.to_lists(), outer.n)
+        for g in outer.generator.to_lists():
+            assert H.mul_vec(g) == [0] * outer.parity.rows
+
+
+@pytest.mark.parametrize("w,r,blocks,message", [
+    (2, 0, 0, "concatenated construction needs a GF(2) base field"),
+    (1, 0, 0, "need at least one block"),
+    (1, 0, 1, "need r >= 1 and t >= 1"),
+], ids=["base-before-blocks", "blocks-before-r", "r"])
+def test_concatenated_outer_checks_in_order(w, r, blocks, message):
+    # each input has the fault it names and every later one
+    with pytest.raises(ValueError) as error:
+        concatenated_outer(BaseField(w), r, 2, blocks)
+    assert str(error.value) == message
 
 
 def _outer_map_of_gab_encode(code, message):

@@ -119,9 +119,7 @@ def test_outputs_match_recorded_digests_under(python, tmp_path):
 WORK = {
     "construct-wzl32": (2, 0),
     "construct-wzl33": (2, 0),
-    # 2 builds of the inner WZL code, each an rref after its nullspace's:
-    # the double WZL build of construct concat (CHANGES.md FOUND)
-    "construct-concat": (4, 1),
+    "construct-concat": (2, 1),
     "construct-expander": (2, 1),
     # the dual re-eliminates the rref generator (CHANGES.md FOUND)
     "verify-wzl32": (3, 1),
@@ -137,8 +135,9 @@ WORK = {
 
 def test_each_run_eliminates_and_transposes_as_recorded(tmp_path, monkeypatch):
     # a composite reads its outer generator's pivots off the generator,
-    # which is its own rref, and construct expander eliminates its parity
-    # once; the counts are by run, in a fresh directory and in RUNS' order
+    # which is its own rref; construct expander eliminates its parity once
+    # and construct concat builds its inner WZL code once; the counts are
+    # by run, in a fresh directory and in RUNS' order
     from lrcav import analysis, constructions, linalg
     counts = {}
 
