@@ -227,31 +227,34 @@ def cmd_construct(args) -> int:
         code = constructions.build_wzl(args.r, args.t)
     else:
         if args.subkind == "concat":
-            # concatenated_outer checks blocks too, but only after the --k/--d
-            # check: checked first here, a run with both faults keeps
-            # reporting the missing block
+            # before the --k/--d check, so a run with both faults reports the
+            # missing block
             if args.blocks < 1:
                 raise InputError("need at least one block")
             if args.k is None and args.d is None:
                 raise InputError("concat needs --k or a target --d")
-            base = BaseField(1)
-            outer = constructions.concatenated_outer(base, args.r, args.t, args.blocks)
+            inner = constructions.build_wzl(args.r, args.t)
             k = args.k if args.k is not None else analysis.concatenated_dimension(
-                outer.n, args.d, args.r, args.t)
+                args.blocks * inner.n, args.d, args.r, args.t)
+            # the tower, sized off the inner code, comes before the
+            # block-diagonal, whose rows grow as blocks^2: a default m past
+            # the tower cap is refused here, a larger n_G by block_diagonal
+            tower = FieldTower(inner.field,
+                               args.m if args.m is not None else args.blocks * inner.k)
+            outer = constructions.block_diagonal(tower.base, inner, args.blocks)
             parameters.update(blocks=args.blocks, d=args.d)
         else:
             base = BaseField(args.w)  # before sampling, so a bad --w fails at once
             g = constructions.sample_biregular(args.n, args.t, args.r + 1, args.seed,
                                                min_girth=args.min_girth)
             parity = constructions.build_expander_parity(g, base, args.seed + 1)
+            # the outer code is built once: it sizes the tower and is the composite's
             outer = constructions.LinearCode.from_parity(parity)
             k = args.k if args.k is not None else max(outer.k // 2, 1)
+            tower = FieldTower(base, args.m if args.m is not None else outer.k)
             parameters.update(n=args.n, w=args.w)
-        # each kind builds its outer code once: it sizes the tower and is the composite's
-        m = args.m if args.m is not None else outer.k
-        code = constructions.CompositeCode(FieldTower(base, m), outer, k,
-                                           getattr(args, "blocks", None))
-        parameters.update(k=k, m=m)
+        code = constructions.CompositeCode(tower, outer, k, getattr(args, "blocks", None))
+        parameters.update(k=k, m=tower.m)
     provenance = {"seed": getattr(args, "seed", None), "parameters": parameters}
     save_artifact(to_artifact(code, args.subkind, args.r, args.t, provenance), args.out)
     print(f"wrote {args.subkind} artifact n={code.n} k={code.k} to {args.out}")

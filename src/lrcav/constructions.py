@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .galois import BaseField, ExtElement, FieldTower
+from .galois import TOWER_SIZE_CAP, BaseField, ExtElement, FieldTower
 from .gabidulin import moore_interpolate
 from .linalg import Matrix, RankTracker, nullspace, rref
 
@@ -31,8 +31,8 @@ from .linalg import Matrix, RankTracker, nullspace, rref
 class LinearCode:
     """A code given by a (possibly redundant) parity and a generator of
     full row rank, k x n.  The generator is its own rref when it comes
-    from ``from_parity`` or ``concatenated_outer``; a ``dual``'s
-    generator is not.
+    from ``from_parity`` or ``block_diagonal`` of such a code; a
+    ``dual``'s generator is not.
     The field, n and k are the parity's field, its column count and the
     generator's row count, read off the two matrices.
     """
@@ -318,16 +318,13 @@ def assemble_expander_code(tower: FieldTower, parity: Matrix, k: int) -> Composi
     return CompositeCode(tower, LinearCode.from_parity(parity), k)
 
 
-def concatenated_outer(base: BaseField, r: int, t: int, blocks: int) -> LinearCode:
-    """The block-diagonal of ``blocks`` WZL(r, t) codes over base, a
-    concatenated code's outer code.  Checks a GF(2) base, then a block,
-    then (``build_wzl``) r and t; the generator is in rref, as each
-    block's is."""
-    if base.w != 1:
-        raise ValueError("concatenated construction needs a GF(2) base field")
-    if blocks < 1:
-        raise ValueError("need at least one block")
-    inner = build_wzl(r, t)
+def block_diagonal(base: BaseField, inner: LinearCode, blocks: int) -> LinearCode:
+    """``blocks`` copies of a binary code down the diagonal, over base: a
+    concatenated code's outer code, its generator in rref if inner's is.
+    n_G = blocks*k_I past the tower size cap, which no tower's m reaches,
+    is refused before the rows, whose size grows as blocks^2, are built."""
+    if blocks * inner.k > TOWER_SIZE_CAP:
+        raise ValueError("n_G = blocks*k_I exceeds the extension degree m")
     # block b holds the inner code on coordinates [b*n_I, (b+1)*n_I), w = 1
     parity, generator = (Matrix(base, blocks * inner.n,
                                 [row << (b * inner.n) for b in range(blocks) for row in mat.data])
@@ -335,11 +332,22 @@ def concatenated_outer(base: BaseField, r: int, t: int, blocks: int) -> LinearCo
     return LinearCode(parity, generator)
 
 
+def concatenated_outer(base: BaseField, r: int, t: int, blocks: int) -> LinearCode:
+    """The block-diagonal of ``blocks`` WZL(r, t) codes over base.  Checks
+    a GF(2) base, then a block, then (``build_wzl``) r and t, then
+    (``block_diagonal``) n_G against the tower size cap."""
+    if base.w != 1:
+        raise ValueError("concatenated construction needs a GF(2) base field")
+    if blocks < 1:
+        raise ValueError("need at least one block")
+    return block_diagonal(base, build_wzl(r, t), blocks)
+
+
 def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
                           k: int) -> CompositeCode:
     """Gabidulin code through ``concatenated_outer`` over the tower's base,
-    which checks the base, blocks, r and t; ``CompositeCode`` then checks
-    n_G <= m and k."""
+    which checks the base, blocks, r, t and n_G against the tower size
+    cap; ``CompositeCode`` then checks n_G <= m and k."""
     return CompositeCode(tower, concatenated_outer(tower.base, r, t, blocks), k, blocks)
 
 

@@ -1,5 +1,10 @@
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -671,6 +676,46 @@ def test_construct_composite_outside_its_parameters_is_input_error(tmp_path, cap
                          "--out", str(path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not path.exists()
+
+
+def _run_capped(tmp_path, *argv):
+    """Run the program in a child process whose address space is capped at
+    512 MiB, so a size check that comes after the block-diagonal is built
+    fails with a MemoryError instead of building rows that grow as
+    blocks^2.  Returns (exit code, stdout, stderr)."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = subprocess.run([sys.executable, "-m", "lrcav", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, preexec_fn=cap,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--k", "2"], "m*w = 6000000 bits exceeds the tower size cap 1024"),
+    (["--k", "2", "--m", "24"], "n_G = blocks*k_I exceeds the extension degree m"),
+    (["--d", "5"], "m*w = 6000000 bits exceeds the tower size cap 1024"),
+], ids=["default-m", "m-below-n_G", "target-d"])
+def test_construct_concat_past_any_tower_is_refused_before_the_build(tmp_path, flags,
+                                                                     message):
+    # 10**6 blocks of WZL(3, 2): n_G = 6 * 10**6
+    code, out, err = _run_capped(tmp_path, "construct", "concat", "--r", "3", "--t", "2",
+                                 "--blocks", str(10**6), *flags, "--out", "x.json")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_verify_concat_past_any_tower_is_refused_before_the_build(tmp_path, capsys):
+    path = tmp_path / "concat.json"
+    run(capsys, "construct", *COMPOSITE_ARTIFACTS["concat"], "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["params"]["blocks"] = 10**6
+    path.write_text(json.dumps(doc))
+    code, out, err = _run_capped(tmp_path, "verify", "--code", str(path), "--erasures", "6",
+                                 "--trials", "20", "--seed", "1")
+    assert (code, out, err) == (
+        2, "", "error: n_G = blocks*k_I exceeds the extension degree m\n")
 
 
 @pytest.mark.parametrize("kind,key,value,message", [

@@ -629,10 +629,12 @@ def test_concatenated_outer_code_is_the_code_of_its_parity(r, t, blocks):
 @pytest.mark.parametrize("w,r,blocks,message", [
     (2, 0, 0, "concatenated construction needs a GF(2) base field"),
     (1, 0, 0, "need at least one block"),
-    (1, 0, 1, "need r >= 1 and t >= 1"),
-], ids=["base-before-blocks", "blocks-before-r", "r"])
+    (1, 0, 200, "need r >= 1 and t >= 1"),
+    (1, 3, 200, "n_G = blocks*k_I exceeds the extension degree m"),
+], ids=["base-before-blocks", "blocks-before-r", "r-before-n_G", "n_G-past-any-tower"])
 def test_concatenated_outer_checks_in_order(w, r, blocks, message):
-    # each input has the fault it names and every later one
+    # each input has the fault it names and every later one it can; 200
+    # blocks of WZL(3, 2) give n_G = 1200, past the 1024-bit tower cap
     with pytest.raises(ValueError) as error:
         concatenated_outer(BaseField(w), r, 2, blocks)
     assert str(error.value) == message
