@@ -14,7 +14,7 @@ import random
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from itertools import islice
-from math import ceil, comb, log
+from math import ceil, log
 
 from . import constructions
 from .bounds import rate_cap
@@ -249,8 +249,7 @@ def partial_block_rank_bound(e: int, r: int, t: int) -> int:
 
 def concatenated_dimension(n: int, d: int, r: int, t: int) -> int:
     """Guaranteed dimension of the concatenated code at target distance d."""
-    n_i = comb(r + t, t)
-    k_i = n_i * r // (r + t)
+    n_i, k_i = constructions.wzl_size(r, t)
     if n % n_i != 0:
         raise ValueError("n must be a multiple of the inner length")
     if not (1 <= d <= n):

@@ -233,27 +233,27 @@ def cmd_construct(args) -> int:
                 raise InputError("need at least one block")
             if args.k is None and args.d is None:
                 raise InputError("concat needs --k or a target --d")
-            inner = constructions.build_wzl(args.r, args.t)
+            n_i, k_i = constructions.wzl_size(args.r, args.t)
             k = args.k if args.k is not None else analysis.concatenated_dimension(
-                args.blocks * inner.n, args.d, args.r, args.t)
-            # the tower, sized off the inner code, comes before the
+                args.blocks * n_i, args.d, args.r, args.t)
+            # the tower is sized from wzl_size, with no code built, before
+            # assemble_concatenated, the loader's assembler too, builds the
             # block-diagonal, whose rows grow as blocks^2: a default m past
             # the tower cap is refused here, a larger n_G by block_diagonal
-            tower = FieldTower(inner.field,
-                               args.m if args.m is not None else args.blocks * inner.k)
-            outer = constructions.block_diagonal(tower.base, inner, args.blocks)
+            tower = FieldTower(BaseField(1), args.m if args.m is not None else args.blocks * k_i)
+            code = constructions.assemble_concatenated(tower, args.r, args.t, args.blocks, k)
             parameters.update(blocks=args.blocks, d=args.d)
         else:
             base = BaseField(args.w)  # before sampling, so a bad --w fails at once
-            g = constructions.sample_biregular(args.n, args.t, args.r + 1, args.seed,
-                                               min_girth=args.min_girth)
-            parity = constructions.build_expander_parity(g, base, args.seed + 1)
+            adj = constructions.sample_biregular(args.n, args.t, args.r + 1, args.seed,
+                                                 min_girth=args.min_girth)
+            parity = constructions.build_expander_parity(adj, base, args.seed + 1)
             # the outer code is built once: it sizes the tower and is the composite's
             outer = constructions.LinearCode.from_parity(parity)
             k = args.k if args.k is not None else max(outer.k // 2, 1)
             tower = FieldTower(base, args.m if args.m is not None else outer.k)
+            code = constructions.CompositeCode(tower, outer, k)
             parameters.update(n=args.n, w=args.w)
-        code = constructions.CompositeCode(tower, outer, k, getattr(args, "blocks", None))
         parameters.update(k=k, m=tower.m)
     provenance = {"seed": getattr(args, "seed", None), "parameters": parameters}
     save_artifact(to_artifact(code, args.subkind, args.r, args.t, provenance), args.out)

@@ -2,9 +2,9 @@
 
 The WZL family is realized as a subset-incidence code: coordinates are
 the t-subsets of [r+t], parity checks are indexed by (t-1)-subsets, each
-check covering the t-subsets that contain it.  This gives n = C(r+t, t),
-dimension n*r/(r+t), distance t+1, and explicit disjoint recovering sets
-for every coordinate.
+check covering the t-subsets that contain it.  This gives the length and
+dimension ``wzl_size`` states, distance t+1, and explicit disjoint
+recovering sets for every coordinate.
 
 A composite code is its tower, a base-field outer code whose n_G x n
 generator G is its own rref, k and, if concatenated, its number of
@@ -103,20 +103,27 @@ class LinearCode:
         return self.field.span(self.generator.data)
 
 
-WZL_SIZE_CAP = 10**5  # largest WZL length n = C(r+t, t) that build_wzl builds
+WZL_SIZE_CAP = 10**5  # largest WZL length that wzl_size admits
 # steps any one exhaustive walk may take: a word of a span walk, a subset of
 # check_expansion, (r+1)^3 per support plus its points in the support walk;
 # each walk reads it when called, so setting it here moves every limit
 WORK_BUDGET = 10**8
 
 
-def build_wzl(r: int, t: int) -> LinearCode:
-    """Binary code with availability t and locality r via subset incidence."""
+def wzl_size(r: int, t: int) -> tuple[int, int]:
+    """(n, k) of WZL(r, t): n = C(r+t, t) and k = C(r+t-1, t) = n*r/(r+t).
+    Refuses r or t below 1, then n past WZL_SIZE_CAP."""
     if r < 1 or t < 1:
         raise ValueError("need r >= 1 and t >= 1")
     n = comb(r + t, t)
     if n > WZL_SIZE_CAP:
         raise ValueError(f"n = C(r+t, t) = {n} exceeds the size cap {WZL_SIZE_CAP}")
+    return n, comb(r + t - 1, t)
+
+
+def build_wzl(r: int, t: int) -> LinearCode:
+    """Binary code with availability t and locality r via subset incidence."""
+    n, _ = wzl_size(r, t)
     universe = list(range(r + t))
     coords = list(combinations(universe, t))
     index = {c: i for i, c in enumerate(coords)}
@@ -124,24 +131,6 @@ def build_wzl(r: int, t: int) -> LinearCode:
     rows = [sum(1 << index[tuple(sorted(s + (v,)))] for v in universe if v not in s)
             for s in combinations(universe, t - 1)]
     return LinearCode.from_parity(Matrix(f2, n, rows))
-
-
-class BipartiteGraph:
-    """(t, r+1)-biregular bipartite graph; adjacency by left vertex."""
-
-    def __init__(self, n_right: int, adj: list[list[int]]):
-        self.n_right, self.adj = n_right, adj
-
-    @property
-    def n_left(self) -> int:
-        return len(self.adj)
-
-    def right_adjacency(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.n_right)]
-        for v, nbrs in enumerate(self.adj):
-            for c in nbrs:
-                out[c].append(v)
-        return out
 
 
 def _has_girth(adj, min_girth: int) -> bool:
@@ -166,8 +155,10 @@ SAMPLE_TRIES = 10**4  # configuration-model shuffles sample_biregular draws at m
 
 
 def sample_biregular(n: int, t: int, rp1: int, seed: int,
-                     min_girth: int = 6) -> BipartiteGraph:
-    """Configuration-model sample, rejected until simple with girth > 4.
+                     min_girth: int = 6) -> list[list[int]]:
+    """A (t, r+1)-biregular bipartite graph as its n left adjacency lists,
+    each sorted, over the right vertices 0, ..., n*t/(r+1) - 1: a
+    configuration-model sample, rejected until simple with girth > 4.
 
     min_girth=6 (the default) demands no 4-cycles; min_girth=4 only
     rejects parallel edges.  Some dense parameter sets admit no 4-cycle
@@ -212,43 +203,42 @@ def sample_biregular(n: int, t: int, rp1: int, seed: int,
             import logging  # here, as in FieldTower.__init__: off the import path
             logging.getLogger(__name__).debug(
                 "sample_biregular(n=%d, t=%d, r+1=%d): rejected %d samples", n, t, rp1, tries)
-            return BipartiteGraph(n_right, [sorted(right_stubs[v * t:(v + 1) * t])
-                                            for v in range(n)])
+            return [sorted(right_stubs[v * t:(v + 1) * t]) for v in range(n)]
     raise ValueError(f"no girth>={min_girth} simple sample in {SAMPLE_TRIES} tries; "
                      "parameters too dense")
 
 
-def check_expansion(g: BipartiteGraph, alpha, gamma) -> bool:
-    """Exhaustively test |Gamma(V')| > t*gamma*|V'| for all |V'| <= alpha*n.
+def check_expansion(adj: list[list[int]], alpha, gamma) -> bool:
+    """Exhaustively test |Gamma(V')| > t*gamma*|V'| for all |V'| <= alpha*n
+    on the graph with these left adjacency lists.
 
     The walk visits at most sum_(1 <= s <= alpha*n) C(n, s) subsets, one
     step of ``WORK_BUDGET`` each, and that sum is checked before it starts.
     """
-    n = g.n_left
+    n = len(adj)
     max_size = int(alpha * n)
     subsets = 0
     for size in range(1, max_size + 1):
         subsets += comb(n, size)
         if subsets > WORK_BUDGET:
             raise ValueError("subset count exceeds the exhaustive-check budget")
-    t = len(g.adj[0]) if g.adj else 0
+    t = len(adj[0]) if adj else 0
     for size in range(1, max_size + 1):
         for sub in combinations(range(n), size):
-            if len(set().union(*(g.adj[v] for v in sub))) <= t * gamma * size:
+            if len(set().union(*(adj[v] for v in sub))) <= t * gamma * size:
                 return False
     return True
 
 
-def build_expander_parity(g: BipartiteGraph, base: BaseField, seed: int) -> Matrix:
-    """One row per right vertex, random nonzero entries on incident lefts."""
-    rng = random.Random(seed)
-    rows = []
-    for nbrs in g.right_adjacency():
-        row = [0] * g.n_left
-        for v in nbrs:
-            row[v] = rng.randrange(1, base.q)
-        rows.append(row)
-    return Matrix.from_rows(base, rows, g.n_left)
+def build_expander_parity(adj: list[list[int]], base: BaseField, seed: int) -> Matrix:
+    """One row per right vertex of the graph with these left adjacency
+    lists, an entry drawn from [1, q) on each incident left: right vertex
+    by right vertex, lefts ascending, each packed as it is drawn."""
+    draw, w = random.Random(seed).randrange, base.w
+    rows = [0] * (1 + max(map(max, adj)))  # a sample meets every right vertex
+    for c, v in sorted((c, v) for v, nbrs in enumerate(adj) for c in nbrs):
+        rows[c] |= draw(1, base.q) << (v * w)
+    return Matrix(base, len(adj), rows)
 
 
 class CompositeCode:
@@ -261,7 +251,7 @@ class CompositeCode:
     lies over the tower's base field, an expander's parity has full row
     rank, n_G <= m (in each kind's words), k <= n_G, k >= 1, and the
     outer generator G (n_G x n) is its own rref, as ``from_parity`` and
-    ``concatenated_outer`` build it.  beta[j], the point coordinate j
+    ``block_diagonal`` build it.  beta[j], the point coordinate j
     evaluates at, is set here.
     """
 
@@ -332,23 +322,17 @@ def block_diagonal(base: BaseField, inner: LinearCode, blocks: int) -> LinearCod
     return LinearCode(parity, generator)
 
 
-def concatenated_outer(base: BaseField, r: int, t: int, blocks: int) -> LinearCode:
-    """The block-diagonal of ``blocks`` WZL(r, t) codes over base.  Checks
-    a GF(2) base, then a block, then (``build_wzl``) r and t, then
-    (``block_diagonal``) n_G against the tower size cap."""
-    if base.w != 1:
+def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
+                          k: int) -> CompositeCode:
+    """Gabidulin code through the ``block_diagonal`` of ``blocks`` WZL(r, t)
+    codes over the tower's base.  Checks a GF(2) base, then a block, then
+    (``build_wzl``) r and t, then (``block_diagonal``) n_G against the
+    tower size cap; ``CompositeCode`` then checks n_G <= m and k."""
+    if tower.base.w != 1:
         raise ValueError("concatenated construction needs a GF(2) base field")
     if blocks < 1:
         raise ValueError("need at least one block")
-    return block_diagonal(base, build_wzl(r, t), blocks)
-
-
-def assemble_concatenated(tower: FieldTower, r: int, t: int, blocks: int,
-                          k: int) -> CompositeCode:
-    """Gabidulin code through ``concatenated_outer`` over the tower's base,
-    which checks the base, blocks, r, t and n_G against the tower size
-    cap; ``CompositeCode`` then checks n_G <= m and k."""
-    return CompositeCode(tower, concatenated_outer(tower.base, r, t, blocks), k, blocks)
+    return CompositeCode(tower, block_diagonal(tower.base, build_wzl(r, t), blocks), k, blocks)
 
 
 def encode_composite(code: CompositeCode, message: Sequence[ExtElement]) -> list[ExtElement]:

@@ -61,7 +61,7 @@ def sampled(n, t, rp1, seed, min_girth, tries):
     when it runs out of tries."""
     saved, constructions.SAMPLE_TRIES = constructions.SAMPLE_TRIES, tries
     try:
-        return constructions.sample_biregular(n, t, rp1, seed, min_girth).adj
+        return constructions.sample_biregular(n, t, rp1, seed, min_girth)
     except ValueError as exc:
         if not str(exc).startswith(f"no girth>={min_girth} simple sample in {tries} tries"):
             raise

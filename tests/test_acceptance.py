@@ -148,7 +148,7 @@ def test_criterion_07_expander_pipeline(report):
     # left pair of right neighbours collides by pigeonhole), so the
     # simple-graph relaxation is the sampler target here.
     g = sample_biregular(14, 3, 7, seed=7, min_girth=4)
-    ok = _has_girth(g.adj, 4)
+    ok = _has_girth(g, 4)
     ok &= check_expansion(g, 3 / 14 + 1e-9, 1.0 / 3.0)
     base = BaseField(4)
     parity = build_expander_parity(g, base, seed=7)

@@ -8,13 +8,17 @@ the tier-1 suite instead of in a benchmark run.
 """
 
 import contextlib
+import os
+import re
+import subprocess
 import sys
 from functools import cached_property
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
 
@@ -129,3 +133,31 @@ def test_decode_bench_block_interpolates_without_frobenius_rows(tmp_path, monkey
         assert op.check(op.call()) is None
     assert calls["frobenius"] > 0
     assert calls["frobenius_row"] == calls["frobenius"]
+
+
+# The perfbench cases known to be stale (ROADMAP "Recent"): the EXPECT
+# table says a workload calls the function, and the library no longer does
+STALE = [f"perfbench/tests/test_perfbench_tracing.py::"
+         f"test_metric_recorded_where_used_and_zero_where_bypassed[{metric}]"
+         for metric in ("linalg.solve.calls", "linalg.solve.self_s",
+                        "linalg.rank_over_base.calls", "linalg.rank_over_base.self_s",
+                        "gabidulin.gab_encode.calls", "gabidulin.gab_encode.self_s",
+                        "analysis.erasure_correctable.calls",
+                        "analysis.erasure_correctable.self_s",
+                        "bounds.expansion_delta.calls", "bounds.expansion_delta.self_s",
+                        "bounds.expansion_delta_per_point")]
+
+
+def test_perfbench_suite_fails_only_its_known_stale_cases():
+    # perfbench/tests is not in testpaths until its stale rows are mended,
+    # so its verdicts are pinned here: a new stale row, or a mended one,
+    # changes the set
+    proc = subprocess.run([sys.executable, "-m", "pytest", "perfbench/tests", "-q",
+                           "-p", "no:cacheprovider"], cwd=ROOT, capture_output=True,
+                          text=True, timeout=600,
+                          env={**os.environ, "PYTHONPATH": "src",
+                               "PYTHONDONTWRITEBYTECODE": "1"})
+    lines = proc.stdout.splitlines()
+    failed = [line.split()[1] for line in lines if line.startswith("FAILED ")]
+    assert sorted(failed) == sorted(STALE)
+    assert re.search(r"\b59 passed\b", lines[-1]), lines[-1]

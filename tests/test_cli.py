@@ -4,6 +4,7 @@ import random
 import resource
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -674,6 +675,33 @@ def test_construct_composite_outside_its_parameters_is_input_error(tmp_path, cap
     path = tmp_path / "x.json"
     code, out, err = run(capsys, "construct", *COMPOSITE_ARTIFACTS[kind], *flags,
                          "--out", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    ("--r 3 --t 2 --blocks 0", "need at least one block"),
+    ("--r 0 --t 2 --blocks 3", "concat needs --k or a target --d"),
+    ("--r 0 --t 2 --blocks 3 --d 0", "need r >= 1 and t >= 1"),
+    ("--r 400 --t 400 --blocks 3 --d 0",
+     f"n = C(r+t, t) = {comb(800, 400)} exceeds the size cap 100000"),
+    ("--r 3 --t 2 --blocks 3 --d 0 --m 1025", "need 1 <= d <= n"),
+    ("--r 1 --t 2 --blocks 3 --d 3 --m 1025", "need r >= 2"),
+    ("--r 3 --t 2 --blocks 171 --k 9 --m 1025",
+     "m*w = 1025 bits exceeds the tower size cap 1024"),
+    ("--r 3 --t 2 --blocks 171 --k 9", "m*w = 1026 bits exceeds the tower size cap 1024"),
+    ("--r 3 --t 2 --blocks 171 --k 9 --m 24", "n_G = blocks*k_I exceeds the extension degree m"),
+    ("--r 3 --t 2 --blocks 3 --k 0 --m 6", "n_G = blocks*k_I exceeds the extension degree m"),
+], ids=["blocks-before-k-or-d", "k-or-d-before-r", "r-before-d", "wzl-cap-before-d",
+        "d-before-tower-cap", "r-2-before-tower-cap", "tower-cap-before-n_G-cap",
+        "default-m-before-n_G-cap", "n_G-cap-before-m", "n_G-above-m-before-k"])
+def test_construct_concat_checks_in_order(tmp_path, capsys, flags, message):
+    # each input holds two faults, and the earlier check's message is the
+    # one reported: blocks, --k/--d, r and t (wzl_size), the target d
+    # (concatenated_dimension), the tower, then assemble_concatenated;
+    # 171 blocks of WZL(3, 2) give n_G = 1026, and 3 give 18
+    path = tmp_path / "x.json"
+    code, out, err = run(capsys, "construct", "concat", *flags.split(), "--out", str(path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not path.exists()
 

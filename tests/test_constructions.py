@@ -4,6 +4,7 @@ import logging
 import os
 import random
 import subprocess
+from collections import Counter
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -18,13 +19,12 @@ import shuffle_reference
 from listalg import ListMatrix
 from lrcav import constructions
 from lrcav.analysis import min_distance, verify_availability
-from lrcav.constructions import (BipartiteGraph, CompositeCode, LinearCode,
-                                 _has_girth, assemble_concatenated,
-                                 assemble_expander_code, build_expander_parity,
-                                 build_wzl, check_expansion,
-                                 composite_erasure_decode, concatenated_outer,
+from lrcav.constructions import (CompositeCode, LinearCode, _has_girth,
+                                 assemble_concatenated, assemble_expander_code,
+                                 block_diagonal, build_expander_parity, build_wzl,
+                                 check_expansion, composite_erasure_decode,
                                  encode_composite, sample_biregular,
-                                 select_independent_survivors, survivor_rank)
+                                 select_independent_survivors, survivor_rank, wzl_size)
 from lrcav.gabidulin import gab_encode
 from lrcav.galois import BaseField, FieldTower
 from lrcav.linalg import Matrix, rank_over_base, rref
@@ -58,19 +58,43 @@ def test_wzl_rejects_bad_params():
         build_wzl(40, 40)
 
 
+def test_wzl_size_is_the_size_build_wzl_builds():
+    sizes = [(r, s - r) for s in range(2, 13) for r in range(1, s)]
+    assert len(sizes) == 66
+    for r, t in sizes:
+        code = build_wzl(r, t)
+        assert wzl_size(r, t) == (code.n, code.k)
+
+
+@pytest.mark.parametrize("r,t,message", [
+    (0, 2, "need r >= 1 and t >= 1"),
+    (3, 0, "need r >= 1 and t >= 1"),
+    (400, 400, f"n = C(r+t, t) = {comb(800, 400)} exceeds the size cap 100000"),
+], ids=["r-0", "t-0", "past-the-size-cap"])
+def test_wzl_size_refuses_as_build_wzl_does(r, t, message):
+    for build in (wzl_size, build_wzl):
+        with pytest.raises(ValueError) as error:
+            build(r, t)
+        assert str(error.value) == message
+
+
 def test_wzl_every_parity_row_has_weight_rp1():
     code = build_wzl(3, 2)
     for row in code.parity.to_lists():
         assert sum(row) == 4
 
 
+def _right_degrees(adj):
+    """right vertex -> degree, over the rights the left adjacency lists meet."""
+    return Counter(c for nbrs in adj for c in nbrs)
+
+
 def test_sample_biregular_degrees():
-    g = sample_biregular(12, 2, 3, seed=0)
-    assert g.n_left == 12 and g.n_right == 8
-    assert all(len(a) == 2 for a in g.adj)
-    right = g.right_adjacency()
-    assert all(len(a) == 3 for a in right)
-    assert _has_girth(g.adj, 6)
+    adj = sample_biregular(12, 2, 3, seed=0)
+    assert len(adj) == 12 and all(len(a) == 2 for a in adj)
+    assert _right_degrees(adj) == {c: 3 for c in range(8)}
+    assert all(a == sorted(a) for a in adj)
+    assert _has_girth(adj, 6)
 
 
 def _configuration_graph(rng):
@@ -81,30 +105,29 @@ def _configuration_graph(rng):
     n_right = n * t // rp1
     right_stubs = [c for c in range(n_right) for _ in range(rp1)]
     rng.shuffle(right_stubs)
-    return BipartiteGraph(n_right, [sorted(right_stubs[v * t:(v + 1) * t])
-                                    for v in range(n)])
+    return [sorted(right_stubs[v * t:(v + 1) * t]) for v in range(n)]
 
 
-def _simple_brute_force(g):
-    return not any(nbrs.count(c) > 1 for nbrs in g.adj for c in nbrs)
+def _simple_brute_force(adj):
+    return not any(nbrs.count(c) > 1 for nbrs in adj for c in nbrs)
 
 
-def _girth_gt4_brute_force(g):
-    if not _simple_brute_force(g):
+def _girth_gt4_brute_force(adj):
+    if not _simple_brute_force(adj):
         return False
-    return all(sum(c in g.adj[u] and c in g.adj[v] for c in range(g.n_right)) < 2
-               for u, v in combinations(range(g.n_left), 2))
+    return all(sum(c in adj[u] and c in adj[v] for c in _right_degrees(adj)) < 2
+               for u, v in combinations(range(len(adj)), 2))
 
 
 def test_is_simple_girth_gt4_matches_brute_force():
     rng = random.Random(41)
     verdicts, repeated = [], 0
     for _ in range(300):
-        g = _configuration_graph(rng)
-        verdicts.append(_has_girth(g.adj, 6))
-        assert verdicts[-1] == _girth_gt4_brute_force(g)
-        simple = _has_girth(g.adj, 4)
-        assert simple == _simple_brute_force(g)
+        adj = _configuration_graph(rng)
+        verdicts.append(_has_girth(adj, 6))
+        assert verdicts[-1] == _girth_gt4_brute_force(adj)
+        simple = _has_girth(adj, 4)
+        assert simple == _simple_brute_force(adj)
         repeated += not simple
     assert repeated and any(verdicts) and not all(verdicts)
 
@@ -117,10 +140,10 @@ def test_sample_biregular_relaxed_girth(monkeypatch):
         patch.setattr(constructions, "SAMPLE_TRIES", 50)
         with pytest.raises(ValueError):
             sample_biregular(14, 3, 7, seed=7, min_girth=6)
-    g = sample_biregular(14, 3, 7, seed=7, min_girth=4)
-    assert _has_girth(g.adj, 4)
-    assert all(len(a) == 3 for a in g.adj)
-    assert all(len(a) == 7 for a in g.right_adjacency())
+    adj = sample_biregular(14, 3, 7, seed=7, min_girth=4)
+    assert _has_girth(adj, 4)
+    assert all(len(a) == 3 for a in adj)
+    assert _right_degrees(adj) == {c: 7 for c in range(6)}
 
 
 def test_sample_biregular_divisibility():
@@ -131,7 +154,7 @@ def test_sample_biregular_divisibility():
 def test_sample_biregular_deterministic():
     a = sample_biregular(12, 2, 3, seed=5)
     b = sample_biregular(12, 2, 3, seed=5)
-    assert a.adj == b.adj
+    assert a == b
 
 
 @pytest.mark.parametrize("n", [0, -5])
@@ -164,14 +187,13 @@ PINNED_SWEEPS = {
 
 @pytest.mark.parametrize("n,t,rp1,seed,girth", sorted(PINNED_GRAPHS))
 def test_sample_biregular_keeps_the_bench_graphs(n, t, rp1, seed, girth):
-    g = sample_biregular(n, t, rp1, seed=seed, min_girth=girth)
-    assert g.adj == PINNED_GRAPHS[n, t, rp1, seed, girth]
+    assert sample_biregular(n, t, rp1, seed=seed, min_girth=girth) == \
+        PINNED_GRAPHS[n, t, rp1, seed, girth]
 
 
 @pytest.mark.parametrize("n,t,rp1,girth", sorted(PINNED_SWEEPS))
 def test_sample_biregular_keeps_its_draws_over_a_seed_sweep(n, t, rp1, girth):
-    adjs = [sample_biregular(n, t, rp1, seed=seed, min_girth=girth).adj
-            for seed in range(20)]
+    adjs = [sample_biregular(n, t, rp1, seed=seed, min_girth=girth) for seed in range(20)]
     assert hashlib.sha256(repr(adjs).encode()).hexdigest() == PINNED_SWEEPS[n, t, rp1, girth]
 
 
@@ -227,26 +249,25 @@ def test_draws_match_the_stdlib_under(python):
 def test_check_expansion_complete_bipartite():
     # K_{2,3} as a 3-regular-left graph: every single vertex has all 3
     # neighbours, so expansion holds at gamma just under 1 for size 1.
-    g = BipartiteGraph(3, [[0, 1, 2], [0, 1, 2]])
-    assert check_expansion(g, 0.5, 0.9)
-    assert not check_expansion(g, 1.0, 0.9)  # both vertices share all rights
+    adj = [[0, 1, 2], [0, 1, 2]]
+    assert check_expansion(adj, 0.5, 0.9)
+    assert not check_expansion(adj, 1.0, 0.9)  # both vertices share all rights
 
 
 def test_check_expansion_budget():
-    g = BipartiteGraph(40, [[0, 1] for _ in range(60)])
     with pytest.raises(ValueError):
-        check_expansion(g, 0.9, 0.5)
+        check_expansion([[0, 1] for _ in range(60)], 0.9, 0.5)
 
 
 def test_check_expansion_refuses_a_walk_past_the_budget_before_it_starts(monkeypatch):
     # 100 left vertices at alpha = 0.2: subsets of size <= 20, about
     # 7.1e20 of them, a walk that never ends; refused before any is built
-    g = BipartiteGraph(50, [[v % 50, (v + 1) % 50] for v in range(100)])
-    small = BipartiteGraph(6, [[v % 6, (v + 1) % 6] for v in range(12)])
+    adj = [[v % 50, (v + 1) % 50] for v in range(100)]
+    small = [[v % 6, (v + 1) % 6] for v in range(12)]
     with monkeypatch.context() as patch:
         patch.setattr(constructions, "combinations", lambda *args: pytest.fail("walked"))
         with pytest.raises(ValueError, match="exceeds the exhaustive-check budget"):
-            check_expansion(g, 0.2, 0.5)
+            check_expansion(adj, 0.2, 0.5)
         # the subset count is charged, not the size: the 2^12 - 1
         # nonempty subsets of 12 vertices against one step fewer
         patch.setattr(constructions, "WORK_BUDGET", 2**12 - 2)
@@ -272,6 +293,39 @@ def test_expander_parity_shape_and_weights():
     assert (parity.rows, parity.cols) == (6, 14)
     for row in parity.to_lists():
         assert sum(1 for x in row if x) == 7
+
+
+def _listed_expander_parity(n_right, adj, base, seed):
+    """The expander parity as it was built on coordinate lists: the right
+    adjacency first, then one row per right vertex with an entry drawn on
+    each incident left in ascending order, checked by ``from_rows``."""
+    rng = random.Random(seed)
+    right = [[] for _ in range(n_right)]
+    for v, nbrs in enumerate(adj):
+        for c in nbrs:
+            right[c].append(v)
+    rows = []
+    for nbrs in right:
+        row = [0] * len(adj)
+        for v in nbrs:
+            row[v] = rng.randrange(1, base.q)
+        rows.append(row)
+    return Matrix.from_rows(base, rows, len(adj))
+
+
+# each pinned graph at four base fields, then the decode bench's two parities
+EXPANDER_PARITY_CASES = ([(key, w, key[3] + 1) for key in sorted(PINNED_GRAPHS)
+                          for w in (1, 2, 4, 8)]
+                         + [((14, 3, 7, 7, 4), 4, 8), ((20, 2, 5, 3, 6), 8, 4)])
+
+
+@pytest.mark.parametrize("key,w,seed", EXPANDER_PARITY_CASES)
+def test_expander_parity_packs_the_listed_draws(key, w, seed):
+    n, t, rp1 = key[:3]
+    adj, base = PINNED_GRAPHS[key], BaseField(w)
+    parity = build_expander_parity(adj, base, seed)
+    assert parity.cols == n
+    assert parity.data == _listed_expander_parity(n * t // rp1, adj, base, seed).data
 
 
 def test_expander_codeword_satisfies_parity():
@@ -548,7 +602,7 @@ def test_assemble_guards():
     with pytest.raises(ValueError):
         assemble_concatenated(tower, 3, 2, blocks=3, k=19)  # k > n_G
     # CompositeCode states n_G <= m in the concatenated code's own words
-    outer = concatenated_outer(BaseField(1), 3, 2, blocks=4)
+    outer = block_diagonal(BaseField(1), build_wzl(3, 2), blocks=4)
     with pytest.raises(ValueError, match=r"^n_G = blocks\*k_I exceeds the extension degree m$"):
         CompositeCode(tower, outer, 9, blocks=4)
 
@@ -612,7 +666,7 @@ def test_concatenated_outer_code_is_the_code_of_its_parity(r, t, blocks):
     inner = build_wzl(r, t)
     code = assemble_concatenated(FieldTower(BaseField(1), blocks * inner.k), r, t,
                                  blocks, k=1)
-    alone = concatenated_outer(BaseField(1), r, t, blocks)
+    alone = block_diagonal(BaseField(1), inner, blocks)
     assert code.blocks == blocks
     assert (code.n, code.n_g) == (blocks * inner.n, blocks * inner.k)
     for outer in (code.outer, alone):
@@ -635,8 +689,9 @@ def test_concatenated_outer_code_is_the_code_of_its_parity(r, t, blocks):
 def test_concatenated_outer_checks_in_order(w, r, blocks, message):
     # each input has the fault it names and every later one it can; 200
     # blocks of WZL(3, 2) give n_G = 1200, past the 1024-bit tower cap
+    # and the tower's m = 8, and k = 0 is refused last
     with pytest.raises(ValueError) as error:
-        concatenated_outer(BaseField(w), r, 2, blocks)
+        assemble_concatenated(FieldTower(BaseField(w), 8), r, 2, blocks, 0)
     assert str(error.value) == message
 
 
